@@ -1,0 +1,77 @@
+"""Byte-for-byte regression of CLI stdout against frozen outputs.
+
+Each case feeds a built-in model (or a literal JSON input) to one verb and
+compares stdout with ``tests/golden/<name>.out``.  To refreeze after a
+deliberate output change, run ``PYTHONPATH=src python tests/test_golden.py``
+and review the diff.
+"""
+
+import contextlib
+import io
+import pathlib
+import sys
+
+import pytest
+
+from cjl.cli import run
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+MODELS = {
+    "exterior-2": (["model", "exterior", "--n", "2"], ""),
+    "exterior-3": (["model", "exterior", "--n", "3"], ""),
+    "surface-2": (["model", "surface", "--g", "2"], ""),
+    "surface-3": (["model", "surface", "--g", "3"], ""),
+    "3-line": (["model", "os", "--normals", "-"], '{"normals":[[1,0],[0,1],[1,1]]}'),
+    "glr": (["model", "glr", "--n", "2", "--r", "2"], ""),
+}
+
+LINE_COMPLEX = '{"ring":{"field":"Q","vars":["x0"]},"lo":0,"ranks":[1,1],"diffs":[[["x0"]]]}'
+
+# (golden name, model fed on stdin or None for LINE_COMPLEX, verb argv)
+CASES = (
+    [(f"analyze-{m}", m, ["analyze"]) for m in ("exterior-2", "surface-2", "surface-3", "3-line")]
+    + [(f"resonance-exterior-3-i{i}-k{k}", "exterior-3", ["resonance", "--i", str(i), "--k", str(k)])
+       for i in (1, 2) for k in (1, 2)]
+    + [("resonance-3-line-i1", "3-line", ["resonance", "--i", "1"]),
+       ("resonance-glr-i0", "glr", ["resonance", "--i", "0"]),
+       ("resonance-glr-i2", "glr", ["resonance", "--i", "2"]),
+       ("cone-glr", "glr", ["cone"]),
+       ("cone-exterior-3", "exterior-3", ["cone"]),
+       ("readme-resonance", "exterior-2", ["resonance", "--i", "1", "--k", "1"]),
+       ("readme-jump", None, ["jump", "--i", "0", "--k", "1"])]
+)
+
+
+def _stdout(argv, stdin_text):
+    out = io.StringIO()
+    old = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = run(argv)
+    finally:
+        sys.stdin = old
+    assert code == 0, argv
+    return out.getvalue()
+
+
+def _outputs():
+    pairs = {m: _stdout(*MODELS[m]) for m in MODELS}
+    return {name: _stdout(argv, pairs[m] if m else LINE_COMPLEX) for name, m, argv in CASES}
+
+
+@pytest.fixture(scope="module")
+def outputs():
+    return _outputs()
+
+
+@pytest.mark.parametrize("name", [c[0] for c in CASES])
+def test_golden_stdout(outputs, name):
+    assert outputs[name] == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, text in _outputs().items():
+        (GOLDEN / f"{name}.out").write_text(text, encoding="utf-8")
