@@ -429,7 +429,7 @@ def check_rank_identities(seed=0):
         total = 0
         families = set()
         for label, P in _model_corpus():
-            report = analyze(P, seed=seed)
+            report = analyze(P)
             bad = [c["id"] for c in report["claims"] if not c["holds"]]
             if bad:
                 return False, f"{label}: failing claims {bad[:4]}"
@@ -463,7 +463,7 @@ def check_two_path_agreement(seed=0):
                     continue
                 points += 1
                 for i in range(a + 1):
-                    left, right = tor_crosscheck(P, eta, i, seed=seed)
+                    left, right = tor_crosscheck(P, eta, i)
                     if left != right:
                         return False, f"{label}: paths disagree at i={i} ({left} vs {right})"
                     checked += 1

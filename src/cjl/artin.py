@@ -13,6 +13,7 @@ basis as the distinguished basis.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from typing import Sequence
 
 from .errors import (AxiomError, NotFiniteError, NotLocalError,
@@ -295,9 +296,9 @@ class ArtinIdeal:
             if len(g) != algebra.dim:
                 raise ValidationError("generator has wrong length")
         self.ech = Echelon(algebra.field, algebra.dim)
-        work = list(self.gens)
+        work = deque(self.gens)
         while work:
-            v = work.pop(0)
+            v = work.popleft()
             if self.ech.add(v):
                 for j in range(1, algebra.dim):
                     work.append(algebra.mul(v, algebra.basis(j)))

@@ -8,7 +8,8 @@ which makes them canonical too.
 
 Exit codes: 0 on success, 2 for bad input (malformed JSON, schema or axiom
 violations -- the error object on stderr carries a location path or a
-witness), 3 when a step budget was exhausted.
+witness), 3 when a step budget was exhausted, 4 when an internal invariant
+failed (a bug in the package, reported as a JSON error object).
 """
 
 import argparse
@@ -18,7 +19,7 @@ import sys
 from .artin import artin_from_json
 from .complexes import FreeComplex, jump_ideal
 from .dgla import pair_from_json, pair_to_json
-from .errors import AxiomError, ResourceLimitError, ValidationError
+from .errors import AxiomError, InternalCheckError, ResourceLimitError, ValidationError
 from .geometry import analyze
 from .mc import (
     def_jump_test,
@@ -190,7 +191,7 @@ def _cmd_gauge(args):
 def _cmd_analyze(args):
     P = _load_pair(args)
     claims = args.claims.split(",") if args.claims else None
-    return analyze(P, claims=claims, seed=args.seed)
+    return analyze(P, claims=claims)
 
 
 def _cmd_model(args):
@@ -254,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full numeric/ideal-theoretic report for a pair")
     p.add_argument("--pair", default="-")
     p.add_argument("--claims", default=None, help="comma-separated claim-id prefixes to keep")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted for compatibility; the report does not depend on it")
 
     p = sub.add_parser("model", help="emit a built-in dgla pair as JSON")
     kinds = p.add_subparsers(dest="kind", required=True)
@@ -306,6 +308,9 @@ def run(argv=None) -> int:
     except ValidationError as exc:
         _fail({"error": str(exc), "path": exc.path})
         return 2
+    except InternalCheckError as exc:
+        _fail({"error": str(exc)})
+        return 4
     if isinstance(out, int):
         return out
     _emit(out)

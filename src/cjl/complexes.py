@@ -21,7 +21,6 @@ from typing import Sequence
 from .artin import ArtinLocalAlgebra
 from .errors import InternalCheckError, RingMismatchError, ValidationError
 from .linalg import rank as field_rank
-from .poly import RingContext
 
 
 def ring_same(r1, r2) -> bool:
@@ -86,12 +85,6 @@ class FreeComplex:
     @staticmethod
     def zero(ring) -> "FreeComplex":
         return FreeComplex(ring, 0, 0, (0,), ())
-
-    def is_zero_complex(self) -> bool:
-        return all(r == 0 for r in self.ranks)
-
-    def total_rank(self) -> int:
-        return sum(self.ranks)
 
     def __repr__(self):
         return f"FreeComplex([{self.lo},{self.hi}], ranks={self.ranks})"
@@ -158,24 +151,10 @@ def block_diag(ring, A, B, ra: int, ca: int, rb: int, cb: int):
 
 def block_diag_determinantal(ring, A, B, r: int, ra: int, ca: int,
                              rb: int, cb: int):
-    """Minor ideal of the block-diagonal matrix, computed two ways: from
-    the assembled matrix, and as the convolution sum of the blocks' minor
-    ideals.  The two must agree (they are compared on every call)."""
-    M = block_diag(ring, A, B, ra, ca, rb, cb)
-    direct = determinantal_ideal(ring, M, r, ra + rb, ca + cb)
-    if r <= 0:
-        conv = ring.unit_ideal()
-    else:
-        conv = ring.zero_ideal()
-        for j in range(0, r + 1):
-            piece = determinantal_ideal(ring, A, j, ra, ca).times(
-                determinantal_ideal(ring, B, r - j, rb, cb))
-            conv = conv.plus(piece)
-    if not direct.equals(conv):
-        raise InternalCheckError(
-            "block-diagonal minor ideal disagrees with the convolution of "
-            f"the blocks' minor ideals at size {r}")
-    return direct
+    """Ideal of the r x r minors of the block-diagonal matrix A (+) B,
+    taken from the assembled matrix."""
+    return determinantal_ideal(ring, block_diag(ring, A, B, ra, ca, rb, cb),
+                               r, ra + rb, ca + cb)
 
 
 # ---------------------------------------------------------------------------

@@ -62,8 +62,9 @@ class ResourceLimitError(CjlError):
 
 
 class InternalCheckError(CjlError):
-    """Two independent computation paths disagreed.
+    """An internal invariant failed.
 
     This is never a user error: it means a bug in the package itself, and
-    the message says which pair of routes diverged.
+    the message says which invariant broke.  The command line reports it
+    as a JSON error object with exit code 4.
     """

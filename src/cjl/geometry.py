@@ -19,9 +19,6 @@ from .errors import InternalCheckError, ValidationError
 from .groebner import krull_dimension
 from .linalg import bareiss_rank, generic_rank_bareiss, rank as point_rank
 from .resonance import pointwise_resonance, universal_aomoto
-from .rng import Rng
-
-SPOT_CHECK_DRAWS = 25
 
 
 def _prepared(P):
@@ -103,10 +100,9 @@ class _Geometry:
 
     # -- exactness threshold -------------------------------------------
 
-    def threshold_pos(self, seed: int = 0) -> int:
+    def threshold_pos(self) -> int:
         if self._a is None:
             self._a = self._threshold_scan()
-            self._confirm_at_point(self._a, seed)
         return self._a
 
     def _threshold_scan(self) -> int:
@@ -135,36 +131,11 @@ class _Geometry:
                     return i
         raise InternalCheckError("exactness scan did not terminate")
 
-    def _confirm_at_point(self, a_pos: int, seed: int):
-        """Specialize at a random cone point and check that cohomology
-        below the threshold actually vanishes there.  One confirming
-        point suffices; the symbolic answer stays authoritative."""
-        if a_pos <= 0:
-            return
-        F = self.ctx.field
-        n = self.S.nvars
-        rng = Rng(seed)
-        for _ in range(SPOT_CHECK_DRAWS):
-            pt = tuple(F.from_int(rng.randint(-5, 5)) for _ in range(n))
-            if n > 0 and all(F.is_zero(x) for x in pt):
-                continue
-            if any(not F.is_zero(q.evaluate(pt)) for q in self.iq):
-                continue
-            if all(self._fiber_dim(p, pt) == 0 for p in range(a_pos)):
-                return
-        raise InternalCheckError(
-            f"no specialization confirming the threshold in "
-            f"{SPOT_CHECK_DRAWS} draws")
-
     def _point_rank(self, i: int, pt) -> int:
         # the specialize-then-rank route stays on the fraction-free
         # eliminator, independent of the contraction route's reducer
         rows = [[e.evaluate(pt) for e in row] for row in self.E.diff(i)]
         return bareiss_rank(self.ctx.field, rows)
-
-    def _fiber_dim(self, pos: int, pt) -> int:
-        i = self.lo + pos
-        return self.b[pos] - self._point_rank(i, pt) - self._point_rank(i - 1, pt)
 
 
 # ---------------------------------------------------------------------------
@@ -179,17 +150,16 @@ def generic_ranks(P):
     return g.b, g.beta
 
 
-def exactness_threshold(P, seed: int = 0) -> int:
+def exactness_threshold(P) -> int:
     """First absolute degree where the universal complex stops being
     exact.
 
     Exactness through a window prefix is decided by the rank identity
     ``b_i = beta_i + beta_{i-1}`` together with lower bounds on the
     codimension of the expected-rank minor loci; the first degree
-    violating either is returned.  A random cone point is then
-    specialized to confirm vanishing below the threshold."""
+    violating either is returned."""
     g = _Geometry(P)
-    return g.lo + g.threshold_pos(seed)
+    return g.lo + g.threshold_pos()
 
 
 def fitting_locus(P, i: int, k: int = 1):
@@ -215,9 +185,7 @@ class ChernSeries:
     """Truncated integer power series attached to one degree.
 
     ``coeffs[j]`` is the degree-``j`` coefficient; ``coeffs[0]`` is
-    always 1.  Instances are produced by :func:`chern_series`, which
-    computes the coefficients along two independent routes and refuses
-    to return unless they agree."""
+    always 1.  Instances are produced by :func:`chern_series`."""
 
     def __init__(self, i: int, coeffs):
         coeffs = tuple(coeffs)
@@ -271,26 +239,12 @@ def _series_product(exps: dict, trunc: int) -> list:
     return out
 
 
-def _series_by_log(exps: dict, trunc: int) -> list:
-    """Same product through the logarithmic-derivative recurrence:
-    (j+1) c_{j+1} = sum_s c_s g_{j-s} with g_m = -sum_k e_k k**(m+1)."""
-    from fractions import Fraction
-    g = [-sum(e * k ** (m + 1) for k, e in exps.items())
-         for m in range(trunc + 1)]
-    c = [Fraction(1)]
-    for j in range(trunc):
-        c.append(sum(c[s] * g[j - s] for s in range(j + 1)) / (j + 1))
-    return c
-
-
 def chern_series(b, i: int, a: int, trunc: int) -> ChernSeries:
     """Truncated series prod_{k=1}^{i+1} (1 - k t)**chern_exponent(b,i,k)
     for an intermediate degree ``0 < i < a``.
 
     Refuses when the alternating sum through ``a`` vanishes (the series
-    family is only meaningful on that open condition), and cross-checks
-    the direct product expansion against the logarithmic-derivative
-    recurrence before returning."""
+    family is only meaningful on that open condition)."""
     if not 0 < i < a:
         raise ValidationError(f"series defined for 0 < i < {a}, got {i}")
     if trunc < 0:
@@ -301,12 +255,7 @@ def chern_series(b, i: int, a: int, trunc: int) -> ChernSeries:
             "alternating sum through the threshold vanishes; the "
             "characteristic series is not defined for this window")
     exps = {k: chern_exponent(b, i, k) for k in range(1, i + 2)}
-    direct = _series_product(exps, trunc)
-    logged = _series_by_log(exps, trunc)
-    if any(x != y for x, y in zip(direct, logged)):
-        raise InternalCheckError(
-            f"series paths disagree: product {direct} vs recurrence {logged}")
-    return ChernSeries(i, direct)
+    return ChernSeries(i, _series_product(exps, trunc))
 
 
 def _partitions(w: int, cap: int | None = None):
@@ -405,17 +354,17 @@ def _locus_inside(outer_ideal, inner_ideal) -> bool:
                for g in outer_ideal.all_gens())
 
 
-def verify_inclusions(P, seed: int = 0) -> list:
+def verify_inclusions(P) -> list:
     """Nesting of the rank-drop loci below the threshold.
 
     Consecutive degrees nest upward (claim family ``9.1c``); two degrees
     below the threshold the level-1 locus sits inside the next degree's
     level-2 locus (family ``9.1j``)."""
-    return _inclusions(_Geometry(P), seed)
+    return _inclusions(_Geometry(P))
 
 
-def _inclusions(g: _Geometry, seed: int) -> list:
-    a_pos = g.threshold_pos(seed)
+def _inclusions(g: _Geometry) -> list:
+    a_pos = g.threshold_pos()
     out = []
     for pos in range(1, a_pos):
         ok = _locus_inside(g.res(pos, 1), g.res(pos - 1, 1))
@@ -428,7 +377,7 @@ def _inclusions(g: _Geometry, seed: int) -> list:
     return out
 
 
-def verify_codim_bounds(P, seed: int = 0):
+def verify_codim_bounds(P):
     """Codimension window for each level-1 locus below the threshold,
     plus the level-2 upper bound; returns (claims, codims, flags).
 
@@ -437,11 +386,11 @@ def verify_codim_bounds(P, seed: int = 0):
     The bounds assume depth equals codimension for the coefficients,
     which is automatic for free coefficients and principal quotients and
     flagged otherwise."""
-    return _codim_bounds(_Geometry(P), seed)
+    return _codim_bounds(_Geometry(P))
 
 
-def _codim_bounds(g: _Geometry, seed: int):
-    a_pos = g.threshold_pos(seed)
+def _codim_bounds(g: _Geometry):
+    a_pos = g.threshold_pos()
     flags = []
     if len(g.iq) > 1:
         flags.append("cm_assumed")
@@ -509,7 +458,7 @@ def _support_claims(g: _Geometry, a_pos: int) -> list:
     return out
 
 
-def tor_crosscheck(P, eta, i: int, seed: int = 0) -> tuple:
+def tor_crosscheck(P, eta, i: int) -> tuple:
     """Two independent computations of the same fiber invariant at a
     cone point: cohomology of the eta-contracted window at degree
     ``a - i`` against homology of the specialized universal matrices.
@@ -529,7 +478,7 @@ def tor_crosscheck(P, eta, i: int, seed: int = 0) -> tuple:
         raise ValidationError("the crosscheck needs a nonzero cone point")
     if any(not F.is_zero(q.evaluate(eta)) for q in g.iq):
         raise ValidationError("point does not lie on the quadratic cone")
-    a_pos = g.threshold_pos(seed)
+    a_pos = g.threshold_pos()
     a = g.lo + a_pos
 
     # contraction path: structure constants against the point
@@ -575,7 +524,7 @@ def _action_rank(P, eta, j: int) -> int:
 # report
 # ---------------------------------------------------------------------------
 
-def analyze(P, claims=None, seed: int = 0) -> dict:
+def analyze(P, claims=None) -> dict:
     """Full numeric report on one pair: window dimensions, generic
     ranks, exactness threshold, claim verdicts, and the characteristic
     series per intermediate degree.
@@ -583,7 +532,7 @@ def analyze(P, claims=None, seed: int = 0) -> dict:
     ``claims`` optionally restricts the verdict list to ids starting
     with any of the given prefixes.  The result is JSON-ready."""
     g = _Geometry(P)
-    a_pos = g.threshold_pos(seed)
+    a_pos = g.threshold_pos()
     a = g.lo + a_pos
     chi = alternating_sum(g.b, a_pos)
     flags = []
@@ -599,8 +548,8 @@ def analyze(P, claims=None, seed: int = 0) -> dict:
         })
     out.extend(_support_claims(g, a_pos))
 
-    incl = _inclusions(g, seed)
-    codim_claims, codims, cflags = _codim_bounds(g, seed)
+    incl = _inclusions(g)
+    codim_claims, codims, cflags = _codim_bounds(g)
     out.extend(incl)
     out.extend(codim_claims)
     flags.extend(cflags)

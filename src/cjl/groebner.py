@@ -27,7 +27,7 @@ import itertools
 import os
 from typing import Sequence
 
-from .errors import RingMismatchError, ResourceLimitError, ValidationError
+from .errors import ResourceLimitError, ValidationError
 from .field import QQ
 from .poly import (Polynomial, RingContext, format_poly, mono_deg, mono_div,
                    mono_divides, mono_lcm, mono_mul)
@@ -288,24 +288,8 @@ class Ideal:
 
 
 # ---------------------------------------------------------------------------
-# spec-level operations
+# dimension
 # ---------------------------------------------------------------------------
-
-def groebner_basis(I: Ideal) -> tuple:
-    return I.groebner()
-
-
-def ideal_membership(I: Ideal, f: Polynomial) -> bool:
-    return I.contains(f)
-
-
-def ideal_equal(I: Ideal, J: Ideal) -> bool:
-    return I.equals(J)
-
-
-def radical_membership(I: Ideal, f: Polynomial) -> bool:
-    return I.radical_contains(f)
-
 
 def _min_hitting_set(supports: list, n: int) -> int:
     """Smallest set of variables meeting every support, by branch and

@@ -2,8 +2,8 @@
 
 Two independent rank routes are kept on purpose: reduced row echelon form
 and fraction-free Bareiss condensation.  They share no code beyond the
-field protocol, so agreement between them is a meaningful cross-check and
-several callers assert it.
+field protocol, so agreement between them is a meaningful cross-check;
+``geometry.tor_crosscheck`` compares a count computed on each.
 """
 
 from __future__ import annotations
@@ -53,18 +53,6 @@ def _dot(F, a, b):
     for x, y in zip(a, b):
         s = F.add(s, F.mul(x, y))
     return s
-
-
-def vec_add(F, a: Vec, b: Vec) -> Vec:
-    return tuple(F.add(x, y) for x, y in zip(a, b))
-
-
-def vec_sub(F, a: Vec, b: Vec) -> Vec:
-    return tuple(F.sub(x, y) for x, y in zip(a, b))
-
-
-def vec_scale(F, a: Vec, c) -> Vec:
-    return tuple(F.mul(x, c) for x in a)
 
 
 def vec_is_zero(F, a: Vec) -> bool:
@@ -192,33 +180,6 @@ def bareiss_rank(F, rows: Sequence[Vec]) -> int:
         prev = piv
         r += 1
     return r
-
-
-def det(F, A: Mat):
-    """Determinant of a square field matrix (Gaussian, exact)."""
-    n = len(A)
-    if n == 0:
-        return F.one
-    M = [list(r) for r in A]
-    sign = F.one
-    acc = F.one
-    for c in range(n):
-        pr = next((i for i in range(c, n) if not F.is_zero(M[i][c])), None)
-        if pr is None:
-            return F.zero
-        if pr != c:
-            M[c], M[pr] = M[pr], M[c]
-            sign = F.neg(sign)
-        piv = M[c][c]
-        acc = F.mul(acc, piv)
-        inv = F.inv(piv)
-        for i in range(c + 1, n):
-            f = F.mul(M[i][c], inv)
-            if F.is_zero(f):
-                continue
-            for j in range(c, n):
-                M[i][j] = F.sub(M[i][j], F.mul(f, M[c][j]))
-    return F.mul(sign, acc)
 
 
 # ---------------------------------------------------------------------------

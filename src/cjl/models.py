@@ -220,8 +220,7 @@ def _proportional(u, v) -> bool:
 def orlik_solomon(arr: Arrangement) -> Cdga:
     """Quotient of the exterior algebra on the hyperplanes by the
     boundary relations of the circuits; graded pieces materialized by
-    row reduction, with a broken-circuit count as an independent check
-    on every dimension."""
+    row reduction."""
     F = QQ()
     m = arr.m
     E = exterior(m)
@@ -260,16 +259,6 @@ def orlik_solomon(arr: Arrangement) -> Cdga:
         pivots = {next(c for c, x in enumerate(row) if not F.is_zero(x))
                   for row in rel[k].basis()}
         keep[k] = [a for a in range(len(by_deg[k])) if a not in pivots]
-
-    # broken-circuit crosscheck on every graded dimension
-    broken = [set(S[1:]) for S in circuits]
-    for k in range(m + 1):
-        count = sum(1 for S in by_deg[k]
-                    if not any(b <= {i - 1 for i in S} for b in broken))
-        if count != len(keep[k]):
-            raise InternalCheckError(
-                f"degree {k}: reduced basis has {len(keep[k])} monomials "
-                f"but the broken-circuit count is {count}")
 
     top = max(k for k in range(m + 1) if keep[k])
     dims = [len(keep[k]) for k in range(top + 1)]

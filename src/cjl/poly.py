@@ -10,7 +10,7 @@ polynomial carries its context and refuses mixed-context arithmetic.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import RingMismatchError, ValidationError
 from .field import GFp, QQ, field_from_json
@@ -275,9 +275,6 @@ class Polynomial:
 
     # invariant helpers
 
-    def is_zero_syntactic(self) -> bool:
-        return not self.terms
-
     def lm(self) -> Mono:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
@@ -287,9 +284,6 @@ class Polynomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.terms[0][1]
-
-    def lt(self):
-        return self.terms[0]
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -407,12 +401,6 @@ class Polynomial:
             raise RingMismatchError("cast between incompatible contexts")
         return Polynomial(ctx, self.terms)
 
-    def map_coeffs(self, ctx: RingContext, fn) -> "Polynomial":
-        d = {}
-        for m, c in self.terms:
-            d[m] = fn(c)
-        return ctx.from_dict(d)
-
     def evaluate(self, point: Sequence):
         """Value at a point, as a field scalar."""
         if len(point) != self.ctx.nvars:
@@ -426,15 +414,6 @@ class Polynomial:
                     v = F.mul(v, x)
             total = F.add(total, v)
         return total
-
-    def support_vars(self) -> frozenset:
-        """Indices of variables that actually occur."""
-        s = set()
-        for m, _ in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    s.add(i)
-        return frozenset(s)
 
     def embed(self, ctx: RingContext, var_map: Sequence[int]) -> "Polynomial":
         """Push into a larger ring, variable ``i`` going to ``var_map[i]``."""
@@ -477,18 +456,3 @@ def format_poly(f: Polynomial) -> str:
             parts.append(("- " if neg else "+ ") + body)
     return " ".join(parts)
 
-
-def sum_polys(ctx: RingContext, polys: Iterable[Polynomial]) -> Polynomial:
-    F = ctx.field
-    d = {}
-    for p in polys:
-        for m, c in p.terms:
-            if m in d:
-                s = F.add(d[m], c)
-                if F.is_zero(s):
-                    del d[m]
-                else:
-                    d[m] = s
-            else:
-                d[m] = c
-    return ctx.from_dict(d)

@@ -38,11 +38,3 @@ class Rng:
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in ``[lo, hi]`` inclusive."""
         return lo + self.below(hi - lo + 1)
-
-    def choice(self, seq):
-        return seq[self.below(len(seq))]
-
-    def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
-            items[i], items[j] = items[j], items[i]

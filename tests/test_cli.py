@@ -8,9 +8,10 @@ import sys
 
 import pytest
 
+from cjl import cli
 from cjl.cli import canonical, complex_from_json, complex_to_json, run
 from cjl.dgla import pair_from_json, pair_to_json
-from cjl.errors import ValidationError
+from cjl.errors import InternalCheckError, ValidationError
 from cjl.geometry import analyze
 from cjl.models import Arrangement, os_pair
 
@@ -140,9 +141,19 @@ def test_analyze_matches_library_and_filters(tmp_path, capsys, monkeypatch):
     assert code == 0
     report = json.loads(out)
     assert [c["id"] for c in report["claims"]] == ["9.1d:i=0", "9.1d:i=1"]
-    expected = analyze(os_pair(Arrangement.from_json(ARR), 1),
-                       claims=["9.1d"], seed=3)
+    expected = analyze(os_pair(Arrangement.from_json(ARR), 1), claims=["9.1d"])
     assert out == canonical(expected) + "\n"
+
+
+def test_analyze_stdout_ignores_seed(capsys, monkeypatch):
+    _, pair_text, _ = _run(capsys, ["model", "exterior", "--n", "2"])
+    outs = set()
+    for seed in ("0", "5", "123456789"):
+        code, out, _ = _run(capsys, ["analyze", "--seed", seed],
+                            stdin_text=pair_text, monkeypatch=monkeypatch)
+        assert code == 0
+        outs.add(out)
+    assert len(outs) == 1
 
 
 def test_model_output_reloads_as_pair(capsys):
@@ -208,6 +219,16 @@ def test_budget_exhaustion_is_exit_3(tmp_path, capsys, monkeypatch):
                         monkeypatch=monkeypatch)
     assert code == 3
     assert json.loads(err)["budget"] == 1
+
+
+def test_internal_check_error_is_exit_4(capsys, monkeypatch):
+    def broken(args):
+        raise InternalCheckError("pivot row did not clear")
+
+    monkeypatch.setitem(cli._DISPATCH, "cone", broken)
+    code, out, err = _run(capsys, ["cone"])
+    assert code == 4 and out == ""
+    assert json.loads(err) == {"error": "pivot row did not clear"}
 
 
 def test_usage_errors_exit_2(capsys):

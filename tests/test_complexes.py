@@ -9,10 +9,11 @@ from cjl.complexes import (ComplexMap, FreeComplex, base_change,
                            jump_table, minimize_complex)
 from cjl.errors import ValidationError
 from cjl.field import QQ
-from cjl.groebner import Ideal, ideal_equal
+from cjl.groebner import Ideal
 from cjl.maps import PolyRingMap, evaluation_map, identity_map, quotient_map
 from cjl.parse import parse_poly
 from cjl.poly import RingContext, format_poly
+from cjl.rng import Rng
 
 
 def ctx_xyzw():
@@ -24,7 +25,7 @@ def test_determinantal_ideal_2x2():
     x, y, z, w = ctx.gens()
     M = ((x, y), (z, w))
     I = determinantal_ideal(ctx, M, 2)
-    assert ideal_equal(I, Ideal(ctx, [x * w - y * z]))
+    assert I.equals(Ideal(ctx, [x * w - y * z]))
     assert determinantal_ideal(ctx, M, 0).is_unit()
     assert determinantal_ideal(ctx, M, -3).is_unit()
     assert determinantal_ideal(ctx, M, 3).is_zero()
@@ -37,7 +38,7 @@ def test_determinantal_ideal_2x3_vs_bruteforce():
     I = determinantal_ideal(ctx, M, 2)
     # oracle: the three 2x2 determinants written out by hand
     expected = Ideal(ctx, [a * e - b * d, a * f - c * d, b * f - c * e])
-    assert ideal_equal(I, expected)
+    assert I.equals(expected)
     # Laplace monotonicity: I_2 inside I_1
     I1 = determinantal_ideal(ctx, M, 1)
     assert all(I1.contains(g) for g in I.gens)
@@ -48,10 +49,8 @@ def test_block_diag_determinantal():
     x, y = ctx.gens()
     A = ((x,),)
     B = ((y,),)
-    assert ideal_equal(block_diag_determinantal(ctx, A, B, 2, 1, 1, 1, 1),
-                       Ideal(ctx, [x * y]))
-    assert ideal_equal(block_diag_determinantal(ctx, A, B, 1, 1, 1, 1, 1),
-                       Ideal(ctx, [x, y]))
+    assert block_diag_determinantal(ctx, A, B, 2, 1, 1, 1, 1).equals(Ideal(ctx, [x * y]))
+    assert block_diag_determinantal(ctx, A, B, 1, 1, 1, 1, 1).equals(Ideal(ctx, [x, y]))
 
 
 def test_block_diag_torus_shape():
@@ -62,7 +61,58 @@ def test_block_diag_torus_shape():
     A = ((x1,), (x2,))
     B = ((-x2, x1),)
     I = block_diag_determinantal(ctx, A, B, 2, 2, 1, 1, 2)
-    assert ideal_equal(I, Ideal(ctx, [x1 ** 2, x1 * x2, x2 ** 2]))
+    assert I.equals(Ideal(ctx, [x1 ** 2, x1 * x2, x2 ** 2]))
+
+
+def convolution_ideal(ring, A, B, r, ra, ca, rb, cb):
+    """Oracle: the minor ideal of A (+) B as sum_j I_j(A) * I_{r-j}(B)."""
+    if r <= 0:
+        return ring.unit_ideal()
+    out = ring.zero_ideal()
+    for j in range(r + 1):
+        out = out.plus(determinantal_ideal(ring, A, j, ra, ca).times(
+            determinantal_ideal(ring, B, r - j, rb, cb)))
+    return out
+
+
+def _linear_entry(ring, rng):
+    x, y = ring.gens()
+    return (ring.from_int(rng.randint(-2, 2)) * x
+            + ring.from_int(rng.randint(-2, 2)) * y)
+
+
+def _artin_entry(A, rng):
+    # mostly in the maximal ideal, so that the minor ideals stay proper
+    c = [rng.randint(-2, 2) if k or rng.below(4) == 0 else 0 for k in range(A.dim)]
+    out = A.zero()
+    for k, ck in enumerate(c):
+        out = A.add(out, A.mul(A.from_scalar(A.field.from_int(ck)), A.basis(k)))
+    return out
+
+
+def _convolution_rings():
+    ctx = RingContext(QQ(), ("x", "y"))
+    x, y = ctx.gens()
+    qctx = RingContext(QQ(), ("x", "y"), quotient=[x * y, y ** 3])
+    tctx = RingContext(QQ(), ("t",))
+    t, = tctx.gens()
+    A = make_artin(tctx, [t ** 3])
+    return [pytest.param(ctx, _linear_entry, id="poly"),
+            pytest.param(qctx, _linear_entry, id="quotient"),
+            pytest.param(A, _artin_entry, id="artin")]
+
+
+@pytest.mark.parametrize("ring,entry", _convolution_rings())
+@pytest.mark.parametrize("seed", range(3))
+def test_block_diag_matches_convolution(ring, entry, seed):
+    rng = Rng(seed)
+    for ra, ca, rb, cb in ((1, 2, 2, 1), (2, 1, 1, 2), (2, 2, 1, 2), (2, 2, 2, 2)):
+        A = tuple(tuple(entry(ring, rng) for _ in range(ca)) for _ in range(ra))
+        B = tuple(tuple(entry(ring, rng) for _ in range(cb)) for _ in range(rb))
+        for r in range(min(ra + rb, ca + cb) + 2):
+            direct = block_diag_determinantal(ring, A, B, r, ra, ca, rb, cb)
+            assert direct.equals(convolution_ideal(ring, A, B, r, ra, ca, rb, cb)), \
+                ((ra, ca, rb, cb), r)
 
 
 def two_term(ctx, f):
@@ -73,8 +123,8 @@ def test_jump_ideal_multiplication_by_x():
     ctx = RingContext(QQ(), ("x0",))
     x, = ctx.gens()
     E = two_term(ctx, x)
-    assert ideal_equal(jump_ideal(E, 0, 1), Ideal(ctx, [x]))
-    assert ideal_equal(jump_ideal(E, 1, 1), Ideal(ctx, [x]))
+    assert jump_ideal(E, 0, 1).equals(Ideal(ctx, [x]))
+    assert jump_ideal(E, 1, 1).equals(Ideal(ctx, [x]))
     assert jump_ideal(E, 1, 2).is_unit()
     assert jump_ideal(E, 5, 1).is_unit()  # outside the window: no cohomology
     with pytest.raises(ValidationError):
@@ -282,5 +332,5 @@ def test_jump_table_shape():
     E = two_term(ctx, ctx.var(0))
     tab = jump_table(E)
     assert set(tab) == {(0, 1), (0, 2), (1, 1), (1, 2)}
-    assert ideal_equal(tab[(0, 1)], Ideal(ctx, [ctx.var(0)]))
+    assert tab[(0, 1)].equals(Ideal(ctx, [ctx.var(0)]))
     assert tab[(0, 2)].is_unit()

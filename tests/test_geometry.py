@@ -1,16 +1,20 @@
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cjl.dgla import Dgla, DglaPair, GradedVectorSpace
 from cjl.errors import ValidationError
 from cjl.field import QQ
-from cjl.geometry import (ChernSeries, alternating_sum, analyze,
+from cjl.geometry import (ChernSeries, _series_product, alternating_sum, analyze,
                           binomial_bound, chern_exponent, chern_series,
                           exactness_threshold, fitting_locus, generic_ranks,
                           schur_nonnegativity, tor_crosscheck,
                           verify_codim_bounds, verify_inclusions)
 from cjl.models import Arrangement, exterior_pair, os_pair, surface_pair
+from cjl.resonance import pointwise_resonance
+from cjl.rng import Rng
 
 F = QQ()
 ONE = F.one
@@ -84,8 +88,25 @@ def test_threshold_on_quotient_cone():
     assert exactness_threshold(heis_pair()) == 0
 
 
-def test_threshold_seed_independent():
-    assert exactness_threshold(exterior_pair(2), seed=5) == 2
+@pytest.mark.parametrize("P", [exterior_pair(2), exterior_pair(3), surface_pair(2),
+                               concurrent()],
+                         ids=["exterior-2", "exterior-3", "surface-2", "3-line"])
+def test_threshold_confirmed_at_a_cone_point(P):
+    """Oracle for the symbolic threshold: some cone point has vanishing
+    twisted cohomology in every degree below it."""
+    a = exactness_threshold(P)
+    F = P.field
+    n = P.lie.dim(1)
+    rng = Rng(7)
+    for _ in range(25):
+        eta = tuple(F.from_int(rng.randint(-5, 5)) for _ in range(n))
+        if all(F.is_zero(x) for x in eta):
+            continue
+        if any(not F.is_zero(x) for x in P.lie.bracket_elem(1, eta, 1, eta)):
+            continue
+        if all(pointwise_resonance(P, eta, i) == 0 for i in range(P.m_gvs.lo, a)):
+            return
+    pytest.fail(f"no cone point in 25 draws confirms the threshold {a}")
 
 
 # -- rank-drop loci --------------------------------------------------------
@@ -160,6 +181,22 @@ def test_chern_series_integer_coefficients():
         cs = chern_series(b, i, a, 6)
         assert all(isinstance(c, int) for c in cs.coeffs)
         assert cs.coeffs[0] == 1
+
+
+def _series_by_log(exps, trunc):
+    """Oracle: the product through the logarithmic-derivative recurrence
+    (j+1) c_{j+1} = sum_s c_s g_{j-s} with g_m = -sum_k e_k k**(m+1)."""
+    g = [-sum(e * k ** (m + 1) for k, e in exps.items()) for m in range(trunc + 1)]
+    c = [Fraction(1)]
+    for j in range(trunc):
+        c.append(sum(c[s] * g[j - s] for s in range(j + 1)) / (j + 1))
+    return c
+
+
+@given(st.dictionaries(st.integers(1, 6), st.integers(-5, 5), max_size=5),
+       st.integers(0, 8))
+def test_series_product_matches_log_recurrence(exps, trunc):
+    assert _series_product(exps, trunc) == _series_by_log(exps, trunc)
 
 
 def test_chern_series_refusals():

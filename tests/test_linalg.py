@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from cjl.field import GFp, QQ
-from cjl.linalg import (Echelon, bareiss_rank, det, generic_rank_bareiss,
+from cjl.linalg import (Echelon, bareiss_rank, generic_rank_bareiss,
                         identity, mat_mul, nullspace, poly_exact_div, rank,
                         rref, solve)
 from cjl.parse import parse_poly
@@ -40,14 +40,6 @@ def test_solve():
     x = solve(F, A, (Fraction(3), Fraction(1)), 2)
     assert x == (Fraction(2), Fraction(1))
     assert solve(F, M([1, 1], [2, 2]), (Fraction(0), Fraction(1)), 2) is None
-
-
-def test_det():
-    assert det(F, M([2, 0], [0, 3])) == 6
-    assert det(F, M([1, 2], [2, 4])) == 0
-    assert det(F, ()) == 1
-    A = M([0, 1], [1, 0])
-    assert det(F, A) == -1  # swap parity
 
 
 def test_rank_over_fp():

@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -103,6 +104,28 @@ def test_os_four_lines():
     A = orlik_solomon(Arrangement([(1, 0), (0, 1), (1, 1), (1, -1)]))
     assert A.gvs.dims == (1, 4, 3)
     A.validate()
+
+
+def nbc_count(arr, k):
+    """Oracle: k-subsets of the hyperplanes containing no broken circuit
+    (a circuit minus its smallest element)."""
+    broken = [set(c[1:]) for c in arr.circuits()]
+    return sum(1 for S in combinations(range(arr.m), k)
+               if not any(b <= set(S) for b in broken))
+
+
+@pytest.mark.parametrize("normals", [
+    [[1, 0], [0, 1]],
+    [[1, 0], [0, 1], [1, 1]],
+    [[1, 0], [0, 1], [1, 1], [1, -1]],
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]],
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],
+    [[1, -1, 0], [1, 0, -1], [0, 1, -1], [1, 0, 0], [0, 1, 0]],
+], ids=["2-lines", "3-lines", "4-lines", "near-pencil", "generic-4-planes", "braid-plus"])
+def test_os_dims_match_nbc_count(normals):
+    arr = Arrangement(normals)
+    A = orlik_solomon(arr)
+    assert [A.dim(k) for k in range(arr.m + 1)] == [nbc_count(arr, k) for k in range(arr.m + 1)]
 
 
 def test_os_deletion_never_raises_b1():
