@@ -31,7 +31,7 @@ class FreeComplex:
     """Bounded cochain complex of free modules with explicit matrices."""
 
     def __init__(self, ring, lo: int, hi: int, ranks: Sequence[int],
-                 diffs: Sequence, check: bool = True):
+                 diffs: Sequence):
         if hi < lo:
             raise ValidationError("window is empty (hi < lo)")
         self.ring = ring
@@ -50,8 +50,7 @@ class FreeComplex:
                 raise ValidationError(
                     f"differential {j} has shape {len(m)}x?, expected "
                     f"{self.ranks[j + 1]}x{self.ranks[j]}")
-        if check:
-            self._check_dd()
+        self._check_dd()
 
     def _check_dd(self):
         R = self.ring
@@ -425,17 +424,20 @@ def homology_map_profile(gmap: ComplexMap) -> dict:
     return _homology_map_ranks(F, src, tgt, comps, range(lo, hi + 1))
 
 
-def is_q_equivalence(gmap: ComplexMap, q: int | None) -> bool:
-    """Isomorphism on cohomology in degrees <= q and injection in degree
-    q + 1 (``q = None`` asks for all degrees)."""
-    prof = homology_map_profile(gmap)
+def _q_equivalent(prof: dict, q: int | None) -> bool:
+    """Whether a profile {degree: (h_source, h_target, induced rank)} is
+    an isomorphism on cohomology in degrees <= q and an injection in
+    degree q + 1 (``q = None``: an isomorphism in all degrees)."""
     for i, (h_s, h_t, r) in sorted(prof.items()):
-        if q is not None and i > q + 1:
-            continue
         if q is None or i <= q:
             if not (h_s == h_t == r):
                 return False
-        elif i == q + 1:
-            if r != h_s:
-                return False
+        elif i == q + 1 and r != h_s:
+            return False
     return True
+
+
+def is_q_equivalence(gmap: ComplexMap, q: int | None) -> bool:
+    """Isomorphism on cohomology in degrees <= q and injection in degree
+    q + 1 (``q = None`` asks for all degrees)."""
+    return _q_equivalent(homology_map_profile(gmap), q)

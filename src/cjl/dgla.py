@@ -4,10 +4,11 @@ Conventions (checked, not assumed, by the validators):
 
 * grading is cohomological, brackets add degrees;
 * skew symmetry is graded:  [x,y] = -(-1)^{|x||y|} [y,x];
-* the Jacobi identity is checked in Leibniz form
-  [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|} [y,[x,z]];
-* d is a degree +1 derivation of the bracket and of the action;
-* the action is a graded Lie action: [x,y].m = x.(y.m) - (-1)^{|x||y|} y.(x.m).
+* the Jacobi identity and the module axioms are one representation
+  identity, checked by one routine: once with rho = ad on C (Jacobi),
+  once with rho = the action on M.  For x, y in C and v in C or M,
+  [x,y].v = x.(y.v) - (-1)^{|x||y|} y.(x.v)  and
+  d(x.v) = (dx).v + (-1)^{|x|} x.(dv)  (d is a degree +1 derivation).
 
 Bracket and action tables are sparse: only nonzero structure vectors are
 stored; a missing orientation of a bracket entry is derived by skew
@@ -68,26 +69,68 @@ def _check_matrices(field, gvs: GradedVectorSpace, mats, what: str):
 
 
 class _GradedTable:
-    """Sparse bilinear table (i,a) x (j,b) -> vector in degree i+j."""
+    """Sparse bilinear table (i,a) x (j,b) -> vector in degree i+j.
 
-    def __init__(self, field, entries: dict):
+    With ``skew`` a missing orientation is derived by graded skew symmetry
+    [x,y] = -(-1)^{ij}[y,x].  The entries are fixed once built.
+    """
+
+    def __init__(self, field, entries: dict, skew: bool):
         self.field = field
         self.entries = dict(entries)
+        self.skew = skew
+        self._terms = {}
 
-    def get(self, i: int, a: int, j: int, b: int, out_dim: int, skew: bool):
+    def find(self, i: int, a: int, j: int, b: int):
+        """The stored (or skew-derived) vector at (i,a,j,b); None if neither."""
         v = self.entries.get((i, a, j, b))
-        if v is not None:
-            return v
-        if skew:
-            w = self.entries.get((j, b, i, a))
-            if w is not None:
-                F = self.field
-                sgn = -1 if (i * j) % 2 == 0 else 1
-                # [x,y] = -(-1)^{ij}[y,x]
-                if sgn < 0:
-                    return tuple(F.neg(c) for c in w)
-                return tuple(w)
-        return (self.field.zero,) * out_dim
+        if v is None and self.skew:
+            v = self.entries.get((j, b, i, a))
+            if v is not None and (i * j) % 2 == 0:
+                return tuple(self.field.neg(c) for c in v)
+        return v
+
+    def get(self, i: int, a: int, j: int, b: int, out_dim: int):
+        v = self.find(i, a, j, b)
+        return (self.field.zero,) * out_dim if v is None else v
+
+    def terms(self, i: int, a: int, j: int, b: int) -> tuple:
+        """The nonzero coordinates (k, t) of the vector at (i,a,j,b)."""
+        key = (i, a, j, b)
+        out = self._terms.get(key)
+        if out is None:
+            F = self.field
+            out = self._terms[key] = tuple(
+                (k, t) for k, t in enumerate(self.find(i, a, j, b) or ())
+                if not F.is_zero(t))
+        return out
+
+    def product(self, i: int, us, j: int, vs) -> dict:
+        """The bilinear product on nonzero coordinates: the sum of
+        u_a v_b T(i,a,j,b) over (a, u_a) in ``us`` and (b, v_b) in ``vs``,
+        as a dict {k: coefficient} (entries may cancel to zero)."""
+        F = self.field
+        out = {}
+        for a, x in us:
+            for b, y in vs:
+                ts = self.terms(i, a, j, b)
+                if ts:
+                    c = F.mul(x, y)
+                    for k, t in ts:
+                        out[k] = F.add(out.get(k, F.zero), F.mul(c, t))
+        return out
+
+    def contract(self, i: int, u, j: int, v, out_dim: int):
+        """The product of coordinate vectors u (degree i) and v (degree j)."""
+        F = self.field
+        out = [F.zero] * out_dim
+        for k, x in self.product(i, _nonzero(F, u), j, _nonzero(F, v)).items():
+            out[k] = x
+        return tuple(out)
+
+
+def _nonzero(F, u) -> list:
+    return [(a, x) for a, x in enumerate(u) if not F.is_zero(x)]
 
 
 class Dgla:
@@ -104,7 +147,7 @@ class Dgla:
             if len(v) != gvs.dim(i + j):
                 raise ValidationError(
                     f"bracket value at {(i, a, j, b)} has wrong length")
-        self.bracket = _GradedTable(field, bracket)
+        self.bracket = _GradedTable(field, bracket, skew=True)
 
     def dim(self, i: int) -> int:
         return self.gvs.dim(i)
@@ -119,22 +162,10 @@ class Dgla:
         return mat_vec(self.field, self.d_mat(i), u)
 
     def bracket_vec(self, i: int, a: int, j: int, b: int):
-        return self.bracket.get(i, a, j, b, self.dim(i + j), skew=True)
+        return self.bracket.get(i, a, j, b, self.dim(i + j))
 
     def bracket_elem(self, i: int, u, j: int, v):
-        F = self.field
-        out = [F.zero] * self.dim(i + j)
-        for a, x in enumerate(u):
-            if F.is_zero(x):
-                continue
-            for b, y in enumerate(v):
-                if F.is_zero(y):
-                    continue
-                c = F.mul(x, y)
-                for k, t in enumerate(self.bracket_vec(i, a, j, b)):
-                    if not F.is_zero(t):
-                        out[k] = F.add(out[k], F.mul(c, t))
-        return tuple(out)
+        return self.bracket.contract(i, u, j, v, self.dim(i + j))
 
 
 class DglaPair:
@@ -152,7 +183,7 @@ class DglaPair:
             if len(v) != m_gvs.dim(i + j):
                 raise ValidationError(
                     f"action value at {(i, a, j, b)} has wrong length")
-        self.action = _GradedTable(lie.field, action)
+        self.action = _GradedTable(lie.field, action, skew=False)
 
     def m_dim(self, i: int) -> int:
         return self.m_gvs.dim(i)
@@ -167,22 +198,10 @@ class DglaPair:
         return mat_vec(self.field, self.m_d_mat(i), u)
 
     def action_vec(self, i: int, a: int, j: int, b: int):
-        return self.action.get(i, a, j, b, self.m_dim(i + j), skew=False)
+        return self.action.get(i, a, j, b, self.m_dim(i + j))
 
     def action_elem(self, i: int, u, j: int, v):
-        F = self.field
-        out = [F.zero] * self.m_dim(i + j)
-        for a, x in enumerate(u):
-            if F.is_zero(x):
-                continue
-            for b, y in enumerate(v):
-                if F.is_zero(y):
-                    continue
-                c = F.mul(x, y)
-                for k, t in enumerate(self.action_vec(i, a, j, b)):
-                    if not F.is_zero(t):
-                        out[k] = F.add(out[k], F.mul(c, t))
-        return tuple(out)
+        return self.action.contract(i, u, j, v, self.m_dim(i + j))
 
     def has_zero_differentials(self) -> bool:
         F = self.field
@@ -205,133 +224,117 @@ def _sign(field, n: int):
     return field.one if n % 2 == 0 else field.neg(field.one)
 
 
+def _units(F, n: int) -> list:
+    return [tuple(F.one if t == c else F.zero for t in range(n))
+            for c in range(n)]
+
+
+def _d_images(F, space, d_apply) -> dict:
+    """d of each unit vector, as nonzero coordinates, per degree."""
+    return {i: [_nonzero(F, d_apply(i, u)) for u in _units(F, space.dim(i))]
+            for i in space.degrees()}
+
+
+def _apply(F, images, terms) -> dict:
+    """The linear map with column ``images[c]`` on nonzero coordinates."""
+    out = {}
+    for c, s in terms:
+        for r, t in images[c]:
+            out[r] = F.add(out.get(r, F.zero), F.mul(s, t))
+    return out
+
+
+def _holds(F, lhs: dict, t1: dict, sgn, t2: dict) -> bool:
+    """lhs == t1 + sgn * t2, on sparse coordinate dicts."""
+    rhs = dict(t1)
+    for k, z in t2.items():
+        rhs[k] = F.add(rhs.get(k, F.zero), F.mul(sgn, z))
+    return all(F.eq(lhs.get(k, F.zero), rhs.get(k, F.zero))
+               for k in lhs.keys() | rhs.keys())
+
+
+def _d_squared(F, space, d_img, axiom: str) -> list:
+    bad = []
+    for i in range(space.lo, space.hi - 1):
+        for c, dc in enumerate(d_img[i]):
+            if any(not F.is_zero(x)
+                   for x in _apply(F, d_img[i + 1], dc).values()):
+                bad.append({"axiom": axiom, "at": (i, c)})
+    return bad
+
+
+def _representation(C: Dgla, space, table, d_c, d_v, axioms: tuple) -> list:
+    """Violations of the two identities that make ``table`` (degree i of C
+    times degree k of ``space``) a DG representation rho of C, with d_c
+    and d_v the images of unit vectors under the two differentials:
+
+    * ``axioms[0]``: [x,y].v = x.(y.v) - (-1)^{|x||y|} y.(x.v),
+      witness (i, a, j, b, k, c);
+    * ``axioms[1]``: d(x.v) = (dx).v + (-1)^{|x|} x.(dv), witness (i, a, k, c).
+    """
+    F = C.field
+    one = F.one
+    bad = []
+    for i in C.gvs.degrees():
+        for j in C.gvs.degrees():
+            sgn = _sign(F, i * j + 1)
+            for k in space.degrees():
+                for a in range(C.dim(i)):
+                    for b in range(C.dim(j)):
+                        xy = C.bracket.terms(i, a, j, b)
+                        for c in range(space.dim(k)):
+                            lhs = table.product(i + j, xy, k, ((c, one),))
+                            t1 = table.product(i, ((a, one),), j + k,
+                                               table.terms(j, b, k, c))
+                            t2 = table.product(j, ((b, one),), i + k,
+                                               table.terms(i, a, k, c))
+                            if not _holds(F, lhs, t1, sgn, t2):
+                                bad.append({"axiom": axioms[0],
+                                            "at": (i, a, j, b, k, c)})
+    for i in C.gvs.degrees():
+        sgn = _sign(F, i)
+        for k in space.degrees():
+            for a in range(C.dim(i)):
+                for c in range(space.dim(k)):
+                    lhs = _apply(F, d_v.get(i + k), table.terms(i, a, k, c))
+                    t1 = table.product(i + 1, d_c[i][a], k, ((c, one),))
+                    t2 = table.product(i, ((a, one),), k + 1, d_v[k][c])
+                    if not _holds(F, lhs, t1, sgn, t2):
+                        bad.append({"axiom": axioms[1], "at": (i, a, k, c)})
+    return bad
+
+
 def check_dgla(C: Dgla) -> list:
     """All violations of the graded-Lie axioms, as witness dicts."""
     F = C.field
     g = C.gvs
-    bad = []
-    # d squares to zero
-    for i in range(g.lo, g.hi - 1):
-        for c in range(C.dim(i)):
-            u = tuple(F.one if t == c else F.zero for t in range(C.dim(i)))
-            if not vec_is_zero(F, C.d_apply(i + 1, C.d_apply(i, u))):
-                bad.append({"axiom": "d_squared", "at": (i, c)})
+    d_c = _d_images(F, g, C.d_apply)
+    bad = _d_squared(F, g, d_c, "d_squared")
     # graded skew symmetry, including the even diagonal
     for i in g.degrees():
         for j in g.degrees():
             if not g.lo <= i + j <= g.hi:
                 continue
+            sgn = _sign(F, i * j)
             for a in range(C.dim(i)):
                 for b in range(C.dim(j)):
-                    lhs = C.bracket_vec(i, a, j, b)
-                    rhs = C.bracket_vec(j, b, i, a)
-                    sgn = _sign(F, i * j)
-                    s = tuple(F.add(x, F.mul(sgn, y)) for x, y in zip(lhs, rhs))
-                    if not vec_is_zero(F, s):
+                    if not _holds(F, {}, dict(C.bracket.terms(i, a, j, b)), sgn,
+                                  dict(C.bracket.terms(j, b, i, a))):
                         bad.append({"axiom": "skew", "at": (i, a, j, b)})
-    # Jacobi in Leibniz form
-    for i in g.degrees():
-        for j in g.degrees():
-            for k in g.degrees():
-                for a in range(C.dim(i)):
-                    ua = tuple(F.one if t == a else F.zero
-                               for t in range(C.dim(i)))
-                    for b in range(C.dim(j)):
-                        ub = tuple(F.one if t == b else F.zero
-                                   for t in range(C.dim(j)))
-                        for c in range(C.dim(k)):
-                            uc = tuple(F.one if t == c else F.zero
-                                       for t in range(C.dim(k)))
-                            lhs = C.bracket_elem(i, ua, j + k,
-                                                 C.bracket_elem(j, ub, k, uc))
-                            t1 = C.bracket_elem(i + j,
-                                                C.bracket_elem(i, ua, j, ub),
-                                                k, uc)
-                            t2 = C.bracket_elem(j, ub, i + k,
-                                                C.bracket_elem(i, ua, k, uc))
-                            sgn = _sign(F, i * j)
-                            rhs = tuple(F.add(x, F.mul(sgn, y))
-                                        for x, y in zip(t1, t2))
-                            if not vec_is_zero(
-                                    F, tuple(F.sub(x, y)
-                                             for x, y in zip(lhs, rhs))):
-                                bad.append({"axiom": "jacobi",
-                                            "at": (i, a, j, b, k, c)})
-    # d is a derivation of the bracket
-    for i in g.degrees():
-        for j in g.degrees():
-            for a in range(C.dim(i)):
-                ua = tuple(F.one if t == a else F.zero for t in range(C.dim(i)))
-                for b in range(C.dim(j)):
-                    ub = tuple(F.one if t == b else F.zero
-                               for t in range(C.dim(j)))
-                    lhs = C.d_apply(i + j, C.bracket_elem(i, ua, j, ub))
-                    t1 = C.bracket_elem(i + 1, C.d_apply(i, ua), j, ub)
-                    t2 = C.bracket_elem(i, ua, j + 1, C.d_apply(j, ub))
-                    sgn = _sign(F, i)
-                    rhs = tuple(F.add(x, F.mul(sgn, y)) for x, y in zip(t1, t2))
-                    if not vec_is_zero(F, tuple(F.sub(x, y)
-                                                for x, y in zip(lhs, rhs))):
-                        bad.append({"axiom": "leibniz", "at": (i, a, j, b)})
-    return bad
+    # Jacobi: C acts on itself by ad
+    return bad + _representation(C, g, C.bracket, d_c, d_c,
+                                 ("jacobi", "leibniz"))
 
 
 def check_pair(P: DglaPair) -> list:
     """Violations of the module axioms over the (already checked) algebra."""
     F = P.field
     C = P.lie
-    g = C.gvs
-    m = P.m_gvs
-    bad = []
-    for i in range(m.lo, m.hi - 1):
-        for c in range(P.m_dim(i)):
-            u = tuple(F.one if t == c else F.zero for t in range(P.m_dim(i)))
-            if not vec_is_zero(F, P.m_d_apply(i + 1, P.m_d_apply(i, u))):
-                bad.append({"axiom": "module_d_squared", "at": (i, c)})
-    # Lie action: [x,y].m = x.(y.m) - (-1)^{|x||y|} y.(x.m)
-    for i in g.degrees():
-        for j in g.degrees():
-            for k in m.degrees():
-                for a in range(C.dim(i)):
-                    ua = tuple(F.one if t == a else F.zero
-                               for t in range(C.dim(i)))
-                    for b in range(C.dim(j)):
-                        ub = tuple(F.one if t == b else F.zero
-                                   for t in range(C.dim(j)))
-                        br = C.bracket_elem(i, ua, j, ub)
-                        for c in range(P.m_dim(k)):
-                            uc = tuple(F.one if t == c else F.zero
-                                       for t in range(P.m_dim(k)))
-                            lhs = P.action_elem(i + j, br, k, uc)
-                            t1 = P.action_elem(i, ua, j + k,
-                                               P.action_elem(j, ub, k, uc))
-                            t2 = P.action_elem(j, ub, i + k,
-                                               P.action_elem(i, ua, k, uc))
-                            sgn = _sign(F, i * j)
-                            rhs = tuple(F.sub(x, F.mul(sgn, y))
-                                        for x, y in zip(t1, t2))
-                            if not vec_is_zero(
-                                    F, tuple(F.sub(x, y)
-                                             for x, y in zip(lhs, rhs))):
-                                bad.append({"axiom": "lie_action",
-                                            "at": (i, a, j, b, k, c)})
-    # d is a derivation of the action
-    for i in g.degrees():
-        for k in m.degrees():
-            for a in range(C.dim(i)):
-                ua = tuple(F.one if t == a else F.zero for t in range(C.dim(i)))
-                for c in range(P.m_dim(k)):
-                    uc = tuple(F.one if t == c else F.zero
-                               for t in range(P.m_dim(k)))
-                    lhs = P.m_d_apply(i + k, P.action_elem(i, ua, k, uc))
-                    t1 = P.action_elem(i + 1, C.d_apply(i, ua), k, uc)
-                    t2 = P.action_elem(i, ua, k + 1, P.m_d_apply(k, uc))
-                    sgn = _sign(F, i)
-                    rhs = tuple(F.add(x, F.mul(sgn, y)) for x, y in zip(t1, t2))
-                    if not vec_is_zero(F, tuple(F.sub(x, y)
-                                                for x, y in zip(lhs, rhs))):
-                        bad.append({"axiom": "action_leibniz", "at": (i, a, k, c)})
-    return bad
+    d_m = _d_images(F, P.m_gvs, P.m_d_apply)
+    bad = _d_squared(F, P.m_gvs, d_m, "module_d_squared")
+    return bad + _representation(C, P.m_gvs, P.action,
+                                 _d_images(F, C.gvs, C.d_apply), d_m,
+                                 ("lie_action", "action_leibniz"))
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +445,7 @@ class DglaPairMap:
     differentials, brackets, and actions."""
 
     def __init__(self, source: DglaPair, target: DglaPair, lie_comps: dict,
-                 mod_comps: dict, check: bool = True):
+                 mod_comps: dict):
         self.source = source
         self.target = target
         self.F = source.field
@@ -458,8 +461,7 @@ class DglaPairMap:
             if len(m) != target.m_dim(i) or \
                     any(len(r) != source.m_dim(i) for r in m):
                 raise ValidationError(f"module component {i} has wrong shape")
-        if check:
-            self._check()
+        self._check()
 
     def lie_comp(self, i: int):
         if i in self.lie_comps:
@@ -482,60 +484,36 @@ class DglaPairMap:
     def _check(self):
         F = self.F
         S, T = self.source, self.target
-        lo = min(S.lie.gvs.lo, T.lie.gvs.lo)
-        hi = max(S.lie.gvs.hi, T.lie.gvs.hi)
-        for i in range(lo, hi):
-            for c in range(S.lie.dim(i)):
-                u = tuple(F.one if t == c else F.zero
-                          for t in range(S.lie.dim(i)))
-                lhs = self.apply_lie(i + 1, S.lie.d_apply(i, u))
-                rhs = T.lie.d_apply(i, self.apply_lie(i, u))
-                if not vec_is_zero(F, tuple(F.sub(x, y)
-                                            for x, y in zip(lhs, rhs))):
-                    raise ValidationError(f"lie map fails d-chain rule at {i}")
-        mlo = min(S.m_gvs.lo, T.m_gvs.lo)
-        mhi = max(S.m_gvs.hi, T.m_gvs.hi)
-        for i in range(mlo, mhi):
-            for c in range(S.m_dim(i)):
-                u = tuple(F.one if t == c else F.zero
-                          for t in range(S.m_dim(i)))
-                lhs = self.apply_mod(i + 1, S.m_d_apply(i, u))
-                rhs = T.m_d_apply(i, self.apply_mod(i, u))
-                if not vec_is_zero(F, tuple(F.sub(x, y)
-                                            for x, y in zip(lhs, rhs))):
-                    raise ValidationError(f"module map fails d-chain rule at {i}")
-        # bracket preservation
-        for i in S.lie.gvs.degrees():
-            for j in S.lie.gvs.degrees():
-                for a in range(S.lie.dim(i)):
-                    ua = tuple(F.one if t == a else F.zero
-                               for t in range(S.lie.dim(i)))
-                    for b in range(S.lie.dim(j)):
-                        ub = tuple(F.one if t == b else F.zero
-                                   for t in range(S.lie.dim(j)))
-                        lhs = self.apply_lie(i + j, S.lie.bracket_elem(i, ua, j, ub))
-                        rhs = T.lie.bracket_elem(i, self.apply_lie(i, ua),
-                                                 j, self.apply_lie(j, ub))
-                        if not vec_is_zero(F, tuple(F.sub(x, y)
-                                                    for x, y in zip(lhs, rhs))):
-                            raise ValidationError(
-                                f"map fails bracket preservation at {(i, a, j, b)}")
-        # action equivariance
-        for i in S.lie.gvs.degrees():
-            for j in S.m_gvs.degrees():
-                for a in range(S.lie.dim(i)):
-                    ua = tuple(F.one if t == a else F.zero
-                               for t in range(S.lie.dim(i)))
-                    for b in range(S.m_dim(j)):
-                        ub = tuple(F.one if t == b else F.zero
-                                   for t in range(S.m_dim(j)))
-                        lhs = self.apply_mod(i + j, S.action_elem(i, ua, j, ub))
-                        rhs = T.action_elem(i, self.apply_lie(i, ua),
-                                            j, self.apply_mod(j, ub))
-                        if not vec_is_zero(F, tuple(F.sub(x, y)
-                                                    for x, y in zip(lhs, rhs))):
-                            raise ValidationError(
-                                f"map fails action equivariance at {(i, a, j, b)}")
+
+        def differ(lhs, rhs):
+            return not vec_is_zero(F, tuple(F.sub(x, y) for x, y in zip(lhs, rhs)))
+
+        def chain_rule(src, tgt, dim, d_s, d_t, apply, what):
+            for i in range(min(src.lo, tgt.lo), max(src.hi, tgt.hi)):
+                for u in _units(F, dim(i)):
+                    if differ(apply(i + 1, d_s(i, u)), d_t(i, apply(i, u))):
+                        raise ValidationError(
+                            f"{what} fails d-chain rule at {i}")
+
+        def preserves(space, mu_s, mu_t, apply, what):
+            for i in S.lie.gvs.degrees():
+                for j in space.degrees():
+                    for a, x in enumerate(_units(F, S.lie.dim(i))):
+                        for b, v in enumerate(_units(F, space.dim(j))):
+                            lhs = apply(i + j, mu_s(i, x, j, v))
+                            rhs = mu_t(i, self.apply_lie(i, x), j, apply(j, v))
+                            if differ(lhs, rhs):
+                                raise ValidationError(
+                                    f"map fails {what} at {(i, a, j, b)}")
+
+        chain_rule(S.lie.gvs, T.lie.gvs, S.lie.dim, S.lie.d_apply,
+                   T.lie.d_apply, self.apply_lie, "lie map")
+        chain_rule(S.m_gvs, T.m_gvs, S.m_dim, S.m_d_apply, T.m_d_apply,
+                   self.apply_mod, "module map")
+        preserves(S.lie.gvs, S.lie.bracket_elem, T.lie.bracket_elem,
+                  self.apply_lie, "bracket preservation")
+        preserves(S.m_gvs, S.action_elem, T.action_elem, self.apply_mod,
+                  "action equivariance")
 
 
 def pair_map_profiles(gmap: DglaPairMap) -> tuple:
@@ -567,26 +545,13 @@ def pair_map_profiles(gmap: DglaPairMap) -> tuple:
     return lie_prof, mod_prof
 
 
-def _level_ok(prof: dict, q: int | None) -> bool:
-    """Isomorphism on cohomology through degree q, injection in degree
-    q+1 (q=None: isomorphism everywhere)."""
-    for i, (hs, ht, r) in sorted(prof.items()):
-        if q is not None and i > q + 1:
-            continue
-        if q is None or i <= q:
-            if not (hs == ht == r):
-                return False
-        elif r != hs:
-            return False
-    return True
-
-
 def pair_map_equivalence(gmap: DglaPairMap, i: int | None) -> bool:
     """Whether the map induces an isomorphism on algebra cohomology
     through degree 1 (injection in 2) and on module cohomology through
     degree i (injection in i+1)."""
+    from .complexes import _q_equivalent
     lie_prof, mod_prof = pair_map_profiles(gmap)
-    return _level_ok(lie_prof, 1) and _level_ok(mod_prof, i)
+    return _q_equivalent(lie_prof, 1) and _q_equivalent(mod_prof, i)
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +591,10 @@ def _mats_from_json(F, obj, gvs, path):
         if not isinstance(m, list):
             raise ValidationError("matrix must be a list of rows",
                                   f"{path}/d/{idx}")
+        for r, row in enumerate(m):
+            if not isinstance(row, list):
+                raise ValidationError("row must be a list",
+                                      f"{path}/d/{idx}/{r}")
         out.append(tuple(tuple(_parse_scalar(F, x, f"{path}/d/{idx}/{r}/{c}")
                                for c, x in enumerate(row))
                          for r, row in enumerate(m)))

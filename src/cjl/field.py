@@ -9,6 +9,7 @@ exactly that invariant, which is why it is used directly.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import ValidationError
@@ -94,10 +95,18 @@ class QQ:
 
 
 class GFp:
-    """The prime field F_p, elements are ints in ``[0, p)``."""
+    """The prime field F_p, elements are ints in ``[0, p)``.
+
+    p must be below 2^31, so that trial division decides primality in at
+    most isqrt(2^31) = 46341 steps.
+    """
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise ValidationError("p must be an integer")
+        if p >= 2**31:
+            raise ValidationError(f"p must be below 2^31, got {p}")
+        if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
             raise ValidationError(f"{p} is not prime")
         self.p = p
         self.name = f"F{p}"
@@ -166,5 +175,8 @@ def field_from_json(obj: dict, path: str = "/field"):
     if name == "Fp":
         if "p" not in obj:
             raise ValidationError("field Fp needs a prime p", path + "/p")
-        return GFp(obj["p"])
+        try:
+            return GFp(obj["p"])
+        except ValidationError as exc:
+            raise ValidationError(str(exc), path + "/p") from None
     raise ValidationError(f"unknown field {name!r}", path)

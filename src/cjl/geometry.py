@@ -17,8 +17,8 @@ from .complexes import determinantal_ideal, jump_ideal
 from .dgla import cohomology_pair
 from .errors import InternalCheckError, ValidationError
 from .groebner import krull_dimension
-from .linalg import bareiss_rank, generic_rank_bareiss, rank as point_rank
-from .resonance import pointwise_resonance, universal_aomoto
+from .linalg import bareiss_rank, generic_rank_bareiss
+from .resonance import contraction_rank, pointwise_resonance, universal_aomoto
 
 
 def _prepared(P):
@@ -483,7 +483,7 @@ def tor_crosscheck(P, eta, i: int) -> tuple:
 
     # contraction path: structure constants against the point
     if i == 0:
-        left = g.b[a_pos] - _action_rank(g.pair, eta, a - 1)
+        left = g.b[a_pos] - contraction_rank(g.pair, eta, a - 1)
     else:
         left = pointwise_resonance(g.pair, eta, a - i)
 
@@ -497,27 +497,6 @@ def tor_crosscheck(P, eta, i: int) -> tuple:
         right = g.b[p] - g._point_rank(a - i, eta) \
             - g._point_rank(a - i - 1, eta)
     return left, right
-
-
-def _action_rank(P, eta, j: int) -> int:
-    """Rank of the eta-contraction acting from module degree j."""
-    F = P.field
-    nin = P.m_dim(j)
-    nout = P.m_dim(j + 1)
-    if nin == 0 or nout == 0:
-        return 0
-    cols = []
-    for bcol in range(nin):
-        vec = [F.zero] * nout
-        for aidx, x in enumerate(eta):
-            if F.is_zero(x):
-                continue
-            av = P.action_vec(1, aidx, j, bcol)
-            for c in range(nout):
-                vec[c] = F.add(vec[c], F.mul(x, av[c]))
-        cols.append(vec)
-    rows = [[cols[bcol][c] for bcol in range(nin)] for c in range(nout)]
-    return point_rank(F, rows)
 
 
 # ---------------------------------------------------------------------------

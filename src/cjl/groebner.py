@@ -195,13 +195,11 @@ class Ideal:
     upstairs where the Groebner theory is clean.
     """
 
-    def __init__(self, ctx: RingContext, gens: Sequence[Polynomial],
-                 budget: int | None = None):
+    def __init__(self, ctx: RingContext, gens: Sequence[Polynomial]):
         self.ctx = ctx
         for g in gens:
             ctx.check_same(g.ctx)
         self.gens = tuple(g for g in gens)
-        self._budget = budget
         self._gb: tuple | None = None
 
     def all_gens(self) -> tuple:
@@ -214,7 +212,7 @@ class Ideal:
 
     def groebner(self) -> tuple:
         if self._gb is None:
-            self._gb = buchberger(self.all_gens(), self.ctx.base(), self._budget)
+            self._gb = buchberger(self.all_gens(), self.ctx.base())
         return self._gb
 
     # membership / comparison -----------------------------------------
@@ -252,16 +250,16 @@ class Ideal:
 
     def plus(self, other: "Ideal") -> "Ideal":
         self.ctx.check_same(other.ctx)
-        return Ideal(self.ctx, self.gens + other.gens, self._budget)
+        return Ideal(self.ctx, self.gens + other.gens)
 
     def times(self, other: "Ideal") -> "Ideal":
         """Product ideal; in a quotient context the quotient generators
         are re-adjoined by construction, keeping the preimage honest."""
         self.ctx.check_same(other.ctx)
         prods = [a * b for a in self.gens for b in other.gens]
-        return Ideal(self.ctx, prods, self._budget)
+        return Ideal(self.ctx, prods)
 
-    def radical_contains(self, f: Polynomial, budget: int | None = None) -> bool:
+    def radical_contains(self, f: Polynomial) -> bool:
         """Membership in the radical, by the extra-variable trick: f lies
         in rad(I) iff 1 lies in I + (1 - t f) in one more variable."""
         if self.ctx.has_quotient():
@@ -275,7 +273,7 @@ class Ideal:
         lifted = [g.embed(big, keep) for g in self.gens]
         t = big.var(big.nvars - 1)
         lifted.append(big.one() - t * f.embed(big, keep))
-        gb = buchberger(lifted, big, budget if budget is not None else self._budget)
+        gb = buchberger(lifted, big)
         return len(gb) == 1 and gb[0].lm() == (0,) * big.nvars
 
     def leading_supports(self) -> list:

@@ -62,39 +62,32 @@ def apply_scalar_matrix(A: ArtinLocalAlgebra, mat, u):
     return tuple(out)
 
 
+def _contract(A: ArtinLocalAlgebra, table, i: int, u, j: int, v, out_dim: int):
+    """sum_{a,b} T(i,a,j,b) (x) u_a v_b over the nonzero Artin
+    coefficients u_a, v_b."""
+    out = [A.zero()] * out_dim
+    vs = [(b, y) for b, y in enumerate(v) if not A.is_zero(y)]
+    for a, x in enumerate(u):
+        if A.is_zero(x):
+            continue
+        for b, y in vs:
+            ts = table.terms(i, a, j, b)
+            if ts:
+                prod = A.mul(x, y)
+                for k, t in ts:
+                    out[k] = A.add(out[k], A.scale(prod, t))
+    return tuple(out)
+
+
 def bracket_tensor(C: Dgla, A: ArtinLocalAlgebra, i: int, u, j: int, v):
     """[x (x) a, y (x) b] = [x,y] (x) ab — the base is commutative and
     sits in degree zero, so no extra sign appears."""
-    F = C.field
-    out = [A.zero()] * C.dim(i + j)
-    for a, xa in enumerate(u):
-        if A.is_zero(xa):
-            continue
-        for b, yb in enumerate(v):
-            if A.is_zero(yb):
-                continue
-            prod = A.mul(xa, yb)
-            for k, t in enumerate(C.bracket_vec(i, a, j, b)):
-                if not F.is_zero(t):
-                    out[k] = A.add(out[k], A.scale(prod, t))
-    return tuple(out)
+    return _contract(A, C.bracket, i, u, j, v, C.dim(i + j))
 
 
 def action_tensor(P: DglaPair, A: ArtinLocalAlgebra, i: int, u, j: int, v):
     """(x (x) a).(m (x) b) = x.m (x) ab."""
-    F = P.field
-    out = [A.zero()] * P.m_dim(i + j)
-    for a, xa in enumerate(u):
-        if A.is_zero(xa):
-            continue
-        for b, yb in enumerate(v):
-            if A.is_zero(yb):
-                continue
-            prod = A.mul(xa, yb)
-            for k, t in enumerate(P.action_vec(i, a, j, b)):
-                if not F.is_zero(t):
-                    out[k] = A.add(out[k], A.scale(prod, t))
-    return tuple(out)
+    return _contract(A, P.action, i, u, j, v, P.m_dim(i + j))
 
 
 def _check_shape(P, A, u, n, what: str, in_m: bool):

@@ -38,7 +38,7 @@ class Cdga:
             if len(v) != gvs.dim(i + j):
                 raise ValidationError(
                     f"product value at {(i, a, j, b)} has wrong length")
-        self.table = _GradedTable(field, mult)
+        self.table = _GradedTable(field, mult, skew=False)
         if check:
             self.validate()
 
@@ -46,22 +46,10 @@ class Cdga:
         return self.gvs.dim(i)
 
     def mult_vec(self, i: int, a: int, j: int, b: int):
-        return self.table.get(i, a, j, b, self.dim(i + j), skew=False)
+        return self.table.get(i, a, j, b, self.dim(i + j))
 
     def mult_elem(self, i: int, u, j: int, v):
-        F = self.field
-        out = [F.zero] * self.dim(i + j)
-        for a, x in enumerate(u):
-            if F.is_zero(x):
-                continue
-            for b, y in enumerate(v):
-                if F.is_zero(y):
-                    continue
-                c = F.mul(x, y)
-                for k, t in enumerate(self.mult_vec(i, a, j, b)):
-                    if not F.is_zero(t):
-                        out[k] = F.add(out[k], F.mul(c, t))
-        return tuple(out)
+        return self.table.contract(i, u, j, v, self.dim(i + j))
 
     def validate(self):
         F = self.field

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .complexes import FreeComplex, jump_ideal
 from .dgla import Dgla, DglaPair, _DegreeHomology, _GradedTable, \
-    _parse_scalar, cohomology_pair
+    _parse_scalar, _units, cohomology_pair
 from .errors import AxiomError, ValidationError
 from .groebner import Ideal
 from .linalg import rank
@@ -171,20 +171,19 @@ def pointwise_resonance(P: DglaPair, eta, i: int) -> int:
     sq = Pc.lie.bracket_elem(1, eta, 1, eta)
     if any(not F.is_zero(x) for x in sq):
         raise ValidationError("point does not satisfy the cone equations")
+    return Pc.m_dim(i) - contraction_rank(Pc, eta, i) \
+        - contraction_rank(Pc, eta, i - 1)
 
-    def act_rank(j: int) -> int:
-        rows = []
-        for c in range(Pc.m_dim(j + 1)):
-            row = []
-            for b in range(Pc.m_dim(j)):
-                t = F.zero
-                for a in range(n):
-                    t = F.add(t, F.mul(eta[a], Pc.action_vec(1, a, j, b)[c]))
-                row.append(t)
-            rows.append(tuple(row))
-        return rank(F, rows)
 
-    return Pc.m_dim(i) - act_rank(i) - act_rank(i - 1)
+def contraction_rank(P: DglaPair, eta, j: int) -> int:
+    """Rank of the contraction v -> eta.v from M^j to M^{j+1}, for a
+    coordinate vector ``eta`` on C^1."""
+    F = P.field
+    n = P.m_dim(j)
+    if n == 0 or P.m_dim(j + 1) == 0:
+        return 0
+    # the images of the unit vectors are the columns; rank is transpose-blind
+    return rank(F, [P.action_elem(1, eta, j, u) for u in _units(F, n)])
 
 
 class Augmentation:
@@ -209,10 +208,10 @@ class Augmentation:
             if not (0 <= p < g_dim and 0 <= q < g_dim) or len(vec) != g_dim:
                 raise ValidationError(f"bad bracket entry at {(p, q)}")
             ent[(0, p, 0, q)] = tuple(vec)
-        self.table = _GradedTable(field, ent)
+        self.table = _GradedTable(field, ent, skew=True)
 
     def bracket_vec(self, p: int, q: int):
-        return self.table.get(0, p, 0, q, self.g_dim, skew=True)
+        return self.table.get(0, p, 0, q, self.g_dim)
 
     def eps(self, v):
         F = self.field
@@ -278,17 +277,8 @@ def augmented_resonance(P: DglaPair, aug: Augmentation, i: int, k: int) -> Ideal
             lhs = aug.eps(C.bracket_vec(0, p, 0, q))
             ep = tuple(row[p] for row in aug.eps0)
             eq = tuple(row[q] for row in aug.eps0)
-            rhs = [F.zero] * aug.g_dim
-            for u, x in enumerate(ep):
-                if F.is_zero(x):
-                    continue
-                for v, y in enumerate(eq):
-                    if F.is_zero(y):
-                        continue
-                    c = F.mul(x, y)
-                    for r, t in enumerate(aug.bracket_vec(u, v)):
-                        rhs[r] = F.add(rhs[r], F.mul(c, t))
-            if tuple(lhs) != tuple(rhs):
+            rhs = aug.table.contract(0, ep, 0, eq, aug.g_dim)
+            if tuple(lhs) != rhs:
                 raise AxiomError(
                     "evaluation does not respect brackets "
                     f"at basis pair {(p, q)}")

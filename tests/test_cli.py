@@ -211,6 +211,45 @@ def test_broken_bracket_axiom_reports_witness(tmp_path, capsys):
     assert json.loads(err)["witness"]["axiom"] == "skew"
 
 
+def test_non_list_matrix_row_is_exit_2_with_path(capsys, monkeypatch):
+    bad = {"lie": {"degrees": [0, 1], "dims": [1, 1], "d": [[1]]},
+           "module": {"degrees": [0, 0], "dims": [1]}}
+    code, out, err = _run(capsys, ["cone"], stdin_text=json.dumps(bad),
+                          monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert json.loads(err)["path"] == "--pair/lie/d/0/0"
+
+
+@pytest.mark.parametrize("p, message", [
+    ("7", "p must be an integer"),
+    (True, "p must be an integer"),
+    (1000000000000000003, "p must be below 2^31"),
+])
+def test_bad_prime_is_exit_2_with_path(tmp_path, capsys, monkeypatch, p, message):
+    pair = {"field": "Fp", "p": p,
+            "lie": {"degrees": [0, 0], "dims": [1]},
+            "module": {"degrees": [0, 0], "dims": [1]}}
+    code, out, err = _run(capsys, ["cone"], stdin_text=json.dumps(pair),
+                          monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert json.loads(err)["path"] == "--pair/field/p"
+    assert message in json.loads(err)["error"]
+
+    f = _write(tmp_path, "cx.json",
+               dict(CX_LINE, ring=dict(CX_LINE["ring"], field="Fp", p=p)))
+    code, out, err = _run(capsys, ["jump", "--complex", f, "--i", "0"])
+    assert code == 2 and out == ""
+    assert json.loads(err)["path"] == "--complex/ring/field/p"
+    assert message in json.loads(err)["error"]
+
+
+def test_largest_allowed_prime_is_accepted(tmp_path, capsys):
+    f = _write(tmp_path, "cx.json",
+               dict(CX_LINE, ring=dict(CX_LINE["ring"], field="Fp", p=2**31 - 1)))
+    code, out, _ = _run(capsys, ["jump", "--complex", f, "--i", "0"])
+    assert code == 0 and json.loads(out) == {"J": {"0,1": ["x0"]}}
+
+
 def test_budget_exhaustion_is_exit_3(tmp_path, capsys, monkeypatch):
     _, pair_text, _ = _run(capsys, ["model", "os", "--normals",
                                     _write(tmp_path, "arr.json", ARR)])
