@@ -26,9 +26,20 @@ MODELS = {
     "glr": (["model", "glr", "--n", "2", "--r", "2"], ""),
 }
 
+# a pair with a nonzero differential: the Heisenberg pair plus an acyclic arm
+# u -> v in degrees 0 -> 1, with u and v acting by zero, so the cone and the
+# resonance ideals are computed on its cohomology pair
+ACYCLIC_ARM = (
+    '{"lie":{"degrees":[0,2],"dims":[1,3,1],"d":[[[0],[0],[1]],[[0,0,0]]],'
+    '"bracket":[{"i":1,"a":0,"j":1,"b":1,"out":[1]}]},'
+    '"module":{"degrees":[0,2],"dims":[1,1,1],"d":[[[0]],[[0]]],'
+    '"action":[{"i":1,"a":0,"j":0,"b":0,"out":[1]},{"i":1,"a":1,"j":1,"b":0,"out":[1]},'
+    '{"i":2,"a":0,"j":0,"b":0,"out":[1]}]}}'
+)
+
 LINE_COMPLEX = '{"ring":{"field":"Q","vars":["x0"]},"lo":0,"ranks":[1,1],"diffs":[[["x0"]]]}'
 
-# (golden name, model fed on stdin or None for LINE_COMPLEX, verb argv)
+# (golden name, model or literal pair fed on stdin, or None for LINE_COMPLEX, verb argv)
 CASES = (
     [(f"analyze-{m}", m, ["analyze"]) for m in ("exterior-2", "surface-2", "surface-3", "3-line")]
     + [(f"resonance-exterior-3-i{i}-k{k}", "exterior-3", ["resonance", "--i", str(i), "--k", str(k)])
@@ -38,6 +49,9 @@ CASES = (
        ("resonance-glr-i2", "glr", ["resonance", "--i", "2"]),
        ("cone-glr", "glr", ["cone"]),
        ("cone-exterior-3", "exterior-3", ["cone"]),
+       ("cone-acyclic-arm", "acyclic-arm", ["cone"]),
+       ("resonance-acyclic-arm-i0", "acyclic-arm", ["resonance", "--i", "0", "--k", "1"]),
+       ("resonance-acyclic-arm-i1", "acyclic-arm", ["resonance", "--i", "1", "--k", "1"]),
        ("readme-resonance", "exterior-2", ["resonance", "--i", "1", "--k", "1"]),
        ("readme-jump", None, ["jump", "--i", "0", "--k", "1"])]
 )
@@ -58,6 +72,7 @@ def _stdout(argv, stdin_text):
 
 def _outputs():
     pairs = {m: _stdout(*MODELS[m]) for m in MODELS}
+    pairs["acyclic-arm"] = ACYCLIC_ARM
     return {name: _stdout(argv, pairs[m] if m else LINE_COMPLEX) for name, m, argv in CASES}
 
 
