@@ -458,7 +458,7 @@ def artin_from_json(obj: dict, path: str = "/artin") -> ArtinLocalAlgebra:
         return make_artin(ctx.base(), Ideal(ctx.base(),
                                             [g.cast(ctx.base())
                                              for g in ctx.quotient_gens]))
-    field = field_from_json(obj, path + "/field")
+    field = field_from_json(obj, path)
     labels = obj.get("labels")
     mult = obj.get("mult")
     if not isinstance(labels, list) or not isinstance(mult, list):

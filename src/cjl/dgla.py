@@ -133,6 +133,10 @@ def _nonzero(F, u) -> list:
     return [(a, x) for a, x in enumerate(u) if not F.is_zero(x)]
 
 
+def _all_zero(F, mats) -> bool:
+    return all(F.is_zero(x) for m in mats for row in m for x in row)
+
+
 class Dgla:
     """Finite-dimensional graded Lie algebra with differential."""
 
@@ -166,6 +170,9 @@ class Dgla:
 
     def bracket_elem(self, i: int, u, j: int, v):
         return self.bracket.contract(i, u, j, v, self.dim(i + j))
+
+    def has_zero_differential(self) -> bool:
+        return _all_zero(self.field, self.d)
 
 
 class DglaPair:
@@ -204,9 +211,7 @@ class DglaPair:
         return self.action.contract(i, u, j, v, self.m_dim(i + j))
 
     def has_zero_differentials(self) -> bool:
-        F = self.field
-        return all(all(F.is_zero(x) for row in m for x in row) for m in self.lie.d) \
-            and all(all(F.is_zero(x) for row in m for x in row) for m in self.m_d)
+        return self.lie.has_zero_differential() and _all_zero(self.field, self.m_d)
 
     def validate(self):
         """Raise AxiomError on the first violated identity."""
@@ -378,62 +383,62 @@ class _DegreeHomology:
         return tuple(x[self.n_b:])
 
 
+def _homology(F, d_mat, dim, degrees) -> dict:
+    """The _DegreeHomology of each of ``degrees``, for the complex with
+    differentials ``d_mat(i)`` and dimensions ``dim(i)``."""
+    return {i: _DegreeHomology(F, d_mat(i - 1), d_mat(i), dim(i), dim(i - 1))
+            for i in degrees}
+
+
+def _induced(F, ch: dict, vh: dict, product) -> dict:
+    """The table of ``product`` (a bracket or an action) induced on the
+    chosen representatives: ``ch`` the homology of C by degree, ``vh`` that
+    of the space C acts on (C itself for the bracket)."""
+    table = {}
+    for i, hc in ch.items():
+        for j, hv in vh.items():
+            if i + j not in vh:
+                continue
+            for a, u in enumerate(hc.reps):
+                for b, v in enumerate(hv.reps):
+                    coords = vh[i + j].classify(product(i, u, j, v))
+                    if not vec_is_zero(F, coords):
+                        table[(i, a, j, b)] = coords
+    return table
+
+
+def _zero_d(F, gvs: GradedVectorSpace) -> list:
+    return [tuple((F.zero,) * gvs.dim(i) for _ in range(gvs.dim(i + 1)))
+            for i in range(gvs.lo, gvs.hi)]
+
+
+def _cohomology_lie(C: Dgla) -> tuple:
+    F = C.field
+    ch = _homology(F, C.d_mat, C.dim, C.gvs.degrees())
+    g = GradedVectorSpace(C.gvs.lo, C.gvs.hi, [h.h for h in ch.values()])
+    return Dgla(F, g, _zero_d(F, g), _induced(F, ch, ch, C.bracket_elem)), ch
+
+
+def cohomology_lie(C: Dgla) -> Dgla:
+    """The induced Lie algebra on cohomology: zero differential, bracket
+    induced on chosen representatives."""
+    return _cohomology_lie(C)[0]
+
+
 def cohomology_pair(P: DglaPair) -> DglaPair:
     """The induced pair on cohomology: zero differentials, bracket and
     action induced on chosen representatives."""
     F = P.field
-    C = P.lie
-    g = C.gvs
-    m = P.m_gvs
-
-    ch = {i: _DegreeHomology(F, C.d_mat(i - 1), C.d_mat(i), C.dim(i),
-                             C.dim(i - 1)) for i in g.degrees()}
-    mh = {i: _DegreeHomology(F, P.m_d_mat(i - 1), P.m_d_mat(i), P.m_dim(i),
-                             P.m_dim(i - 1)) for i in m.degrees()}
-
-    new_g = GradedVectorSpace(g.lo, g.hi, [ch[i].h for i in g.degrees()])
-    new_m = GradedVectorSpace(m.lo, m.hi, [mh[i].h for i in m.degrees()])
-
-    bracket = {}
-    for i in g.degrees():
-        for j in g.degrees():
-            if not g.lo <= i + j <= g.hi:
-                continue
-            for a, u in enumerate(ch[i].reps):
-                for b, v in enumerate(ch[j].reps):
-                    w = C.bracket_elem(i, u, j, v)
-                    coords = ch[i + j].classify(w)
-                    if not vec_is_zero(F, coords):
-                        bracket[(i, a, j, b)] = coords
-    action = {}
-    for i in g.degrees():
-        for j in m.degrees():
-            if not m.lo <= i + j <= m.hi:
-                continue
-            for a, u in enumerate(ch[i].reps):
-                for b, v in enumerate(mh[j].reps):
-                    w = P.action_elem(i, u, j, v)
-                    coords = mh[i + j].classify(w)
-                    if not vec_is_zero(F, coords):
-                        action[(i, a, j, b)] = coords
-
-    zero_d_g = [tuple((F.zero,) * new_g.dim(i) for _ in range(new_g.dim(i + 1)))
-                for i in range(g.lo, g.hi)]
-    zero_d_m = [tuple((F.zero,) * new_m.dim(i) for _ in range(new_m.dim(i + 1)))
-                for i in range(m.lo, m.hi)]
-    lie = Dgla(F, new_g, zero_d_g, bracket)
-    return DglaPair(lie, new_m, zero_d_m, action)
+    lie, ch = _cohomology_lie(P.lie)
+    mh = _homology(F, P.m_d_mat, P.m_dim, P.m_gvs.degrees())
+    m = GradedVectorSpace(P.m_gvs.lo, P.m_gvs.hi, [h.h for h in mh.values()])
+    return DglaPair(lie, m, _zero_d(F, m), _induced(F, ch, mh, P.action_elem))
 
 
 def module_betti(P: DglaPair) -> tuple:
     """Cohomology dimensions of the module complex over its window."""
-    F = P.field
-    out = []
-    for i in P.m_gvs.degrees():
-        dh = _DegreeHomology(F, P.m_d_mat(i - 1), P.m_d_mat(i), P.m_dim(i),
-                             P.m_dim(i - 1))
-        out.append(dh.h)
-    return tuple(out)
+    return tuple(h.h for h in _homology(P.field, P.m_d_mat, P.m_dim,
+                                        P.m_gvs.degrees()).values())
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +632,7 @@ def _table_from_json(F, obj, key, path):
 def pair_from_json(obj: dict, path: str = "", check: bool = True) -> DglaPair:
     if not isinstance(obj, dict):
         raise ValidationError("pair must be an object", path or "/")
-    F = field_from_json(obj, path + "/field") if "field" in obj else QQ()
+    F = field_from_json(obj, path) if "field" in obj else QQ()
     lie_obj = obj.get("lie")
     mod_obj = obj.get("module")
     if not isinstance(lie_obj, dict) or not isinstance(mod_obj, dict):

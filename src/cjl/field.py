@@ -167,8 +167,9 @@ class GFp:
         return hash(("GFp", self.p))
 
 
-def field_from_json(obj: dict, path: str = "/field"):
-    """Build a field from the ``{"field": "Q"|"Fp", "p": ...}`` convention."""
+def field_from_json(obj: dict, path: str = ""):
+    """Build a field from the ``{"field": "Q"|"Fp", "p": ...}`` convention;
+    ``path`` locates ``obj`` in its document, and errors name the key."""
     name = obj.get("field")
     if name == "Q":
         return QQ()
@@ -179,4 +180,4 @@ def field_from_json(obj: dict, path: str = "/field"):
             return GFp(obj["p"])
         except ValidationError as exc:
             raise ValidationError(str(exc), path + "/p") from None
-    raise ValidationError(f"unknown field {name!r}", path)
+    raise ValidationError(f"unknown field {name!r}", path + "/field")

@@ -349,9 +349,9 @@ def binomial_bound(b, beta, a: int, free_coefficients: bool,
 
 def _locus_inside(outer_ideal, inner_ideal) -> bool:
     """V(inner_ideal) subset of V(outer_ideal), via radical membership
-    of every generator of the outer ideal in the inner one."""
+    of every element of the outer ideal's reduced basis in the inner one."""
     return all(inner_ideal.radical_contains(g)
-               for g in outer_ideal.all_gens())
+               for g in outer_ideal.groebner())
 
 
 def verify_inclusions(P) -> list:
@@ -448,7 +448,9 @@ def _support_claims(g: _Geometry, a_pos: int) -> list:
         fit2 = g.fit(pos, g.beta[pos] - 1)
         res2 = g.res(pos, 2)
         contained = _locus_inside(res2, fit2)
-        off_level_one = _locus_inside(fit2.times(res1), res2)
+        product = g.S.ideal([a * b for a in fit2.groebner()
+                             for b in res1.groebner()])
+        off_level_one = _locus_inside(product, res2)
         out.append({
             "id": f"9.1g:i={i},k=2",
             "holds": contained and off_level_one,

@@ -261,7 +261,8 @@ class Ideal:
 
     def radical_contains(self, f: Polynomial) -> bool:
         """Membership in the radical, by the extra-variable trick: f lies
-        in rad(I) iff 1 lies in I + (1 - t f) in one more variable."""
+        in rad(I) iff 1 lies in I + (1 - t f) in one more variable.  The
+        run starts from the cached reduced basis of I."""
         if self.ctx.has_quotient():
             raise ValidationError("radical membership is for quotient-free contexts")
         self.ctx.check_same(f.ctx)
@@ -270,7 +271,7 @@ class Ideal:
             fresh += "_"
         big = RingContext(self.ctx.field, self.ctx.names + (fresh,), self.ctx.order)
         keep = list(range(self.ctx.nvars))
-        lifted = [g.embed(big, keep) for g in self.gens]
+        lifted = [g.embed(big, keep) for g in self.groebner()]
         t = big.var(big.nvars - 1)
         lifted.append(big.one() - t * f.embed(big, keep))
         gb = buchberger(lifted, big)

@@ -17,31 +17,6 @@ Vec = tuple
 Mat = tuple  # tuple of row tuples
 
 
-def zeros(F, r: int, c: int) -> Mat:
-    return tuple((F.zero,) * c for _ in range(r))
-
-
-def identity(F, n: int) -> Mat:
-    return tuple(tuple(F.one if i == j else F.zero for j in range(n)) for i in range(n))
-
-
-def mat_mul(F, A: Mat, B: Mat, inner: int, cols: int | None = None) -> Mat:
-    """A (r x inner) times B (inner x c); ``inner`` (and ``cols`` when B is
-    empty) passed explicitly so degenerate shapes survive."""
-    r = len(A)
-    c = cols if cols is not None else (len(B[0]) if B else 0)
-    out = []
-    for i in range(r):
-        row = []
-        for j in range(c):
-            s = F.zero
-            for t in range(inner):
-                s = F.add(s, F.mul(A[i][t], B[t][j]))
-            row.append(s)
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def mat_vec(F, A: Mat, v: Vec) -> Vec:
     return tuple(
         _dot(F, row, v) for row in A

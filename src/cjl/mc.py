@@ -6,6 +6,13 @@ elements, one per basis vector of the graded piece.  All power series
 (exponentials of adjoint or module action) are exact finite sums: each
 application of a coefficient in the maximal ideal climbs the m-adic
 filtration, which terminates at the nilpotency index.
+
+The structure equation d(omega) + (1/2)[omega, omega] and the twisted
+complex (M (x) A, d_M + omega.) are written once, here, for any
+coefficient ring A with the ring protocol (``zero``, ``one``, ``add``,
+``mul``, ``scale``, ``is_zero``, ``field``): an Artin algebra for
+deformations, a polynomial ring (or its quotient by the cone relations)
+for the tautological element of ``resonance``.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ def tensor_in_max_ideal(A, u) -> bool:
     return all(A.in_max_ideal(x) for x in u)
 
 
-def apply_scalar_matrix(A: ArtinLocalAlgebra, mat, u):
+def apply_scalar_matrix(A, mat, u):
     """Apply a matrix of ground-field scalars to a vector of algebra
     elements (the differential extended along the base)."""
     F = A.field
@@ -62,7 +69,7 @@ def apply_scalar_matrix(A: ArtinLocalAlgebra, mat, u):
     return tuple(out)
 
 
-def _contract(A: ArtinLocalAlgebra, table, i: int, u, j: int, v, out_dim: int):
+def _contract(A, table, i: int, u, j: int, v, out_dim: int):
     """sum_{a,b} T(i,a,j,b) (x) u_a v_b over the nonzero Artin
     coefficients u_a, v_b."""
     out = [A.zero()] * out_dim
@@ -79,13 +86,13 @@ def _contract(A: ArtinLocalAlgebra, table, i: int, u, j: int, v, out_dim: int):
     return tuple(out)
 
 
-def bracket_tensor(C: Dgla, A: ArtinLocalAlgebra, i: int, u, j: int, v):
+def bracket_tensor(C: Dgla, A, i: int, u, j: int, v):
     """[x (x) a, y (x) b] = [x,y] (x) ab — the base is commutative and
     sits in degree zero, so no extra sign appears."""
     return _contract(A, C.bracket, i, u, j, v, C.dim(i + j))
 
 
-def action_tensor(P: DglaPair, A: ArtinLocalAlgebra, i: int, u, j: int, v):
+def action_tensor(P: DglaPair, A, i: int, u, j: int, v):
     """(x (x) a).(m (x) b) = x.m (x) ab."""
     return _contract(A, P.action, i, u, j, v, P.m_dim(i + j))
 
@@ -110,19 +117,23 @@ def _inv_int(F, n: int):
     return F.inv(F.from_int(n))
 
 
+def structure_equation(C: Dgla, A, omega):
+    """d(omega) + (1/2)[omega, omega] in C^2 (x) A, for omega in C^1 (x) A."""
+    half = _inv_int(C.field, 2)
+    return tensor_add(A, apply_scalar_matrix(A, C.d_mat(1), omega),
+                      tensor_scale(A, half,
+                                   bracket_tensor(C, A, 1, omega, 1, omega)))
+
+
 def mc_defect(P, A: ArtinLocalAlgebra, omega):
     """d(omega) + (1/2)[omega, omega], an element of C^2 (x) A."""
     C = _lie(P)
-    F = C.field
     _check_shape(P, A, omega, C.dim(1), "connection coefficients", in_m=True)
-    if F.char == 2:
+    if C.field.char == 2:
         raise ValidationError(
             "the structure equation needs 2 invertible; characteristic 2 "
             "is not supported")
-    d_omega = apply_scalar_matrix(A, C.d_mat(1), omega)
-    sq = bracket_tensor(C, A, 1, omega, 1, omega)
-    half = _inv_int(F, 2)
-    return tensor_add(A, d_omega, tensor_scale(A, half, sq))
+    return structure_equation(C, A, omega)
 
 
 def maurer_cartan_check(P, A: ArtinLocalAlgebra, omega) -> bool:
@@ -208,42 +219,40 @@ def module_transport(P: DglaPair, A: ArtinLocalAlgebra, lam, xi,
     return acc
 
 
-def twisted_differential(P: DglaPair, A: ArtinLocalAlgebra, omega,
-                         degree: int, xi):
+def twisted_differential(P: DglaPair, A, omega, degree: int, xi):
     """d_M(xi) + omega.xi on M^degree (x) A."""
     return tensor_add(A, apply_scalar_matrix(A, P.m_d_mat(degree), xi),
                       action_tensor(P, A, 1, omega, degree, xi))
 
 
+def twisted_complex(P: DglaPair, A, omega):
+    """The free complex (M (x) A, d_M + omega.) with ranks dim M^i: column
+    b of each matrix is the twisted differential of basis vector b.  It
+    is a complex when omega satisfies the structure equation."""
+    from .complexes import FreeComplex
+
+    m = P.m_gvs
+    diffs = []
+    for j in range(m.lo, m.hi):
+        n = P.m_dim(j)
+        cols = [twisted_differential(
+            P, A, omega, j,
+            tuple(A.one() if t == b else A.zero() for t in range(n)))
+            for b in range(n)]
+        diffs.append(tuple(tuple(col[c] for col in cols)
+                           for c in range(P.m_dim(j + 1))))
+    return FreeComplex(A, m.lo, m.hi, [P.m_dim(i) for i in m.degrees()],
+                       diffs)
+
+
 def aomoto_complex(P: DglaPair, A: ArtinLocalAlgebra, omega):
     """The module complex twisted by a flat connection: free over A with
     ranks dim M^i and differential d_M (x) id + omega-action."""
-    from .complexes import FreeComplex
-
     if not maurer_cartan_check(P, A, omega):
         raise ValidationError(
             "connection is not flat (fails the structure equation); "
             "no twisted complex exists")
-    m = P.m_gvs
-    ranks = [P.m_dim(i) for i in m.degrees()]
-    diffs = []
-    for j in range(m.lo, m.hi):
-        rows = P.m_dim(j + 1)
-        cols = P.m_dim(j)
-        d_m = P.m_d_mat(j)
-        mat = []
-        for c in range(rows):
-            row = []
-            for b in range(cols):
-                entry = A.from_scalar(d_m[c][b])
-                for a in range(P.lie.dim(1)):
-                    t = P.action_vec(1, a, j, b)[c]
-                    if not P.field.is_zero(t):
-                        entry = A.add(entry, A.scale(omega[a], t))
-                row.append(entry)
-            mat.append(tuple(row))
-        diffs.append(tuple(mat))
-    return FreeComplex(A, m.lo, m.hi, ranks, diffs)
+    return twisted_complex(P, A, omega)
 
 
 def def_jump_test(P: DglaPair, A: ArtinLocalAlgebra, omega, i: int,

@@ -174,6 +174,9 @@ class RingContext:
     def mul(self, a, b):
         return a * b
 
+    def scale(self, a, c):
+        return a.scale(c)
+
     def neg(self, a):
         return -a
 
@@ -243,7 +246,7 @@ class RingContext:
     def from_json(obj: dict, path: str = "/ring") -> "RingContext":
         if not isinstance(obj, dict):
             raise ValidationError("ring context must be an object", path)
-        field = field_from_json(obj, path + "/field")
+        field = field_from_json(obj, path)
         names = obj.get("vars")
         if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
             raise ValidationError("vars must be a list of strings", path + "/vars")

@@ -14,25 +14,18 @@ relations, so downstream dimension counts happen in one fixed ring.
 from __future__ import annotations
 
 from .complexes import FreeComplex, jump_ideal
-from .dgla import Dgla, DglaPair, _DegreeHomology, _GradedTable, \
-    _parse_scalar, _units, cohomology_pair
+from .dgla import Dgla, DglaPair, _GradedTable, _homology, _parse_scalar, \
+    _units, cohomology_lie, cohomology_pair
 from .errors import AxiomError, ValidationError
 from .groebner import Ideal
-from .linalg import rank
-from .mc import _inv_int
+from .linalg import mat_vec, rank
+from .mc import bracket_tensor, structure_equation, twisted_complex
 from .poly import RingContext
 
 
-def _h_at(C: Dgla, i: int) -> _DegreeHomology:
-    return _DegreeHomology(C.field, C.d_mat(i - 1), C.d_mat(i),
-                           C.dim(i), C.dim(i - 1))
-
-
-def _mono(n: int, *idx) -> tuple:
-    e = [0] * n
-    for a in idx:
-        e[a] += 1
-    return tuple(e)
+def _nonzero_ideal(S: RingContext, coords):
+    """The ideal of S generated by the nonzero entries of ``coords``."""
+    return S.ideal([g for g in coords if g.terms])
 
 
 def coefficient_ring(F, n: int) -> RingContext:
@@ -44,29 +37,15 @@ def quadratic_cone_ideal(C: Dgla):
     """The ideal of {η in H¹ : [η,η] = 0}.
 
     Returns ``(S, I)`` where S is the polynomial ring on the dual basis
-    of H¹ and I is generated by the coordinates of the self-bracket of
-    the tautological element — one generator per H² coordinate, kept
+    of H¹ and I is generated by the nonzero coordinates of the self-bracket
+    of the tautological element in the cohomology Lie algebra (C itself
+    when its differential is zero) — one generator per H² coordinate, kept
     exactly as expanded (no rescaling).
     """
-    F = C.field
-    h1 = _h_at(C, 1)
-    h2 = _h_at(C, 2)
-    S = coefficient_ring(F, h1.h)
-    coeffs = {}
-    for a, u in enumerate(h1.reps):
-        for b, v in enumerate(h1.reps):
-            w = h2.classify(C.bracket_elem(1, u, 1, v))
-            for c, t in enumerate(w):
-                if not F.is_zero(t):
-                    m = _mono(h1.h, a, b)
-                    cur = coeffs.setdefault(c, {})
-                    cur[m] = F.add(cur.get(m, F.zero), t)
-    gens = []
-    for c in range(h2.h):
-        g = S.from_dict(coeffs.get(c, {}))
-        if g.terms:
-            gens.append(g)
-    return S, S.ideal(gens)
+    H = C if C.has_zero_differential() else cohomology_lie(C)
+    S = coefficient_ring(C.field, H.dim(1))
+    zeta = S.gens()
+    return S, _nonzero_ideal(S, bracket_tensor(H, S, 1, zeta, 1, zeta))
 
 
 def flat_connection_ideal(C: Dgla):
@@ -75,32 +54,8 @@ def flat_connection_ideal(C: Dgla):
     Same construction as the cone but on the chain level, with the
     linear term of the differential included.
     """
-    F = C.field
-    half = _inv_int(F, 2)
-    n = C.dim(1)
-    S = coefficient_ring(F, n)
-    d1 = C.d_mat(1)
-    coeffs = {c: {} for c in range(C.dim(2))}
-    for c in range(C.dim(2)):
-        for a in range(n):
-            t = d1[c][a]
-            if not F.is_zero(t):
-                m = _mono(n, a)
-                coeffs[c][m] = F.add(coeffs[c].get(m, F.zero), t)
-    for a in range(n):
-        for b in range(n):
-            w = C.bracket_vec(1, a, 1, b)
-            for c, t in enumerate(w):
-                if not F.is_zero(t):
-                    m = _mono(n, a, b)
-                    cur = coeffs[c]
-                    cur[m] = F.add(cur.get(m, F.zero), F.mul(half, t))
-    gens = []
-    for c in range(C.dim(2)):
-        g = S.from_dict(coeffs[c])
-        if g.terms:
-            gens.append(g)
-    return S, S.ideal(gens)
+    S = coefficient_ring(C.field, C.dim(1))
+    return S, _nonzero_ideal(S, structure_equation(C, S, S.gens()))
 
 
 def universal_aomoto(P: DglaPair) -> FreeComplex:
@@ -115,30 +70,10 @@ def universal_aomoto(P: DglaPair) -> FreeComplex:
         raise ValidationError(
             "universal twisted complex needs zero differentials; "
             "take the cohomology pair first")
-    F = P.field
     S, IQ = quadratic_cone_ideal(P.lie)
     if IQ.gens:
-        ctx = RingContext(F, S.names, S.order, quotient=IQ.gens)
-    else:
-        ctx = S
-    n = P.lie.dim(1)
-    m = P.m_gvs
-    ranks = [P.m_dim(i) for i in m.degrees()]
-    diffs = []
-    for j in range(m.lo, m.hi):
-        mat = []
-        for c in range(P.m_dim(j + 1)):
-            row = []
-            for b in range(P.m_dim(j)):
-                d = {}
-                for a in range(n):
-                    t = P.action_vec(1, a, j, b)[c]
-                    if not F.is_zero(t):
-                        d[_mono(n, a)] = t
-                row.append(ctx.from_dict(d))
-            mat.append(tuple(row))
-        diffs.append(tuple(mat))
-    return FreeComplex(ctx, m.lo, m.hi, ranks, diffs)
+        S = RingContext(P.field, S.names, S.order, quotient=IQ.gens)
+    return twisted_complex(P, S, S.gens())
 
 
 def resonance_ideal(P: DglaPair, i: int, k: int) -> Ideal:
@@ -214,9 +149,7 @@ class Augmentation:
         return self.table.get(0, p, 0, q, self.g_dim)
 
     def eps(self, v):
-        F = self.field
-        return tuple(
-            _dot(F, row, v) for row in self.eps0)
+        return mat_vec(self.field, self.eps0, v)
 
     @staticmethod
     def from_json(field, obj, path: str = "") -> "Augmentation":
@@ -248,13 +181,6 @@ class Augmentation:
                         for c, x in enumerate(e["out"]))
             ent[(e["a"], e["b"])] = vec
         return Augmentation(field, obj["g_dim"], eps0, ent)
-
-
-def _dot(F, row, v):
-    t = F.zero
-    for x, y in zip(row, v):
-        t = F.add(t, F.mul(x, y))
-    return t
 
 
 def augmented_resonance(P: DglaPair, aug: Augmentation, i: int, k: int) -> Ideal:
@@ -290,16 +216,17 @@ def augmented_resonance(P: DglaPair, aug: Augmentation, i: int, k: int) -> Ideal
                 raise ValidationError(
                     "evaluation does not kill exact degree-0 elements "
                     f"(boundary of basis vector {b})")
-    if rank(F, list(aug.eps0)) != aug.g_dim:
+    r = rank(F, list(aug.eps0))
+    if r != aug.g_dim:
         raise ValidationError(
             "evaluation is not surjective onto g "
-            f"(rank {rank(F, list(aug.eps0))} < {aug.g_dim})")
-    h0 = _h_at(C, 0)
-    imgs = [aug.eps(r) for r in h0.reps]
-    if rank(F, imgs) != h0.h:
+            f"(rank {r} < {aug.g_dim})")
+    h0 = _homology(F, C.d_mat, C.dim, (0,))[0]
+    r = rank(F, [aug.eps(v) for v in h0.reps])
+    if r != h0.h:
         raise ValidationError(
             "evaluation is not injective on degree-0 cohomology "
-            f"(rank {rank(F, imgs)} < {h0.h})")
+            f"(rank {r} < {h0.h})")
 
     R = resonance_ideal(P, i, k)
     extra = aug.g_dim - h0.h

@@ -3,6 +3,8 @@ pipes, and byte determinism."""
 
 import io
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -232,15 +234,24 @@ def test_bad_prime_is_exit_2_with_path(tmp_path, capsys, monkeypatch, p, message
     code, out, err = _run(capsys, ["cone"], stdin_text=json.dumps(pair),
                           monkeypatch=monkeypatch)
     assert code == 2 and out == ""
-    assert json.loads(err)["path"] == "--pair/field/p"
+    assert json.loads(err)["path"] == "--pair/p"
     assert message in json.loads(err)["error"]
 
     f = _write(tmp_path, "cx.json",
                dict(CX_LINE, ring=dict(CX_LINE["ring"], field="Fp", p=p)))
     code, out, err = _run(capsys, ["jump", "--complex", f, "--i", "0"])
     assert code == 2 and out == ""
-    assert json.loads(err)["path"] == "--complex/ring/field/p"
+    assert json.loads(err)["path"] == "--complex/ring/p"
     assert message in json.loads(err)["error"]
+
+
+def test_unknown_field_is_exit_2_with_path(capsys, monkeypatch):
+    pair = {"field": "R", "lie": {"degrees": [0, 0], "dims": [1]},
+            "module": {"degrees": [0, 0], "dims": [1]}}
+    code, out, err = _run(capsys, ["cone"], stdin_text=json.dumps(pair),
+                          monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert json.loads(err)["path"] == "--pair/field"
 
 
 def test_largest_allowed_prime_is_accepted(tmp_path, capsys):
@@ -284,12 +295,16 @@ def test_complex_json_round_trip(tmp_path, capsys):
 
 
 def test_subprocess_pipe_end_to_end():
+    # the child interpreters import the same cjl as this one, installed or not
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
     model = subprocess.run(
         [sys.executable, "-m", "cjl.cli", "model", "exterior", "--n", "2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert model.returncode == 0
     res = subprocess.run(
         [sys.executable, "-m", "cjl.cli", "resonance", "--i", "1", "--k", "1"],
-        input=model.stdout, capture_output=True, text=True)
+        input=model.stdout, capture_output=True, text=True, env=env)
     assert res.returncode == 0
     assert res.stdout == '{"generators":["x0^2","x0*x1","x1^2"]}\n'

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -119,6 +120,47 @@ def test_radical_membership():
     qctx = RingContext(QQ(), ("x", "y"), quotient=[x * y])
     with pytest.raises(ValidationError):
         Ideal(qctx, [qctx.var(0)]).radical_contains(qctx.var(1))
+
+
+def raw_rabinowitsch(gens, f, ctx):
+    """f in rad(I) iff 1 in I + (1 - t f), started from the raw generators."""
+    big = RingContext(ctx.field, ctx.names + ("t",), ctx.order)
+    keep = list(range(ctx.nvars))
+    t = big.var(ctx.nvars)
+    lifted = [g.embed(big, keep) for g in gens]
+    gb = buchberger(lifted + [big.one() - t * f.embed(big, keep)], big)
+    return len(gb) == 1 and gb[0].lm() == (0,) * big.nvars
+
+
+@pytest.mark.parametrize("field", [QQ(), GFp(5)], ids=["QQ", "F5"])
+def test_radical_contains_matches_raw_rabinowitsch(field):
+    """Seeded ideals (l^k, products of powers of linear forms), most of them
+    not radical, against Rabinowitsch on the raw generators.  l and its
+    multiples lie in the radical, often outside the ideal itself."""
+    rng = random.Random(11)
+    ctx = RingContext(field, ("x", "y", "z"))
+    x, y, z = ctx.gens()
+    # x lies in rad(x^2, y) but not in (x^2, y)
+    I = Ideal(ctx, [x**2, y])
+    assert I.radical_contains(x) and not I.contains(x)
+    assert raw_rabinowitsch(I.gens, x, ctx)
+
+    def linear():
+        return sum((v.scale(field.from_int(rng.randint(-1, 1)))
+                    for v in (x, y, z)), ctx.zero()) + ctx.from_int(rng.randint(0, 1))
+
+    seen = set()
+    for _ in range(30):
+        lead = linear()
+        gens = [lead ** rng.randint(1, 3)] + [
+            linear() ** rng.randint(1, 2) * (linear() if rng.random() < 0.5 else ctx.one())
+            for _ in range(rng.randint(0, 2))]
+        I = Ideal(ctx, gens)
+        for f in (lead, lead * linear(), linear()):
+            got = I.radical_contains(f)
+            assert got == raw_rabinowitsch(gens, f, ctx), (gens, f)
+            seen.add((got, I.contains(f)))
+    assert {(True, True), (True, False), (False, False)} <= seen
 
 
 def test_krull_dimension_fixtures():

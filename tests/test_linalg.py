@@ -4,8 +4,7 @@ from hypothesis import given, strategies as st
 
 from cjl.field import GFp, QQ
 from cjl.linalg import (Echelon, bareiss_rank, generic_rank_bareiss,
-                        identity, mat_mul, nullspace, poly_exact_div, rank,
-                        rref, solve)
+                        nullspace, poly_exact_div, rank, rref, solve)
 from cjl.parse import parse_poly
 from cjl.poly import RingContext
 
@@ -63,14 +62,6 @@ def test_echelon_membership():
     assert not e.add((Fraction(1), Fraction(2), Fraction(1)))  # sum of the two
     assert e.contains((Fraction(2), Fraction(3), Fraction(1)))
     assert not e.contains((Fraction(0), Fraction(0), Fraction(1)))
-
-
-def test_mat_mul_shapes():
-    A = M([1, 2], [3, 4])
-    assert mat_mul(F, A, identity(F, 2), 2) == A
-    # inner dimension zero: the product is a zero matrix of the right shape
-    Z = mat_mul(F, (tuple(), tuple()), (), 0, cols=3)
-    assert Z == ((0, 0, 0), (0, 0, 0)) or Z == ((Fraction(0),) * 3,) * 2
 
 
 def test_poly_exact_div():
