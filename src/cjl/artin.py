@@ -31,12 +31,12 @@ class ArtinLocalAlgebra:
         field: ground field object.
         labels: one display name per basis element; ``labels[0]`` is the unit.
         table: ``table[i][j]`` is the coordinate vector of ``b_i * b_j``.
-        check: verify unit/commutativity/associativity/nilpotency (on by
-            default; construction paths that already guarantee the axioms
-            may skip it).
+
+    The unit, commutativity, associativity and nilpotency axioms are
+    checked on construction.
     """
 
-    def __init__(self, field, labels: Sequence[str], table, check: bool = True):
+    def __init__(self, field, labels: Sequence[str], table):
         self.field = field
         self.labels = tuple(labels)
         self.dim = len(self.labels)
@@ -46,8 +46,7 @@ class ArtinLocalAlgebra:
         if len(self.table) != self.dim or any(len(r) != self.dim for r in self.table) \
                 or any(len(v) != self.dim for r in self.table for v in r):
             raise ValidationError("multiplication table has wrong shape")
-        if check:
-            self._check_axioms()
+        self._check_axioms()
         self.nilpotency_index = self._nilpotency_index()
 
     # -- axioms --------------------------------------------------------
@@ -225,8 +224,7 @@ class ArtinLocalAlgebra:
 
     def residue_map(self) -> "ArtinMap":
         """Projection onto the residue field, as a 1-dimensional algebra."""
-        k = ArtinLocalAlgebra(self.field, ("1",), (((self.field.one,),),),
-                              check=False)
+        k = ArtinLocalAlgebra(self.field, ("1",), (((self.field.one,),),))
         M = (tuple(self.field.one if j == 0 else self.field.zero
                    for j in range(self.dim)),)
         return ArtinMap(self, k, M)
@@ -342,27 +340,25 @@ class ArtinMap:
     ``matrix`` are the images of the source basis)."""
 
     def __init__(self, source: ArtinLocalAlgebra, target: ArtinLocalAlgebra,
-                 matrix, check: bool = True):
+                 matrix):
         self.source = source
         self.target = target
         self.matrix = tuple(tuple(r) for r in matrix)
         if len(self.matrix) != target.dim or \
                 any(len(r) != source.dim for r in self.matrix):
             raise ValidationError("algebra map matrix has wrong shape")
-        if check:
-            F = target.field
-            if not target.eq(self.apply(source.one()), target.one()):
-                raise AxiomError("map does not preserve the unit",
-                                 {"axiom": "unit"})
-            for i in range(source.dim):
-                for j in range(i, source.dim):
-                    lhs = self.apply(source.mul(source.basis(i), source.basis(j)))
-                    rhs = target.mul(self.apply(source.basis(i)),
-                                     self.apply(source.basis(j)))
-                    if not target.eq(lhs, rhs):
-                        raise AxiomError("map is not multiplicative",
-                                         {"axiom": "multiplicativity",
-                                          "indices": (i, j)})
+        if not target.eq(self.apply(source.one()), target.one()):
+            raise AxiomError("map does not preserve the unit",
+                             {"axiom": "unit"})
+        for i in range(source.dim):
+            for j in range(i, source.dim):
+                lhs = self.apply(source.mul(source.basis(i), source.basis(j)))
+                rhs = target.mul(self.apply(source.basis(i)),
+                                 self.apply(source.basis(j)))
+                if not target.eq(lhs, rhs):
+                    raise AxiomError("map is not multiplicative",
+                                     {"axiom": "multiplicativity",
+                                      "indices": (i, j)})
 
     def apply(self, v):
         return mat_vec(self.target.field, self.matrix, v)

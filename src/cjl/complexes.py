@@ -180,17 +180,6 @@ def jump_ideal(E: FreeComplex, i: int, k: int):
         E.rank(i), E.rank(i - 1), E.rank(i + 1), E.rank(i))
 
 
-def jump_table(E: FreeComplex, degrees=None, max_k: int | None = None) -> dict:
-    """Jump ideals for each degree and each level up to rank+1."""
-    out = {}
-    rng = range(E.lo, E.hi + 1) if degrees is None else degrees
-    for i in rng:
-        top = E.rank(i) + 1 if max_k is None else max_k
-        for k in range(1, top + 1):
-            out[(i, k)] = jump_ideal(E, i, k)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # minimization over Artin rings
 # ---------------------------------------------------------------------------
@@ -271,7 +260,7 @@ def minimize_complex(E: FreeComplex) -> FreeComplex:
 
 
 # ---------------------------------------------------------------------------
-# base change, fibers, maps of complexes
+# base change and fibers
 # ---------------------------------------------------------------------------
 
 def base_change(E: FreeComplex, ring_map) -> FreeComplex:
@@ -297,147 +286,3 @@ def fiber_cohomology_rank(E: FreeComplex, i: int) -> int:
     r_prev = res_rank(E.diff(i - 1), E.rank(i - 1))
     r_here = res_rank(E.diff(i), E.rank(i))
     return E.rank(i) - r_prev - r_here
-
-
-class ComplexMap:
-    """Degreewise map of complexes over a shared ring; the squares with
-    the differentials are checked on construction."""
-
-    def __init__(self, source: FreeComplex, target: FreeComplex, comps: dict):
-        if not ring_same(source.ring, target.ring):
-            raise RingMismatchError("source and target over different rings")
-        self.ring = source.ring
-        self.source = source
-        self.target = target
-        self.comps = {}
-        for i, m in comps.items():
-            m = tuple(tuple(row) for row in m)
-            if len(m) != target.rank(i) or any(len(r) != source.rank(i) for r in m):
-                raise ValidationError(f"component {i} has the wrong shape")
-            self.comps[i] = m
-        self._check_squares()
-
-    def comp(self, i: int):
-        if i in self.comps:
-            return self.comps[i]
-        rows = self.target.rank(i)
-        cols = self.source.rank(i)
-        return tuple((self.ring.zero(),) * cols for _ in range(rows))
-
-    def _check_squares(self):
-        R = self.ring
-        lo = min(self.source.lo, self.target.lo)
-        hi = max(self.source.hi, self.target.hi)
-        for i in range(lo, hi):
-            ds = self.source.diff(i)
-            dt = self.target.diff(i)
-            gi = self.comp(i)
-            gi1 = self.comp(i + 1)
-            for r in range(self.target.rank(i + 1)):
-                for c in range(self.source.rank(i)):
-                    lhs = R.zero()
-                    for t in range(self.source.rank(i + 1)):
-                        lhs = R.add(lhs, R.mul(gi1[r][t], ds[t][c]))
-                    rhs = R.zero()
-                    for t in range(self.target.rank(i)):
-                        rhs = R.add(rhs, R.mul(dt[r][t], gi[t][c]))
-                    if not R.is_zero(R.sub(lhs, rhs)):
-                        raise ValidationError(
-                            f"map does not commute with d at degree {i}, "
-                            f"entry ({r},{c})")
-
-
-def _flatten_matrix(A: ArtinLocalAlgebra, mat, nrows: int, ncols: int):
-    """Expand an Artin-entry matrix to a field matrix, each entry becoming
-    its multiplication matrix."""
-    n = A.dim
-    F = A.field
-    out = [[F.zero] * (ncols * n) for _ in range(nrows * n)]
-    for r in range(nrows):
-        for c in range(ncols):
-            block = A.mult_matrix(mat[r][c])
-            for a in range(n):
-                for b in range(n):
-                    out[r * n + a][c * n + b] = block[a][b]
-    return tuple(tuple(row) for row in out)
-
-
-def _homology_map_ranks(F, src_diffs, tgt_diffs, comps, degrees):
-    """For each degree: (h_src, h_tgt, rank of the induced map on
-    cohomology).  All matrices are over the field F."""
-    from .linalg import Echelon, mat_vec, nullspace
-
-    out = {}
-    for i in degrees:
-        ds_prev, ds_here, ncols_s_prev, ncols_s = src_diffs(i)
-        dt_prev, dt_here, ncols_t_prev, ncols_t = tgt_diffs(i)
-        g = comps(i)
-
-        zs = nullspace(F, ds_here, ncols_s)
-        bs = Echelon(F, ncols_s)
-        for j in range(ncols_s_prev):
-            bs.add(tuple(row[j] for row in ds_prev))
-        zt = nullspace(F, dt_here, ncols_t)
-        bt = Echelon(F, ncols_t)
-        for j in range(ncols_t_prev):
-            bt.add(tuple(row[j] for row in dt_prev))
-
-        h_s = len(zs) - bs.rank
-        h_t = len(zt) - bt.rank
-        span = Echelon(F, ncols_t)
-        for row in bt.basis():
-            span.add(row)
-        base = span.rank
-        for z in zs:
-            span.add(mat_vec(F, g, z))
-        out[i] = (h_s, h_t, span.rank - base)
-    return out
-
-
-def homology_map_profile(gmap: ComplexMap) -> dict:
-    """Flatten to the ground field and measure the induced maps on
-    cohomology, degree by degree."""
-    S, T = gmap.source, gmap.target
-    ring = gmap.ring
-    if isinstance(ring, ArtinLocalAlgebra):
-        A = ring
-        F = A.field
-        n = A.dim
-
-        def src(i):
-            return (_flatten_matrix(A, S.diff(i - 1), S.rank(i), S.rank(i - 1)),
-                    _flatten_matrix(A, S.diff(i), S.rank(i + 1), S.rank(i)),
-                    S.rank(i - 1) * n, S.rank(i) * n)
-
-        def tgt(i):
-            return (_flatten_matrix(A, T.diff(i - 1), T.rank(i), T.rank(i - 1)),
-                    _flatten_matrix(A, T.diff(i), T.rank(i + 1), T.rank(i)),
-                    T.rank(i - 1) * n, T.rank(i) * n)
-
-        def comps(i):
-            return _flatten_matrix(A, gmap.comp(i), T.rank(i), S.rank(i))
-    else:
-        raise ValidationError("homology profiles need Artin local coefficients")
-
-    lo = min(S.lo, T.lo)
-    hi = max(S.hi, T.hi)
-    return _homology_map_ranks(F, src, tgt, comps, range(lo, hi + 1))
-
-
-def _q_equivalent(prof: dict, q: int | None) -> bool:
-    """Whether a profile {degree: (h_source, h_target, induced rank)} is
-    an isomorphism on cohomology in degrees <= q and an injection in
-    degree q + 1 (``q = None``: an isomorphism in all degrees)."""
-    for i, (h_s, h_t, r) in sorted(prof.items()):
-        if q is None or i <= q:
-            if not (h_s == h_t == r):
-                return False
-        elif i == q + 1 and r != h_s:
-            return False
-    return True
-
-
-def is_q_equivalence(gmap: ComplexMap, q: int | None) -> bool:
-    """Isomorphism on cohomology in degrees <= q and injection in degree
-    q + 1 (``q = None`` asks for all degrees)."""
-    return _q_equivalent(homology_map_profile(gmap), q)

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .errors import AxiomError, ValidationError
 from .field import QQ, field_from_json
-from .linalg import Echelon, mat_vec, nullspace, solve, vec_is_zero
+from .linalg import Echelon, mat_vec, nullspace, rank, solve, vec_is_zero
 
 
 class GradedVectorSpace:
@@ -234,10 +234,15 @@ def _units(F, n: int) -> list:
             for c in range(n)]
 
 
-def _d_images(F, space, d_apply) -> dict:
-    """d of each unit vector, as nonzero coordinates, per degree."""
-    return {i: [_nonzero(F, d_apply(i, u)) for u in _units(F, space.dim(i))]
-            for i in space.degrees()}
+def _d_images(F, space, d_mat) -> dict:
+    """d of each unit vector, as nonzero coordinates, per degree: the
+    image of unit vector c is column c of the matrix of d."""
+    out = {}
+    for i in space.degrees():
+        m = d_mat(i)
+        out[i] = [[(r, row[c]) for r, row in enumerate(m) if not F.is_zero(row[c])]
+                  for c in range(space.dim(i))]
+    return out
 
 
 def _apply(F, images, terms) -> dict:
@@ -313,7 +318,7 @@ def check_dgla(C: Dgla) -> list:
     """All violations of the graded-Lie axioms, as witness dicts."""
     F = C.field
     g = C.gvs
-    d_c = _d_images(F, g, C.d_apply)
+    d_c = _d_images(F, g, C.d_mat)
     bad = _d_squared(F, g, d_c, "d_squared")
     # graded skew symmetry, including the even diagonal
     for i in g.degrees():
@@ -335,10 +340,10 @@ def check_pair(P: DglaPair) -> list:
     """Violations of the module axioms over the (already checked) algebra."""
     F = P.field
     C = P.lie
-    d_m = _d_images(F, P.m_gvs, P.m_d_apply)
+    d_m = _d_images(F, P.m_gvs, P.m_d_mat)
     bad = _d_squared(F, P.m_gvs, d_m, "module_d_squared")
     return bad + _representation(C, P.m_gvs, P.action,
-                                 _d_images(F, C.gvs, C.d_apply), d_m,
+                                 _d_images(F, C.gvs, C.d_mat), d_m,
                                  ("lie_action", "action_leibniz"))
 
 
@@ -521,40 +526,53 @@ class DglaPairMap:
                   "action equivariance")
 
 
+def _q_equivalent(prof: dict, q: int | None) -> bool:
+    """Whether a profile {degree: (h_source, h_target, induced rank)} is
+    an isomorphism on cohomology in degrees <= q and an injection in
+    degree q + 1 (``q = None``: an isomorphism in all degrees)."""
+    for i, (h_s, h_t, r) in sorted(prof.items()):
+        if q is None or i <= q:
+            if not (h_s == h_t == r):
+                return False
+        elif i == q + 1 and r != h_s:
+            return False
+    return True
+
+
+def _map_profile(F, src: dict, tgt: dict, comp) -> dict:
+    """{degree: (h_source, h_target, induced rank)} for the map with
+    components ``comp(i)`` between complexes whose _DegreeHomology by
+    degree is ``src`` and ``tgt``: the induced rank is the rank of the
+    images of the source representatives modulo the target boundaries."""
+    out = {}
+    for i, hs in src.items():
+        ht = tgt[i]
+        images = [mat_vec(F, comp(i), z) for z in hs.reps]
+        out[i] = (hs.h, ht.h,
+                  rank(F, list(ht.boundaries.basis()) + images) - ht.n_b)
+    return out
+
+
 def pair_map_profiles(gmap: DglaPairMap) -> tuple:
     """Per-degree (h_source, h_target, induced rank) for the algebra and
     the module components of a pair map."""
-    from .complexes import _homology_map_ranks
     F = gmap.F
     S, T = gmap.source, gmap.target
-
-    def mk(dfun, dim_prev, dim_here):
-        def at(i):
-            return (dfun(i - 1), dfun(i), dim_prev(i), dim_here(i))
-        return at
-
-    lie_degrees = range(min(S.lie.gvs.lo, T.lie.gvs.lo),
-                        max(S.lie.gvs.hi, T.lie.gvs.hi) + 1)
-    mod_degrees = range(min(S.m_gvs.lo, T.m_gvs.lo),
-                        max(S.m_gvs.hi, T.m_gvs.hi) + 1)
-    lie_prof = _homology_map_ranks(
-        F,
-        mk(S.lie.d_mat, lambda i: S.lie.dim(i - 1), S.lie.dim),
-        mk(T.lie.d_mat, lambda i: T.lie.dim(i - 1), T.lie.dim),
-        gmap.lie_comp, lie_degrees)
-    mod_prof = _homology_map_ranks(
-        F,
-        mk(S.m_d_mat, lambda i: S.m_dim(i - 1), S.m_dim),
-        mk(T.m_d_mat, lambda i: T.m_dim(i - 1), T.m_dim),
-        gmap.mod_comp, mod_degrees)
-    return lie_prof, mod_prof
+    lie = range(min(S.lie.gvs.lo, T.lie.gvs.lo),
+                max(S.lie.gvs.hi, T.lie.gvs.hi) + 1)
+    mod = range(min(S.m_gvs.lo, T.m_gvs.lo), max(S.m_gvs.hi, T.m_gvs.hi) + 1)
+    return (_map_profile(F, _homology(F, S.lie.d_mat, S.lie.dim, lie),
+                         _homology(F, T.lie.d_mat, T.lie.dim, lie),
+                         gmap.lie_comp),
+            _map_profile(F, _homology(F, S.m_d_mat, S.m_dim, mod),
+                         _homology(F, T.m_d_mat, T.m_dim, mod),
+                         gmap.mod_comp))
 
 
 def pair_map_equivalence(gmap: DglaPairMap, i: int | None) -> bool:
     """Whether the map induces an isomorphism on algebra cohomology
     through degree 1 (injection in 2) and on module cohomology through
     degree i (injection in i+1)."""
-    from .complexes import _q_equivalent
     lie_prof, mod_prof = pair_map_profiles(gmap)
     return _q_equivalent(lie_prof, 1) and _q_equivalent(mod_prof, i)
 
@@ -629,7 +647,9 @@ def _table_from_json(F, obj, key, path):
     return table
 
 
-def pair_from_json(obj: dict, path: str = "", check: bool = True) -> DglaPair:
+def pair_from_json(obj: dict, path: str = "") -> DglaPair:
+    """The pair a JSON document describes, checked against the axioms
+    (AxiomError carries the first witness)."""
     if not isinstance(obj, dict):
         raise ValidationError("pair must be an object", path or "/")
     F = field_from_json(obj, path) if "field" in obj else QQ()
@@ -643,8 +663,7 @@ def pair_from_json(obj: dict, path: str = "", check: bool = True) -> DglaPair:
                _table_from_json(F, lie_obj, "bracket", path + "/lie"))
     pair = DglaPair(lie, m, _mats_from_json(F, mod_obj, m, path + "/module"),
                     _table_from_json(F, mod_obj, "action", path + "/module"))
-    if check:
-        pair.validate()
+    pair.validate()
     return pair
 
 

@@ -33,7 +33,9 @@ class AxiomError(ValidationError):
     """A structure failed one of its defining identities.
 
     ``witness`` names the identity and the indices at which it breaks,
-    e.g. ``{"axiom": "jacobi", "degrees": (0, 0, 1), "indices": (0, 1, 0)}``.
+    e.g. ``{"axiom": "jacobi", "at": (0, 0, 0, 1, 1, 0)}``: the Jacobi
+    identity fails for basis vectors 0 and 1 of degree 0 acting on basis
+    vector 0 of degree 1, as ``(i, a, j, b, k, c)``.
     """
 
     def __init__(self, message: str, witness: dict | None = None):

@@ -78,6 +78,8 @@ class _Geometry:
         return self._res[key]
 
     def fit(self, pos: int, r: int):
+        """Ideal of the r x r minors of d out of position ``pos``: where
+        that map drops below rank r, presented upstairs."""
         key = (pos, r)
         if key not in self._fit:
             mat = self.E.diff(self.lo + pos)
@@ -160,21 +162,6 @@ def exactness_threshold(P) -> int:
     violating either is returned."""
     g = _Geometry(P)
     return g.lo + g.threshold_pos()
-
-
-def fitting_locus(P, i: int, k: int = 1):
-    """Locus in the coefficient ring where d out of degree ``i`` drops
-    to rank at most ``beta_i - k``: the ideal of size
-    ``beta_i + 1 - k`` minors, presented upstairs with the quotient
-    relations adjoined."""
-    if k < 1:
-        raise ValidationError(f"drop level must be >= 1, got {k}")
-    g = _Geometry(P)
-    pos = i - g.lo
-    if not 0 <= pos < g.npos:
-        raise ValidationError(f"degree {i} outside the module window "
-                              f"[{g.lo}, {g.lo + g.npos - 1}]")
-    return g.fit(pos, g.beta[pos] + 1 - k)
 
 
 # ---------------------------------------------------------------------------
@@ -354,16 +341,12 @@ def _locus_inside(outer_ideal, inner_ideal) -> bool:
                for g in outer_ideal.groebner())
 
 
-def verify_inclusions(P) -> list:
+def _inclusions(g: _Geometry) -> list:
     """Nesting of the rank-drop loci below the threshold.
 
     Consecutive degrees nest upward (claim family ``9.1c``); two degrees
     below the threshold the level-1 locus sits inside the next degree's
     level-2 locus (family ``9.1j``)."""
-    return _inclusions(_Geometry(P))
-
-
-def _inclusions(g: _Geometry) -> list:
     a_pos = g.threshold_pos()
     out = []
     for pos in range(1, a_pos):
@@ -377,7 +360,7 @@ def _inclusions(g: _Geometry) -> list:
     return out
 
 
-def verify_codim_bounds(P):
+def _codim_bounds(g: _Geometry):
     """Codimension window for each level-1 locus below the threshold,
     plus the level-2 upper bound; returns (claims, codims, flags).
 
@@ -385,11 +368,7 @@ def verify_codim_bounds(P):
     gets the full cone dimension and makes the upper bounds vacuous.
     The bounds assume depth equals codimension for the coefficients,
     which is automatic for free coefficients and principal quotients and
-    flagged otherwise."""
-    return _codim_bounds(_Geometry(P))
-
-
-def _codim_bounds(g: _Geometry):
+    flagged otherwise (flag ``cm_assumed``)."""
     a_pos = g.threshold_pos()
     flags = []
     if len(g.iq) > 1:

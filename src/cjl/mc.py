@@ -264,27 +264,6 @@ def def_jump_test(P: DglaPair, A: ArtinLocalAlgebra, omega, i: int,
     return jump_ideal(aomoto_complex(P, A, omega), i, k).is_zero()
 
 
-def square_zero_mc_points(P, A: ArtinLocalAlgebra):
-    """All basis solutions of the flatness equation when m^2 = 0 (it is
-    then the linear equation d omega = 0): one connection per pair
-    (kernel vector of d^1, maximal-ideal basis vector)."""
-    from .linalg import nullspace
-
-    C = _lie(P)
-    F = C.field
-    for x in A.max_ideal_basis():
-        for y in A.max_ideal_basis():
-            if not A.is_zero(A.mul(x, y)):
-                raise ValidationError(
-                    "square-zero solver needs m^2 = 0 in the base algebra")
-    out = []
-    kernel = nullspace(F, C.d_mat(1), C.dim(1))
-    for z in kernel:
-        for mb in A.max_ideal_basis():
-            out.append(tuple(A.scale(mb, c) for c in z))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # JSON for tensor elements
 # ---------------------------------------------------------------------------

@@ -22,11 +22,12 @@ class Cdga:
 
     Basis element (0,0) is the unit.  ``mult`` maps (i,a,j,b) to the
     coordinate vector of the product in degree i+j; missing entries are
-    zero, and products landing outside the window are zero.
+    zero, and products landing outside the window are zero.  Construction
+    checks only the indices and shapes; :meth:`validate` checks the unit,
+    graded commutativity and associativity.
     """
 
-    def __init__(self, field, gvs: GradedVectorSpace, mult: dict,
-                 check: bool = True):
+    def __init__(self, field, gvs: GradedVectorSpace, mult: dict):
         self.field = field
         self.gvs = gvs
         if gvs.lo != 0 or gvs.dim(0) < 1:
@@ -39,8 +40,6 @@ class Cdga:
                 raise ValidationError(
                     f"product value at {(i, a, j, b)} has wrong length")
         self.table = _GradedTable(field, mult, skew=False)
-        if check:
-            self.validate()
 
     def dim(self, i: int) -> int:
         return self.gvs.dim(i)
@@ -135,13 +134,18 @@ def exterior(n: int) -> Cdga:
                     vec = [F.zero] * len(by_deg[i + j])
                     vec[index[i + j][U]] = F.from_int(_shuffle_sign(S, T))
                     mult[(i, a, j, b)] = tuple(vec)
-    return Cdga(F, gvs, mult, check=False)
+    return Cdga(F, gvs, mult)
+
+
+# most hyperplanes an arrangement may have: its Orlik-Solomon algebra
+# can reach dimension 2**m, and normals come from outside input
+MAX_HYPERPLANES = 12
 
 
 class Arrangement:
     """A central hyperplane arrangement given by its normal vectors."""
 
-    def __init__(self, normals, bound: int = 12):
+    def __init__(self, normals):
         F = QQ()
         rows = []
         for r, row in enumerate(normals):
@@ -151,9 +155,9 @@ class Arrangement:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValidationError("normal vectors must have equal length")
-        if len(rows) > bound:
-            raise ValidationError(
-                f"too many hyperplanes ({len(rows)} > bound {bound})")
+        if len(rows) > MAX_HYPERPLANES:
+            raise ValidationError(f"too many hyperplanes ({len(rows)} > "
+                                  f"bound {MAX_HYPERPLANES})")
         for r, row in enumerate(rows):
             if all(x == 0 for x in row):
                 raise ValidationError(f"zero normal vector at index {r}")
@@ -167,7 +171,7 @@ class Arrangement:
         self.width = width
 
     @staticmethod
-    def from_json(obj, path: str = "", bound: int = 12) -> "Arrangement":
+    def from_json(obj, path: str = "") -> "Arrangement":
         if not isinstance(obj, dict) or "normals" not in obj:
             raise ValidationError("arrangement needs a normals matrix",
                                   path or "/")
@@ -177,7 +181,7 @@ class Arrangement:
             raise ValidationError("normals must be a matrix",
                                   path + "/normals")
         try:
-            return Arrangement(raw, bound=bound)
+            return Arrangement(raw)
         except (TypeError, ValueError):
             raise ValidationError("normals must be rational numbers",
                                   path + "/normals")
@@ -280,7 +284,7 @@ def orlik_solomon(arr: Arrangement) -> Cdga:
                     v = project(i + j, E.mult_elem(i, ua, j, ub))
                     if not vec_is_zero(F, v):
                         mult[(i, a2, j, b2)] = v
-    return Cdga(F, gvs, mult, check=False)
+    return Cdga(F, gvs, mult)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +404,7 @@ def surface_cdga(g: int) -> Cdga:
         a_idx, b_idx = 2 * i, 2 * i + 1
         mult[(1, a_idx, 1, b_idx)] = (one,)
         mult[(1, b_idx, 1, a_idx)] = (F.neg(one),)
-    return Cdga(F, gvs, mult, check=False)
+    return Cdga(F, gvs, mult)
 
 
 def surface_pair(g: int, r: int = 1) -> DglaPair:

@@ -25,26 +25,19 @@ def _tokenize(s: str, path: str):
     out = []
     while pos < len(s):
         m = _TOKEN.match(s, pos)
-        if not m or m.end() == pos and not s[pos:].strip():
-            break
         if not m:
-            raise ValidationError(f"unexpected character {s[pos]!r} at {pos}", path)
+            break
         if m.group(1):
             out.append(("int", m.group(1)))
         elif m.group(2):
             out.append(("name", m.group(2)))
-        elif m.group(3):
-            out.append(("op", m.group(3)))
         else:
-            # matched only whitespace at end of string
-            pos = m.end()
-            if pos >= len(s):
-                break
-            raise ValidationError(f"unexpected character {s[pos]!r} at {pos}", path)
+            out.append(("op", m.group(3)))
         pos = m.end()
-    rest = s[pos:].strip()
+    rest = s[pos:].lstrip()
     if rest:
-        raise ValidationError(f"unexpected character {rest[0]!r} at {pos}", path)
+        raise ValidationError(f"unexpected character {rest[0]!r} at "
+                              f"{len(s) - len(rest)}", path)
     return out
 
 

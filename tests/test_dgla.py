@@ -226,6 +226,25 @@ def test_map_killing_h1_class_fails():
     assert pair_map_equivalence(g, 0) is False  # injection at 1 fails too
 
 
+def test_pair_map_truncation_window():
+    # M = k in degrees 0..2 with d = 0; N has basis a0, b0 | a1, b1 | c2
+    # with d b0 = b1, so H(N) is spanned by a0, a1 and c2.  g sends the
+    # degree-1 class to a1 + b1 and kills degree 2: an isomorphism on
+    # H^0 and H^1 but not on H^2.
+    P = abelian_pair((1,), (1, 1, 1))
+    n = GradedVectorSpace(0, 2, (2, 2, 1))
+    N = DglaPair(P.lie, n, [((ZERO, ZERO), (ZERO, ONE)), zero_mat(1, 2)], {})
+    lie = {0: ((ONE,),)}
+    g = DglaPairMap(P, N, lie, {0: ((ONE,), (ZERO,)), 1: ((ONE,), (ONE,)),
+                                2: ((ZERO,),)})
+    assert pair_map_equivalence(g, 0)      # iso through 0, injective at 1
+    assert not pair_map_equivalence(g, 1)  # not injective at 2
+    assert not pair_map_equivalence(g, None)
+    # b1 is a boundary: sending the degree-1 class there kills it
+    b = DglaPairMap(P, N, lie, {0: ((ONE,), (ZERO,)), 1: ((ZERO,), (ONE,))})
+    assert not pair_map_equivalence(b, 0)
+
+
 def test_non_chain_map_rejected():
     P = contractible_pair()
     eye0 = ((ONE, ZERO), (ZERO, ONE))
@@ -279,4 +298,3 @@ def test_json_validates_axioms():
     obj = pair_to_json(P)
     with pytest.raises(AxiomError):
         pair_from_json(obj)
-    assert pair_from_json(obj, check=False).lie.dim(0) == 2

@@ -7,11 +7,10 @@ from hypothesis import given, strategies as st
 from cjl.dgla import Dgla, DglaPair, GradedVectorSpace
 from cjl.errors import ValidationError
 from cjl.field import QQ
-from cjl.geometry import (ChernSeries, _series_product, alternating_sum, analyze,
-                          binomial_bound, chern_exponent, chern_series,
-                          exactness_threshold, fitting_locus, generic_ranks,
-                          schur_nonnegativity, tor_crosscheck,
-                          verify_codim_bounds, verify_inclusions)
+from cjl.geometry import (ChernSeries, _Geometry, _series_product,
+                          alternating_sum, analyze, binomial_bound,
+                          chern_exponent, chern_series, exactness_threshold,
+                          generic_ranks, schur_nonnegativity, tor_crosscheck)
 from cjl.models import Arrangement, exterior_pair, os_pair, surface_pair
 from cjl.resonance import pointwise_resonance
 from cjl.rng import Rng
@@ -112,41 +111,45 @@ def test_threshold_confirmed_at_a_cone_point(P):
 # -- rank-drop loci --------------------------------------------------------
 
 def test_fitting_locus_torus():
-    fl = fitting_locus(exterior_pair(2), 1, 1)
+    g = _Geometry(exterior_pair(2))
+    assert g.lo == 0
+    fl = g.fit(1, g.beta[1])
     x0, x1 = fl.ctx.gens()
     assert fl.equals(fl.ctx.ideal([x0, x1]))
 
 
 def test_fitting_locus_deep_drop_is_unit():
-    fl = fitting_locus(exterior_pair(2), 1, 2)
-    assert fl.is_unit()
-
-
-def test_fitting_locus_bad_args():
-    with pytest.raises(ValidationError):
-        fitting_locus(exterior_pair(2), 1, 0)
-    with pytest.raises(ValidationError):
-        fitting_locus(exterior_pair(2), 9, 1)
+    g = _Geometry(exterior_pair(2))
+    assert g.fit(1, g.beta[1] - 1).is_unit()
 
 
 def test_inclusion_claims_torus3():
-    claims = verify_inclusions(exterior_pair(3))
+    claims = analyze(exterior_pair(3), claims=["9.1c", "9.1j"])["claims"]
     ids = [c["id"] for c in claims]
     assert "9.1c:i=1" in ids and "9.1c:i=2" in ids
     assert "9.1j:i=0" in ids and "9.1j:i=1" in ids
     assert all(c["holds"] for c in claims)
 
 
+def codim_report(P):
+    """The 9.1d/9.1e/9.1h claims of the report, the codimension of each
+    level-1 locus by degree, and the report flags."""
+    rep = analyze(P, claims=["9.1d", "9.1e", "9.1h"])
+    codims = {int(c["id"].split("=")[1]): c["witness"]["codim"]
+              for c in rep["claims"] if c["id"].startswith("9.1d")}
+    return rep["claims"], codims, rep["flags"]
+
+
 def test_codim_claims_torus():
-    claims, codims, flags = verify_codim_bounds(exterior_pair(2))
+    claims, codims, flags = codim_report(exterior_pair(2))
     assert codims == {0: 2, 1: 2}
     d0 = next(c for c in claims if c["id"] == "9.1d:i=0")
     assert d0["holds"] and d0["witness"]["empty"]
-    assert flags == []
+    assert "cm_assumed" not in flags
 
 
 def test_codim_claims_arrangement():
-    claims, codims, flags = verify_codim_bounds(concurrent())
+    claims, codims, flags = codim_report(concurrent())
     # the degree-one locus is the honest hyperplane, codimension one
     assert codims[1] == 1
     d1 = next(c for c in claims if c["id"] == "9.1d:i=1")

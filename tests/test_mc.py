@@ -3,12 +3,13 @@ from fractions import Fraction
 import pytest
 
 from cjl.artin import make_artin
+from cjl.complexes import jump_ideal
 from cjl.dgla import Dgla, DglaPair, GradedVectorSpace, check_dgla, check_pair
 from cjl.errors import ValidationError
 from cjl.field import QQ
 from cjl.mc import (aomoto_complex, bracket_exp, def_jump_test, gauge_act,
                     gauge_correction, maurer_cartan_check, mc_defect,
-                    module_transport, square_zero_mc_points, action_tensor,
+                    module_transport, action_tensor,
                     tensor_add, tensor_eq, tensor_from_json, tensor_is_zero,
                     tensor_to_json, twisted_differential, zero_tensor,
                     apply_scalar_matrix)
@@ -305,25 +306,14 @@ def test_def_jump_gauge_invariant():
     omega = rand_tensor(A, rng, 2, in_m=True)
     lam = rand_tensor(A, rng, 4, in_m=True)
     omega2 = gauge_act(P, A, lam, omega)
-    from cjl.complexes import jump_table
-    t1 = jump_table(aomoto_complex(P, A, omega))
-    t2 = jump_table(aomoto_complex(P, A, omega2))
-    assert set(t1) == set(t2)
-    for key in t1:
-        assert t1[key].equals(t2[key])
-        assert def_jump_test(P, A, omega, *key) == \
-            def_jump_test(P, A, omega2, *key)
-
-
-def test_square_zero_points():
-    A = artin(("e", ["e^2"]))
-    C = heisenberg_dgla()
-    pts = square_zero_mc_points(C, A)
-    assert len(pts) == 2  # two kernel directions, one maximal-ideal basis
-    for omega in pts:
-        assert maurer_cartan_check(C, A, omega)
-    with pytest.raises(ValidationError):
-        square_zero_mc_points(C, artin(("t", ["t^3"])))
+    E1 = aomoto_complex(P, A, omega)
+    E2 = aomoto_complex(P, A, omega2)
+    assert (E1.lo, E1.hi, E1.ranks) == (E2.lo, E2.hi, E2.ranks)
+    for i in range(E1.lo, E1.hi + 1):
+        for k in range(1, E1.rank(i) + 2):
+            assert jump_ideal(E1, i, k).equals(jump_ideal(E2, i, k))
+            assert def_jump_test(P, A, omega, i, k) == \
+                def_jump_test(P, A, omega2, i, k)
 
 
 def test_tensor_json_round_trip():

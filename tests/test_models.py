@@ -6,9 +6,9 @@ import pytest
 from cjl.dgla import check_dgla, check_pair
 from cjl.errors import AxiomError, ValidationError
 from cjl.field import QQ
-from cjl.models import (Arrangement, Cdga, cdga_to_pair, exterior,
-                        exterior_pair, orlik_solomon, os_pair, surface_cdga,
-                        surface_pair)
+from cjl.models import (MAX_HYPERPLANES, Arrangement, Cdga, cdga_to_pair,
+                        exterior, exterior_pair, orlik_solomon, os_pair,
+                        surface_cdga, surface_pair)
 
 F = QQ()
 
@@ -47,7 +47,7 @@ def test_cdga_validator_catches_broken_commutativity():
     bad = dict(E.table.entries)
     bad[(1, 1, 1, 0)] = (F.one,)  # same sign as e1*e2: not skew
     with pytest.raises(AxiomError):
-        Cdga(F, E.gvs, bad)
+        Cdga(F, E.gvs, bad).validate()
 
 
 def test_arrangement_validation():
@@ -55,8 +55,9 @@ def test_arrangement_validation():
         Arrangement([(0, 0), (1, 0)])
     with pytest.raises(ValidationError):
         Arrangement([(1, 1), (2, 2)])
-    with pytest.raises(ValidationError):
-        Arrangement([(1, 0)], bound=0)
+    Arrangement([(1, k) for k in range(MAX_HYPERPLANES)])
+    with pytest.raises(ValidationError, match="too many hyperplanes"):
+        Arrangement([(1, k) for k in range(MAX_HYPERPLANES + 1)])
     with pytest.raises(ValidationError):
         Arrangement([])
     with pytest.raises(ValidationError):

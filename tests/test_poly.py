@@ -30,6 +30,15 @@ def test_parse_rejects_garbage():
             parse_poly(ctx, bad)
 
 
+def test_parse_reports_the_bad_character_position():
+    ctx = ctx2()
+    for text, msg in [("x0   # 1", "'#' at 5"), ("@", "'@' at 0"),
+                      ("x0 +\t $x1", "'$' at 6")]:
+        with pytest.raises(ValidationError) as err:
+            parse_poly(ctx, text)
+        assert str(err.value) == f"unexpected character {msg}"
+
+
 def test_zero_and_constants():
     ctx = ctx2()
     assert format_poly(ctx.zero()) == "0"

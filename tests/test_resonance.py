@@ -3,18 +3,15 @@ from fractions import Fraction
 import pytest
 
 from cjl.dgla import Dgla, DglaPair, GradedVectorSpace, check_dgla, check_pair
-from cjl.errors import AxiomError, ValidationError
+from cjl.errors import ValidationError
 from cjl.field import QQ
 from cjl.models import exterior_pair
-from cjl.resonance import (Augmentation, augmented_resonance,
-                           flat_connection_ideal, pointwise_resonance,
+from cjl.resonance import (flat_connection_ideal, pointwise_resonance,
                            quadratic_cone_ideal, resonance_ideal,
                            universal_aomoto)
-from cjl.groebner import krull_dimension
 
 F = QQ()
 ONE = F.one
-HALF = Fraction(1, 2)
 
 
 def heis_dgla():
@@ -205,98 +202,3 @@ def test_pointwise_consistency_with_ideal():
         pt = tuple(Fraction(x) for x in eta)
         vanishes = all(F.is_zero(g.evaluate(pt)) for g in R.gens)
         assert vanishes == (pointwise_resonance(P, pt, 1) >= 1)
-
-
-def three_step_pair():
-    """Abelian pair whose C^0 is bigger than H^0: u1, u2 die into C^1."""
-    Z = F.zero
-    T = exterior_pair(2)
-    gvs = GradedVectorSpace(0, 2, (3, 4, 1))
-    # degree-1 basis: (e1, e2, v1, v2); d(u1) = v1, d(u2) = v2
-    d = (
-        ((Z, Z, Z), (Z, Z, Z), (Z, ONE, Z), (Z, Z, ONE)),
-        ((Z, Z, Z, Z),),
-    )
-    C = Dgla(F, gvs, d, {})
-    m = T.m_gvs
-    action = {}
-    for (i, a, j, b), vec in T.action.entries.items():
-        if i == 1:
-            action[(i, a, j, b)] = vec     # e1, e2 act as before
-        elif i == 0:
-            action[(0, 0, j, b)] = vec     # unit keeps acting as identity
-    P = DglaPair(C, m, T.m_d, action)
-    assert check_dgla(C) == []
-    assert check_pair(P) == []
-    return P
-
-
-def identity_aug(g_dim, n0):
-    rows = [[ONE if c == r else F.zero for c in range(n0)]
-            for r in range(g_dim)]
-    return Augmentation(F, g_dim, rows, {})
-
-
-def test_augmented_adds_free_variables():
-    P = three_step_pair()
-    aug = identity_aug(3, 3)
-    R = resonance_ideal(P, 1, 1)
-    Rg = augmented_resonance(P, aug, 1, 1)
-    assert Rg.ctx.names == ("x0", "x1", "y0", "y1")
-    assert len(Rg.gens) == len(R.gens)
-    assert krull_dimension(Rg) == krull_dimension(R) + 2
-
-
-def test_augmented_no_new_variables():
-    P = three_step_pair()
-    aug = identity_aug(1, 3)
-    R = augmented_resonance(P, aug, 1, 1)
-    assert R.ctx.names == ("x0", "x1")
-    assert R.equals(resonance_ideal(P, 1, 1))
-
-
-def test_augmented_rejects_non_surjective():
-    P = three_step_pair()
-    rows = [[ONE, F.zero, F.zero], [Fraction(2), F.zero, F.zero]]
-    with pytest.raises(ValidationError, match="surjective"):
-        augmented_resonance(P, Augmentation(F, 2, rows, {}), 1, 1)
-
-
-def test_augmented_rejects_non_injective_on_h0():
-    P = three_step_pair()
-    # kills u0, the only degree-0 cohomology class
-    rows = [[F.zero, ONE, F.zero], [F.zero, F.zero, ONE]]
-    with pytest.raises(ValidationError, match="injective"):
-        augmented_resonance(P, Augmentation(F, 2, rows, {}), 1, 1)
-
-
-def test_augmented_rejects_non_lie_map():
-    # heisenberg Lie algebra concentrated in degree 0, trivial module
-    Z = F.zero
-    gvs = GradedVectorSpace(0, 0, (3,))
-    bracket = {(0, 0, 0, 1): (Z, Z, ONE)}
-    C = Dgla(F, gvs, (), bracket)
-    m = GradedVectorSpace(0, 0, (1,))
-    P = DglaPair(C, m, (), {(0, 0, 0, 0): (ONE,)})
-    aug = identity_aug(3, 3)  # abelian target: cannot respect [u0,u1]=u2
-    with pytest.raises(AxiomError, match="bracket"):
-        augmented_resonance(P, aug, 0, 1)
-
-
-def test_augmentation_json():
-    obj = {
-        "g_dim": 2,
-        "eps0": [[1, 0], [0, "1/2"]],
-        "g_bracket": [{"a": 0, "b": 1, "out": [0, 0]}],
-    }
-    aug = Augmentation.from_json(F, obj)
-    assert aug.g_dim == 2
-    assert aug.eps0[1][1] == HALF
-    assert aug.bracket_vec(1, 0) == (F.zero, F.zero)
-    with pytest.raises(ValidationError):
-        Augmentation.from_json(F, {"g_dim": 1, "eps0": [[1]]})
-    with pytest.raises(ValidationError):
-        Augmentation.from_json(F, {"g_dim": 1, "eps0": [[1]],
-                                   "g_bracket": [{"a": 0}]})
-    with pytest.raises(ValidationError):
-        Augmentation.from_json(F, "nope")
