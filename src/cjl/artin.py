@@ -178,13 +178,6 @@ class ArtinLocalAlgebra:
             out = self.add(out, term)
         return self.scale(out, cinv)
 
-    def mult_matrix(self, a):
-        """Matrix of multiplication by ``a`` in the basis (column j is
-        ``a * b_j``) — the faithful field-linear picture of the element."""
-        cols = [self.mul(a, self.basis(j)) for j in range(self.dim)]
-        return tuple(tuple(cols[j][i] for j in range(self.dim))
-                     for i in range(self.dim))
-
     # -- ideals, quotients, maps ---------------------------------------
 
     def ideal(self, gens) -> "ArtinIdeal":

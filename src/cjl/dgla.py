@@ -589,6 +589,13 @@ def _parse_scalar(F, s, path):
     raise ValidationError("scalar must be a string or integer", path)
 
 
+# largest dimension a JSON pair may declare in one degree: every basis
+# vector gets a label before any structure is read, and dims come from
+# outside input.  The pairs of the tests, goldens and benchmark stay
+# below 10; a bracket table of this size is already out of reach.
+MAX_DIM = 4096
+
+
 def _gvs_from_json(obj, path):
     degs = obj.get("degrees")
     dims = obj.get("dims")
@@ -597,6 +604,10 @@ def _gvs_from_json(obj, path):
         raise ValidationError("degrees must be [lo, hi]", path + "/degrees")
     if not (isinstance(dims, list) and all(isinstance(x, int) for x in dims)):
         raise ValidationError("dims must be a list of ints", path + "/dims")
+    for k, d in enumerate(dims):
+        if d > MAX_DIM:
+            raise ValidationError(f"dimension {d} above bound {MAX_DIM}",
+                                  f"{path}/dims/{k}")
     return GradedVectorSpace(degs[0], degs[1], dims)
 
 

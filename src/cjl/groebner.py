@@ -2,15 +2,20 @@
 
 The basis computation is Buchberger's algorithm with normal-strategy pair
 selection (smallest lcm in the monomial order), sugar-degree tie-breaking,
-and the product and chain criteria.  Every run is deterministic: pairs are
-totally ordered by ``(lcm key, sugar, i, j)`` and reducers are scanned in
-basis order, so the reduced basis (and hence every downstream ideal
-computation) is reproducible byte for byte.
+and the product and chain criteria.  Before any S-pair is formed the
+generators are interreduced as sparse vectors over monomials (the first
+step of Faugere's F4): the basis starts from monic rows with distinct
+leading monomials that span the same vector space, so zero, repeated and
+linearly dependent generators never enter a pair.  Every run is
+deterministic: pairs are totally ordered by ``(lcm key, sugar, i, j)`` and
+reducers are scanned in basis order, so the reduced basis (and hence every
+downstream ideal computation) is reproducible byte for byte.
 
-Step budget: each S-pair taken from the queue counts as one step.  When
-the count would exceed the budget — the ``CJL_STEP_BUDGET`` environment
-variable, or 200000 by default — :class:`ResourceLimitError` is raised
-rather than grinding on.
+Step budget: each S-pair taken from the queue, among the interreduced rows
+and the elements added to them, counts as one step.  When the count would
+exceed the budget — the ``CJL_STEP_BUDGET`` environment variable, or
+200000 by default — :class:`ResourceLimitError` is raised rather than
+grinding on.
 
 Example:
     >>> ctx = RingContext(QQ(), ("x", "y"))
@@ -109,14 +114,36 @@ def _reduced_basis(G: list) -> tuple:
     return tuple(kept)
 
 
+def _interreduce(gens: Sequence[Polynomial], ctx: RingContext) -> list:
+    """Row-reduce the generators as sparse vectors over monomials.
+
+    Each generator has its leading term cancelled against the rows kept so
+    far until its leading monomial is new (or it vanishes).  The monic
+    rows that remain have distinct leading monomials and span the same
+    k-vector space as ``gens``, hence generate the same ideal.
+    """
+    rows: dict = {}  # leading monomial -> monic row
+    for g in gens:
+        ctx.check_same(g.ctx)
+        while g.terms and g.lm() in rows:
+            g = g - rows[g.lm()].scale(g.lc())
+        if g.terms:
+            rows[g.lm()] = g.monic()
+    return list(rows.values())
+
+
 def buchberger(gens: Sequence[Polynomial], ctx: RingContext,
                budget: int | None = None) -> tuple:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
+    The generators are interreduced linearly first (:func:`_interreduce`);
+    the pair queue starts from those rows only.
+
     Args:
         gens: generators (context must match ``ctx``; zeros are fine).
         ctx: a quotient-free ring context.
-        budget: S-pair step cap; ``None`` defers to ``CJL_STEP_BUDGET``.
+        budget: cap on S-pairs taken among the interreduced rows; ``None``
+            defers to ``CJL_STEP_BUDGET``.
 
     Returns:
         The reduced basis as a tuple of monic polynomials sorted by
@@ -125,15 +152,10 @@ def buchberger(gens: Sequence[Polynomial], ctx: RingContext,
     if ctx.has_quotient():
         raise ValidationError("Groebner engine works upstairs; pass the base ring")
     limit = step_budget(budget)
-    G: list = []
-    sugar: list = []
-    for g in gens:
-        ctx.check_same(g.ctx)
-        if g.terms:
-            G.append(g.monic())
-            sugar.append(g.degree())
+    G = _interreduce(gens, ctx)
     if not G:
         return ()
+    sugar = [g.degree() for g in G]
 
     pairs: list = []  # heap of (lcm order key, sugar, i, j)
     done: set = set()

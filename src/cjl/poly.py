@@ -97,6 +97,7 @@ class RingContext:
         self.key = ORDER_KEYS[order]
         self._quotient_gens: tuple = ()
         self._quotient_gb = None
+        self._base: RingContext | None = None
         if quotient:
             base = self.base()
             self._quotient_gens = tuple(g.cast(base) for g in quotient)
@@ -104,10 +105,12 @@ class RingContext:
     # -- construction -------------------------------------------------
 
     def base(self) -> "RingContext":
-        """The same ring without the quotient."""
+        """The same ring without the quotient (one cached instance)."""
         if not self._quotient_gens:
             return self
-        return RingContext(self.field, self.names, self.order)
+        if self._base is None:
+            self._base = RingContext(self.field, self.names, self.order)
+        return self._base
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, ())

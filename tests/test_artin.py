@@ -128,13 +128,6 @@ def test_residue_map():
     assert v == (Fraction(3),)
 
 
-def test_mult_matrix_is_faithful():
-    A = t_cubed()
-    Mt = A.mult_matrix(A.basis(1))
-    # multiplication by t shifts the basis up one slot
-    assert Mt == ((0, 0, 0), (1, 0, 0), (0, 1, 0))
-
-
 def test_axiom_checker_catches_bad_table():
     F = QQ()
     one = (F.one, F.zero)

@@ -2,6 +2,7 @@
 pipes, and byte determinism."""
 
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -12,10 +13,12 @@ import pytest
 
 from cjl import cli
 from cjl.cli import canonical, complex_from_json, complex_to_json, run
-from cjl.dgla import pair_from_json, pair_to_json
+from cjl.dgla import MAX_DIM, _gvs_from_json, pair_from_json, pair_to_json
 from cjl.errors import InternalCheckError, ValidationError
+from cjl.field import QQ
 from cjl.geometry import analyze
 from cjl.models import Arrangement, os_pair
+from cjl.poly import RingContext, format_poly
 
 CX_LINE = {
     "ring": {"field": "Q", "vars": ["x0"], "order": "degrevlex"},
@@ -63,6 +66,22 @@ def test_model_pipes_into_resonance(capsys, monkeypatch):
                         stdin_text=pair_text, monkeypatch=monkeypatch)
     assert code == 0
     assert out == '{"generators":["x0^2","x0*x1","x1^2"]}\n'
+
+
+def test_exterior4_resonance_degree2_is_a_power_of_the_maximal_ideal(capsys, monkeypatch):
+    """R^2_1 of the 4-torus is m^(C(4,2)-k+1) = m^6 at k = 1, the Koszul Fitting
+    ideal: all 84 degree-6 monomials, in descending degrevlex order."""
+    code, pair_text, _ = _run(capsys, ["model", "exterior", "--n", "4"])
+    assert code == 0
+    code, out, _ = _run(capsys, ["resonance", "--i", "2", "--k", "1"],
+                        stdin_text=pair_text, monkeypatch=monkeypatch)
+    assert code == 0
+    ctx = RingContext(QQ(), ("x0", "x1", "x2", "x3"))
+    monos = sorted((m for m in itertools.product(range(7), repeat=4) if sum(m) == 6),
+                   key=ctx.key, reverse=True)
+    want = [format_poly(ctx.from_dict({m: ctx.field.one})) for m in monos]
+    assert len(want) == 84
+    assert json.loads(out) == {"generators": want}
 
 
 def test_mc_zero_omega_frozen(tmp_path, capsys, monkeypatch):
@@ -220,6 +239,20 @@ def test_non_list_matrix_row_is_exit_2_with_path(capsys, monkeypatch):
                           monkeypatch=monkeypatch)
     assert code == 2 and out == ""
     assert json.loads(err)["path"] == "--pair/lie/d/0/0"
+
+
+def test_declared_dimension_above_bound_is_exit_2_with_path(capsys, monkeypatch):
+    """A declared dimension is checked before any basis vector is labelled."""
+    assert _gvs_from_json({"degrees": [0, 1], "dims": [1, MAX_DIM]}, "/lie").dim(1) == MAX_DIM
+    for side in ("lie", "module"):
+        bad = {"lie": {"degrees": [0, 0], "dims": [1]},
+               "module": {"degrees": [0, 0], "dims": [1]}}
+        bad[side] = {"degrees": [0, 1], "dims": [1, MAX_DIM + 1]}
+        code, out, err = _run(capsys, ["cone"], stdin_text=json.dumps(bad),
+                              monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert json.loads(err)["path"] == f"--pair/{side}/dims/1"
+        assert f"above bound {MAX_DIM}" in json.loads(err)["error"]
 
 
 @pytest.mark.parametrize("p, message", [

@@ -1,14 +1,17 @@
+import heapq
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cjl.errors import ResourceLimitError, ValidationError
 from cjl.field import GFp, QQ
-from cjl.groebner import (Ideal, buchberger, krull_dimension,
-                          krull_dimension_by_enumeration, reduce_full)
+from cjl.groebner import (Ideal, _reduced_basis, _spoly, buchberger, krull_dimension,
+                          krull_dimension_by_enumeration, reduce_full, step_budget)
 from cjl.parse import parse_poly
-from cjl.poly import RingContext, format_poly, mono_div, mono_divides, mono_lcm
+from cjl.poly import (RingContext, format_poly, mono_deg, mono_div, mono_divides,
+                      mono_lcm, mono_mul)
 
 
 def naive_buchberger(gens, ctx):
@@ -34,6 +37,134 @@ def naive_buchberger(gens, ctx):
     out = [reduce_full(p, [q for q in minimal if q is not p]).monic() for p in minimal]
     out.sort(key=lambda p: ctx.key(p.lm()))
     return out
+
+
+def reference_buchberger(gens, ctx, budget=None):
+    """Buchberger as the engine ran it before the linear interreduction:
+    every nonzero raw generator enters the basis and is paired with every
+    other, under the same selection strategy, criteria and budget."""
+    limit = step_budget(budget)
+    G = [g.monic() for g in gens if g.terms]
+    sugar = [g.degree() for g in G]
+    if not G:
+        return ()
+    pairs = []
+    done = set()
+
+    def push_pair(i, j):
+        L = mono_lcm(G[i].lm(), G[j].lm())
+        s = max(sugar[i] + mono_deg(mono_div(L, G[i].lm())),
+                sugar[j] + mono_deg(mono_div(L, G[j].lm())))
+        heapq.heappush(pairs, (ctx.key(L), s, i, j))
+
+    for i, j in itertools.combinations(range(len(G)), 2):
+        push_pair(i, j)
+    steps = 0
+    while pairs:
+        steps += 1
+        if steps > limit:
+            raise ResourceLimitError("Groebner basis computation", limit)
+        _, s, i, j = heapq.heappop(pairs)
+        done.add((i, j))
+        li, lj = G[i].lm(), G[j].lm()
+        L = mono_lcm(li, lj)
+        if L == mono_mul(li, lj):
+            continue
+        if any(k not in (i, j) and mono_divides(G[k].lm(), L)
+               and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
+               for k in range(len(G))):
+            continue
+        h = reduce_full(_spoly(G[i], G[j]), G)
+        if h.terms:
+            G.append(h.monic())
+            sugar.append(max(s, h.degree()))
+            for k in range(len(G) - 1):
+                push_pair(k, len(G) - 1)
+    return _reduced_basis(G)
+
+
+@st.composite
+def generator_lists(draw, ctx):
+    """Small generator lists padded with the redundancy the minors of a
+    complex produce: zeros, repeats, scalar multiples, sometimes a unit."""
+    F = ctx.field
+    n = ctx.nvars
+    coeff = st.integers(-3, 3).filter(bool).map(F.from_int)
+    homogeneous = draw(st.booleans())
+    if homogeneous:
+        d = draw(st.integers(1, 3))
+        monos = [m for m in itertools.product(range(d + 1), repeat=n) if sum(m) == d]
+        mono = st.sampled_from(monos)
+    else:
+        mono = st.tuples(*[st.integers(0, 2)] * n)
+
+    def poly():
+        return ctx.from_dict(draw(st.dictionaries(mono, coeff, min_size=1, max_size=3)))
+
+    gens = [poly() for _ in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["zero", "repeat", "multiple", "sum"]))
+        g = draw(st.sampled_from(gens))
+        if kind == "zero":
+            gens.append(ctx.zero())
+        elif kind == "repeat":
+            gens.append(g)
+        elif kind == "multiple":
+            gens.append(g.scale(draw(coeff)))
+        else:
+            gens.append(g + draw(st.sampled_from(gens)).scale(draw(coeff)))
+    if draw(st.integers(0, 9)) == 0:
+        gens.append(ctx.constant(draw(coeff)))
+    return draw(st.permutations(gens))
+
+
+@pytest.mark.parametrize("field", [QQ(), GFp(5)], ids=["QQ", "F5"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_interreduced_buchberger_matches_reference(field, data):
+    ctx = RingContext(field, data.draw(st.sampled_from([("x", "y"), ("x", "y", "z")])))
+    gens = data.draw(generator_lists(ctx))
+    fast = buchberger(gens, ctx)
+    assert [g.terms for g in fast] == [g.terms for g in reference_buchberger(gens, ctx)]
+
+
+@pytest.mark.parametrize("field", [QQ(), GFp(5)], ids=["QQ", "F5"])
+def test_interreduced_buchberger_matches_reference_seeded(field):
+    """Seeded lists in the shape of Fitting-ideal inputs: many dependent
+    homogeneous minors, zeros among them, plus non-homogeneous lists."""
+    rng = random.Random(7)
+    ctx = RingContext(field, ("a", "b", "c"))
+    a, b, c = ctx.gens()
+    for trial in range(12):
+        base = [rng.choice([a, b, c]) * rng.choice([a, b, c])
+                + rng.choice([a, b, c]) ** 2 * ctx.from_int(rng.randint(-2, 2))
+                for _ in range(rng.randint(1, 3))]
+        if trial % 3 == 2:
+            base.append(rng.choice([a, b, c]) - ctx.from_int(rng.randint(0, 2)))
+        gens = list(base)
+        for _ in range(rng.randint(4, 12)):
+            f, g = rng.choice(base), rng.choice(base)
+            gens.append(f.scale(field.from_int(rng.randint(-3, 3))) + g)
+        if trial == 11:
+            gens.append(ctx.from_int(2))
+        rng.shuffle(gens)
+        fast = buchberger(gens, ctx)
+        assert [g.terms for g in fast] == [g.terms for g in reference_buchberger(gens, ctx)]
+
+
+def test_budget_counts_pairs_among_interreduced_rows():
+    """Twenty dependent copies of two generators pair like the two: the
+    budget of a two-generator run suffices, where pairing the raw list
+    pops more than a hundred S-pairs."""
+    ctx = RingContext(QQ(), ("x", "y"))
+    x, y = ctx.gens()
+    f, g = x**2 - y, x * y - ctx.one()
+    gens = [(f + g).scale(QQ().from_int(k)) if k % 2 else f.scale(QQ().from_int(k))
+            for k in range(1, 11)] + [g] * 10
+    want = [t.terms for t in buchberger([f, g], ctx)]
+    assert [t.terms for t in buchberger(gens, ctx, budget=10)] == want
+    with pytest.raises(ResourceLimitError):
+        reference_buchberger(gens, ctx, budget=100)
 
 
 def test_groebner_matches_naive_oracle_on_fixture():
@@ -195,6 +326,9 @@ def test_quotient_context_ideals_live_upstairs():
     x, y = base.gens()
     qctx = RingContext(QQ(), ("x", "y"), quotient=[x**2, x * y, y**2])
     xq, yq = qctx.gens()
+    # one base ring per quotient context, shared by every upstairs computation
+    assert qctx.base() is qctx.base() and not qctx.base().has_quotient()
+    assert qctx.base().same(base)
     I = Ideal(qctx, [xq])
     # the preimage contains the quotient ideal automatically
     assert I.contains(yq * yq)
