@@ -13,15 +13,25 @@ basis as the distinguished basis.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
+from functools import partial
 from typing import Sequence
 
 from .errors import (AxiomError, NotFiniteError, NotLocalError,
                      RingMismatchError, ValidationError)
-from .field import field_from_json
+from .field import field_from_json, located, read_nested, read_scalar, read_str
 from .groebner import Ideal, reduce_full
 from .linalg import Echelon, mat_vec, vec_is_zero
 from .poly import Polynomial, RingContext, mono_deg, mono_divides
+
+
+# largest dimension of an Artin algebra read from JSON: make_artin checks
+# the product of the pure-power exponents (which bounds the number of
+# monomials it enumerates) and artin_from_json the number of labels of an
+# explicit table.  The rings of the tests and the benchmark have
+# dimension at most 6.
+MAX_ARTIN_DIM = 32
 
 
 class ArtinLocalAlgebra:
@@ -236,13 +246,6 @@ class ArtinLocalAlgebra:
         if not self.same(other):
             raise RingMismatchError("elements of different algebras")
 
-    def element_from_json(self, obj, path: str = ""):
-        if not isinstance(obj, list) or len(obj) != self.dim:
-            raise ValidationError(
-                f"algebra element must be a list of {self.dim} scalars", path)
-        return tuple(self.field.parse(s) if isinstance(s, str)
-                     else self.field.from_int(s) for s in obj)
-
     def element_to_json(self, a):
         return [self.field.format(x) for x in a]
 
@@ -371,8 +374,9 @@ def make_artin(ctx: RingContext, I: Ideal | Sequence[Polynomial]):
 
     Raises :class:`NotFiniteError` when the quotient is not finite
     dimensional (some variable has no pure power among the leading
-    monomials) and :class:`NotLocalError` when it is finite but not local
-    (some standard monomial fails to be nilpotent).
+    monomials), :class:`NotLocalError` when it is finite but not local
+    (some standard monomial fails to be nilpotent), and ValidationError
+    when the pure powers allow more than ``MAX_ARTIN_DIM`` monomials.
     """
     if isinstance(I, Ideal):
         ideal = I if I.ctx is ctx or I.ctx.same(ctx) else Ideal(ctx, I.gens)
@@ -397,6 +401,11 @@ def make_artin(ctx: RingContext, I: Ideal | Sequence[Polynomial]):
         raise NotFiniteError(
             "not finite dimensional: no pure power of "
             + ", ".join(missing) + " among the leading monomials")
+    box = math.prod(bounds)
+    if box > MAX_ARTIN_DIM:
+        raise ValidationError(
+            f"the pure powers bound the dimension by {box}, above bound "
+            f"{MAX_ARTIN_DIM}")
     lms = [g.lm() for g in gb]
     std = [m for m in itertools.product(*(range(b) for b in bounds))
            if not any(mono_divides(l, m) for l in lms)]
@@ -444,22 +453,16 @@ def artin_from_json(obj: dict, path: str = "/artin") -> ArtinLocalAlgebra:
         if not ctx.has_quotient():
             raise ValidationError("algebra ring context needs a quotient",
                                   path + "/ring/quotient")
-        return make_artin(ctx.base(), Ideal(ctx.base(),
-                                            [g.cast(ctx.base())
-                                             for g in ctx.quotient_gens]))
+        with located(path, "ring", "quotient"):
+            return make_artin(ctx.base(), Ideal(ctx.base(),
+                                                [g.cast(ctx.base())
+                                                 for g in ctx.quotient_gens]))
     field = field_from_json(obj, path)
-    labels = obj.get("labels")
-    mult = obj.get("mult")
-    if not isinstance(labels, list) or not isinstance(mult, list):
-        raise ValidationError("need labels and mult", path)
-    dim = len(labels)
-    try:
-        table = tuple(tuple(tuple(field.parse(c) if isinstance(c, str)
-                                  else field.from_int(c) for c in vec)
-                            for vec in row) for row in mult)
-    except (TypeError, ValueError) as e:
-        raise ValidationError(f"bad multiplication table: {e}", path + "/mult")
-    if len(table) != dim:
-        raise ValidationError("mult table size disagrees with labels",
-                              path + "/mult")
-    return ArtinLocalAlgebra(field, labels, table)
+    labels = read_nested(obj.get("labels"), 1, read_str, path, "labels")
+    if len(labels) > MAX_ARTIN_DIM:
+        raise ValidationError(f"{len(labels)} basis elements, above bound "
+                              f"{MAX_ARTIN_DIM}", path + "/labels")
+    table = read_nested(obj.get("mult"), 3, partial(read_scalar, field), path,
+                        "mult")
+    with located(path):
+        return ArtinLocalAlgebra(field, labels, table)

@@ -18,8 +18,9 @@ import sys
 
 from .artin import artin_from_json
 from .complexes import FreeComplex, jump_ideal
-from .dgla import pair_from_json, pair_to_json
+from .dgla import MAX_DIM, pair_from_json, pair_to_json
 from .errors import AxiomError, InternalCheckError, ResourceLimitError, ValidationError
+from .field import located, read_int, read_nested
 from .geometry import analyze
 from .mc import (
     def_jump_test,
@@ -74,40 +75,15 @@ def complex_from_json(obj, path: str = "/complex") -> FreeComplex:
     """
     if not isinstance(obj, dict):
         raise ValidationError("complex must be a JSON object", path=path)
-    for key in ("ring", "lo", "ranks", "diffs"):
-        if key not in obj:
-            raise ValidationError(f"missing key {key!r}", path=path)
-    ring = RingContext.from_json(obj["ring"], path=f"{path}/ring")
-    lo = obj["lo"]
-    ranks = obj["ranks"]
-    diffs = obj["diffs"]
-    if not isinstance(lo, int) or isinstance(lo, bool):
-        raise ValidationError("lo must be an integer", path=f"{path}/lo")
-    if (
-        not isinstance(ranks, list)
-        or not ranks
-        or any(not isinstance(r, int) or isinstance(r, bool) or r < 0 for r in ranks)
-    ):
-        raise ValidationError("ranks must be a nonempty list of nonnegative integers", path=f"{path}/ranks")
-    if not isinstance(diffs, list) or len(diffs) != len(ranks) - 1:
-        raise ValidationError(
-            f"diffs must hold {len(ranks) - 1} matrices (one per adjacent pair)",
-            path=f"{path}/diffs",
-        )
-    mats = []
-    for p, mat in enumerate(diffs):
-        mpath = f"{path}/diffs/{p}"
-        if not isinstance(mat, list):
-            raise ValidationError("matrix must be a list of rows", path=mpath)
-        rows = []
-        for r, row in enumerate(mat):
-            if not isinstance(row, list):
-                raise ValidationError("row must be a list", path=f"{mpath}/{r}")
-            rows.append(
-                tuple(ring.element_from_json(e, f"{mpath}/{r}/{c}") for c, e in enumerate(row))
-            )
-        mats.append(tuple(rows))
-    return FreeComplex(ring, lo, lo + len(ranks) - 1, tuple(ranks), tuple(mats))
+    ring = RingContext.from_json(obj.get("ring"), path=f"{path}/ring")
+    lo = read_int(obj.get("lo"), path, "lo")
+    ranks = read_nested(obj.get("ranks"), 1, read_int, path, "ranks")
+    for p, r in enumerate(ranks):
+        if r > MAX_DIM:
+            raise ValidationError(f"rank {r} above bound {MAX_DIM}", path=f"{path}/ranks/{p}")
+    diffs = read_nested(obj.get("diffs"), 3, ring.element_from_json, path, "diffs")
+    with located(path):
+        return FreeComplex(ring, lo, lo + len(ranks) - 1, ranks, diffs)
 
 
 def complex_to_json(E: FreeComplex) -> dict:

@@ -17,10 +17,12 @@ symmetry, so inputs need not duplicate symmetric data.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 from .errors import AxiomError, ValidationError
-from .field import QQ, field_from_json
+from .field import (QQ, field_from_json, json_path, located, read_int,
+                    read_nested, read_scalar)
 from .linalg import Echelon, mat_vec, nullspace, rank, solve, vec_is_zero
 
 
@@ -426,13 +428,19 @@ def _cohomology_lie(C: Dgla) -> tuple:
 
 def cohomology_lie(C: Dgla) -> Dgla:
     """The induced Lie algebra on cohomology: zero differential, bracket
-    induced on chosen representatives."""
+    induced on chosen representatives; C itself when its differential
+    is zero."""
+    if C.has_zero_differential():
+        return C
     return _cohomology_lie(C)[0]
 
 
 def cohomology_pair(P: DglaPair) -> DglaPair:
     """The induced pair on cohomology: zero differentials, bracket and
-    action induced on chosen representatives."""
+    action induced on chosen representatives; P itself when its
+    differentials are zero."""
+    if P.has_zero_differentials():
+        return P
     F = P.field
     lie, ch = _cohomology_lie(P.lie)
     mh = _homology(F, P.m_d_mat, P.m_dim, P.m_gvs.degrees())
@@ -581,14 +589,6 @@ def pair_map_equivalence(gmap: DglaPairMap, i: int | None) -> bool:
 # JSON
 # ---------------------------------------------------------------------------
 
-def _parse_scalar(F, s, path):
-    if isinstance(s, str):
-        return F.parse(s)
-    if isinstance(s, int):
-        return F.from_int(s)
-    raise ValidationError("scalar must be a string or integer", path)
-
-
 # largest dimension a JSON pair may declare in one degree: every basis
 # vector gets a label before any structure is read, and dims come from
 # outside input.  The pairs of the tests, goldens and benchmark stay
@@ -597,64 +597,33 @@ MAX_DIM = 4096
 
 
 def _gvs_from_json(obj, path):
-    degs = obj.get("degrees")
-    dims = obj.get("dims")
-    if not (isinstance(degs, list) and len(degs) == 2
-            and all(isinstance(x, int) for x in degs)):
+    degs = read_nested(obj.get("degrees"), 1, read_int, path, "degrees")
+    if len(degs) != 2:
         raise ValidationError("degrees must be [lo, hi]", path + "/degrees")
-    if not (isinstance(dims, list) and all(isinstance(x, int) for x in dims)):
-        raise ValidationError("dims must be a list of ints", path + "/dims")
+    dims = read_nested(obj.get("dims"), 1, read_int, path, "dims")
     for k, d in enumerate(dims):
         if d > MAX_DIM:
             raise ValidationError(f"dimension {d} above bound {MAX_DIM}",
                                   f"{path}/dims/{k}")
-    return GradedVectorSpace(degs[0], degs[1], dims)
+    with located(path):
+        return GradedVectorSpace(degs[0], degs[1], dims)
 
 
-def _mats_from_json(F, obj, gvs, path):
-    raw = obj.get("d")
-    if raw is None:
-        raw = []
-    if not isinstance(raw, list):
-        raise ValidationError("d must be a list of matrices", path + "/d")
-    want = gvs.hi - gvs.lo
-    if len(raw) != want:
-        raise ValidationError(f"d must contain {want} matrices", path + "/d")
-    out = []
-    for idx, m in enumerate(raw):
-        if not isinstance(m, list):
-            raise ValidationError("matrix must be a list of rows",
-                                  f"{path}/d/{idx}")
-        for r, row in enumerate(m):
-            if not isinstance(row, list):
-                raise ValidationError("row must be a list",
-                                      f"{path}/d/{idx}/{r}")
-        out.append(tuple(tuple(_parse_scalar(F, x, f"{path}/d/{idx}/{r}/{c}")
-                               for c, x in enumerate(row))
-                         for r, row in enumerate(m)))
-    return out
+def _table_from_json(scalar, obj, path, *keys):
+    def entry(e, path, *at):
+        if type(e) is not dict:
+            raise ValidationError("table entry must be an object",
+                                  json_path(path, at))
+        return (tuple(read_int(e.get(k), path, *at, k) for k in "iajb"),
+                read_nested(e.get("out"), 1, scalar, path, *at, "out"))
 
-
-def _table_from_json(F, obj, key, path):
-    raw = obj.get(key, [])
-    if not isinstance(raw, list):
-        raise ValidationError(f"{key} must be a list", path + "/" + key)
     table = {}
-    for idx, e in enumerate(raw):
-        p = f"{path}/{key}/{idx}"
-        if not isinstance(e, dict):
-            raise ValidationError("table entry must be an object", p)
-        try:
-            i, a, j, b = int(e["i"]), int(e["a"]), int(e["j"]), int(e["b"])
-        except (KeyError, TypeError, ValueError):
-            raise ValidationError("table entry needs integer i, a, j, b", p)
-        out = e.get("out")
-        if not isinstance(out, list):
-            raise ValidationError("table entry needs an out vector", p + "/out")
-        if (i, a, j, b) in table:
-            raise ValidationError(f"duplicate table entry {(i, a, j, b)}", p)
-        table[(i, a, j, b)] = tuple(_parse_scalar(F, x, f"{p}/out/{c}")
-                                    for c, x in enumerate(out))
+    for idx, (ijab, out) in enumerate(
+            read_nested(obj.get(keys[-1], []), 1, entry, path, *keys)):
+        if ijab in table:
+            raise ValidationError(f"duplicate table entry {ijab}",
+                                  json_path(path, keys + (idx,)))
+        table[ijab] = out
     return table
 
 
@@ -668,12 +637,17 @@ def pair_from_json(obj: dict, path: str = "") -> DglaPair:
     mod_obj = obj.get("module")
     if not isinstance(lie_obj, dict) or not isinstance(mod_obj, dict):
         raise ValidationError("pair needs lie and module objects", path or "/")
+    scalar = partial(read_scalar, F)
     g = _gvs_from_json(lie_obj, path + "/lie")
     m = _gvs_from_json(mod_obj, path + "/module")
-    lie = Dgla(F, g, _mats_from_json(F, lie_obj, g, path + "/lie"),
-               _table_from_json(F, lie_obj, "bracket", path + "/lie"))
-    pair = DglaPair(lie, m, _mats_from_json(F, mod_obj, m, path + "/module"),
-                    _table_from_json(F, mod_obj, "action", path + "/module"))
+    d = read_nested(lie_obj.get("d", []), 3, scalar, path, "lie", "d")
+    bracket = _table_from_json(scalar, lie_obj, path, "lie", "bracket")
+    with located(path, "lie"):
+        lie = Dgla(F, g, d, bracket)
+    d = read_nested(mod_obj.get("d", []), 3, scalar, path, "module", "d")
+    action = _table_from_json(scalar, mod_obj, path, "module", "action")
+    with located(path, "module"):
+        pair = DglaPair(lie, m, d, action)
     pair.validate()
     return pair
 

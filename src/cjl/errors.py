@@ -21,8 +21,13 @@ class ValidationError(CjlError):
     """Malformed input: bad JSON shape, bad dimensions, bad field element."""
 
     def __init__(self, message: str, path: str = ""):
+        self.message = message
         self.path = path
-        super().__init__(f"{message}" + (f" (at {path})" if path else ""))
+        super().__init__(message)
+
+    def __str__(self):
+        # the path may be filled in after the raise (``field.located``)
+        return self.message + (f" (at {self.path})" if self.path else "")
 
 
 class RingMismatchError(ValidationError):

@@ -5,6 +5,10 @@ Field elements are plain Python values (``fractions.Fraction`` for Q,
 that linear algebra and polynomial code can stay generic.  Rationals are
 kept in lowest terms with positive denominator — ``Fraction`` maintains
 exactly that invariant, which is why it is used directly.
+
+The readers at the end (``read_scalar``, ``read_int``, ``read_nested``)
+decide for every JSON document what counts as a scalar, an integer or a
+list, and put the path of the bad value on every error.
 """
 
 from __future__ import annotations
@@ -176,8 +180,76 @@ def field_from_json(obj: dict, path: str = ""):
     if name == "Fp":
         if "p" not in obj:
             raise ValidationError("field Fp needs a prime p", path + "/p")
-        try:
+        with located(path, "p"):
             return GFp(obj["p"])
-        except ValidationError as exc:
-            raise ValidationError(str(exc), path + "/p") from None
     raise ValidationError(f"unknown field {name!r}", path + "/field")
+
+
+# ---------------------------------------------------------------------------
+# reading JSON documents
+# ---------------------------------------------------------------------------
+# Every reader takes a value, the path of the document it comes from and the
+# keys that lead to the value below that path.  The path string is formatted
+# only when a reader raises.
+
+def json_path(path: str, keys) -> str:
+    return "/".join([path, *map(str, keys)])
+
+
+class located:
+    """Context manager: a ValidationError raised inside that carries no
+    path yet gets the path of ``keys`` below ``path``."""
+
+    __slots__ = ("path", "keys")
+
+    def __init__(self, path: str, *keys):
+        self.path = path
+        self.keys = keys
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, ValidationError) and not exc.path:
+            exc.path = json_path(self.path, self.keys)
+        return False
+
+
+def read_int(x, path: str, *keys) -> int:
+    """An integer (indices, dims, degrees, ranks, ``lo``): a JSON integer
+    that is not a bool."""
+    if type(x) is int:
+        return x
+    raise ValidationError("expected an integer", json_path(path, keys))
+
+
+def read_str(x, path: str, *keys) -> str:
+    if type(x) is str:
+        return x
+    raise ValidationError("expected a string", json_path(path, keys))
+
+
+def read_scalar(F, x, path: str, *keys):
+    """An element of ``F``: a JSON integer that is not a bool, or a string
+    literal that ``F.parse`` accepts ("3", "-3/2")."""
+    if type(x) is str:
+        try:
+            return F.parse(x)
+        except ValidationError as exc:  # ``located`` inlined: once per scalar
+            exc.path = json_path(path, keys)
+            raise
+    if type(x) is int:
+        return F.from_int(x)
+    raise ValidationError("scalar must be an integer or a string literal",
+                          json_path(path, keys))
+
+
+def read_nested(x, depth: int, leaf, path: str, *keys) -> tuple:
+    """A list nested ``depth`` levels deep, as nested tuples holding
+    ``leaf(entry, path, *keys_of_entry)`` at the bottom level."""
+    if type(x) is not list:
+        raise ValidationError("expected a list", json_path(path, keys))
+    if depth == 1:
+        return tuple([leaf(e, path, *keys, k) for k, e in enumerate(x)])
+    return tuple([read_nested(e, depth - 1, leaf, path, *keys, k)
+                  for k, e in enumerate(x)])

@@ -21,15 +21,11 @@ from .linalg import bareiss_rank, generic_rank_bareiss
 from .resonance import contraction_rank, pointwise_resonance, universal_aomoto
 
 
-def _prepared(P):
-    return P if P.has_zero_differentials() else cohomology_pair(P)
-
-
 class _Geometry:
     """Cached per-pair state shared by the public entry points."""
 
     def __init__(self, P):
-        self.pair = _prepared(P)
+        self.pair = cohomology_pair(P)
         self.E = universal_aomoto(self.pair)
         self.ctx = self.E.ring
         self.S = self.ctx.base()

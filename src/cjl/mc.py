@@ -17,9 +17,12 @@ for the tautological element of ``resonance``.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .artin import ArtinLocalAlgebra
 from .dgla import Dgla, DglaPair
 from .errors import InternalCheckError, ValidationError
+from .field import read_nested, read_scalar
 
 
 def _lie(P):
@@ -141,25 +144,32 @@ def maurer_cartan_check(P, A: ArtinLocalAlgebra, omega) -> bool:
     return tensor_is_zero(A, mc_defect(P, A, omega))
 
 
-def bracket_exp(P, A: ArtinLocalAlgebra, lam, i: int, u):
-    """exp(ad lam) applied to an element of C^i (x) A, as an exact
-    finite sum (lam has nilpotent coefficients)."""
-    C = _lie(P)
-    _check_shape(P, A, lam, C.dim(0), "gauge coefficients", in_m=True)
-    acc = u
-    term = u
+def _series(A, step, u, s: int, what: str):
+    """sum_{n>=0} step^n(u) / (n+s)! for s in {0, 1}, as an exact finite
+    sum: ``step`` acts through a coefficient in the maximal ideal, so
+    the terms vanish within the nilpotency index."""
+    F = A.field
+    acc = term = u
     n = 0
     fuel = A.nilpotency_index + 1
     while not tensor_is_zero(A, term):
         n += 1
         if n > fuel:
             raise InternalCheckError(
-                "adjoint series failed to terminate within the nilpotency "
+                f"{what} series failed to terminate within the nilpotency "
                 "bound")
-        term = bracket_tensor(C, A, 0, lam, i, term)
-        term = tensor_scale(A, _inv_int(C.field, n), term)
+        term = tensor_scale(A, _inv_int(F, n + s), step(term))
         acc = tensor_add(A, acc, term)
     return acc
+
+
+def bracket_exp(P, A: ArtinLocalAlgebra, lam, i: int, u):
+    """exp(ad lam) applied to an element of C^i (x) A, as an exact
+    finite sum (lam has nilpotent coefficients)."""
+    C = _lie(P)
+    _check_shape(P, A, lam, C.dim(0), "gauge coefficients", in_m=True)
+    return _series(A, lambda t: bracket_tensor(C, A, 0, lam, i, t), u, 0,
+                   "adjoint")
 
 
 def gauge_correction(P, A: ArtinLocalAlgebra, lam):
@@ -167,20 +177,10 @@ def gauge_correction(P, A: ArtinLocalAlgebra, lam):
     -sum_{n>=0} ad_lam^n(d lam) / (n+1)!."""
     C = _lie(P)
     _check_shape(P, A, lam, C.dim(0), "gauge coefficients", in_m=True)
-    term = apply_scalar_matrix(A, C.d_mat(0), lam)
-    acc = zero_tensor(A, C.dim(1))
-    n = 0
-    fuel = A.nilpotency_index + 1
-    while not tensor_is_zero(A, term):
-        acc = tensor_sub(A, acc, term)
-        n += 1
-        if n > fuel:
-            raise InternalCheckError(
-                "gauge correction series failed to terminate within the "
-                "nilpotency bound")
-        term = bracket_tensor(C, A, 0, lam, 1, term)
-        term = tensor_scale(A, _inv_int(C.field, n + 1), term)
-    return acc
+    total = _series(A, lambda t: bracket_tensor(C, A, 0, lam, 1, t),
+                    apply_scalar_matrix(A, C.d_mat(0), lam), 1,
+                    "gauge correction")
+    return tensor_sub(A, zero_tensor(A, C.dim(1)), total)
 
 
 def gauge_act(P, A: ArtinLocalAlgebra, lam, omega):
@@ -203,20 +203,8 @@ def module_transport(P: DglaPair, A: ArtinLocalAlgebra, lam, xi,
     sum_n act_lam^n(xi) / n!."""
     _check_shape(P, A, lam, P.lie.dim(0), "gauge coefficients", in_m=True)
     _check_shape(P, A, xi, P.m_dim(degree), "module element", in_m=False)
-    acc = xi
-    term = xi
-    n = 0
-    fuel = A.nilpotency_index + 1
-    while not tensor_is_zero(A, term):
-        n += 1
-        if n > fuel:
-            raise InternalCheckError(
-                "transport series failed to terminate within the nilpotency "
-                "bound")
-        term = action_tensor(P, A, 0, lam, degree, term)
-        term = tensor_scale(A, _inv_int(P.field, n), term)
-        acc = tensor_add(A, acc, term)
-    return acc
+    return _series(A, lambda t: action_tensor(P, A, 0, lam, degree, t), xi,
+                   0, "transport")
 
 
 def twisted_differential(P: DglaPair, A, omega, degree: int, xi):
@@ -274,32 +262,19 @@ def tensor_from_json(A: ArtinLocalAlgebra, n: int, rows, path: str,
     basis, or (for maximal-ideal elements) coordinates on the basis of m
     alone (one shorter, unit coefficient implied zero)."""
     F = A.field
-    if not isinstance(rows, list) or len(rows) != n:
+    rows = read_nested(rows, 2, partial(read_scalar, F), path)
+    if len(rows) != n:
         raise ValidationError(f"need a list of {n} coefficient rows", path)
     out = []
-    for idx, row in enumerate(rows):
-        p = f"{path}/{idx}"
-        if not isinstance(row, list):
-            raise ValidationError("coefficient row must be a list", p)
-        vals = []
-        for c, x in enumerate(row):
-            if isinstance(x, int):
-                vals.append(F.from_int(x))
-            elif isinstance(x, str):
-                try:
-                    vals.append(F.parse(x))
-                except (ValueError, ZeroDivisionError):
-                    raise ValidationError(f"bad scalar {x!r}", f"{p}/{c}")
-            else:
-                raise ValidationError("scalar must be a string or integer",
-                                      f"{p}/{c}")
+    for idx, vals in enumerate(rows):
         if len(vals) == A.dim - 1:
-            vals = [F.zero] + vals
+            vals = (F.zero,) + vals
         elif len(vals) != A.dim:
             raise ValidationError(
                 f"row must have {A.dim} coefficients "
-                f"(or {A.dim - 1} on the maximal-ideal basis)", p)
-        out.append(tuple(vals))
+                f"(or {A.dim - 1} on the maximal-ideal basis)",
+                f"{path}/{idx}")
+        out.append(vals)
     elem = tuple(out)
     if in_m and not tensor_in_max_ideal(A, elem):
         raise ValidationError("coefficients must lie in the maximal ideal",

@@ -8,12 +8,12 @@ structure lives in the products.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 from .dgla import Dgla, DglaPair, GradedVectorSpace, _GradedTable
 from .errors import AxiomError, InternalCheckError, ValidationError
-from .field import QQ
+from .field import QQ, located, read_nested, read_scalar
 from .linalg import Echelon, rank, vec_is_zero
 
 
@@ -143,13 +143,11 @@ MAX_HYPERPLANES = 12
 
 
 class Arrangement:
-    """A central hyperplane arrangement given by its normal vectors."""
+    """A central hyperplane arrangement given by its normal vectors: rows
+    of exact rationals (``int`` or ``Fraction``)."""
 
     def __init__(self, normals):
-        F = QQ()
-        rows = []
-        for r, row in enumerate(normals):
-            rows.append(tuple(Fraction(x) for x in row))
+        rows = [tuple(row) for row in normals]
         if not rows:
             raise ValidationError("arrangement needs at least one hyperplane")
         width = len(rows[0])
@@ -175,16 +173,10 @@ class Arrangement:
         if not isinstance(obj, dict) or "normals" not in obj:
             raise ValidationError("arrangement needs a normals matrix",
                                   path or "/")
-        raw = obj["normals"]
-        if not isinstance(raw, list) or \
-                any(not isinstance(r, list) for r in raw):
-            raise ValidationError("normals must be a matrix",
-                                  path + "/normals")
-        try:
-            return Arrangement(raw)
-        except (TypeError, ValueError):
-            raise ValidationError("normals must be rational numbers",
-                                  path + "/normals")
+        rows = read_nested(obj["normals"], 2, partial(read_scalar, QQ()), path,
+                           "normals")
+        with located(path, "normals"):
+            return Arrangement(rows)
 
     def circuits(self):
         """Minimal dependent subsets of the normals, smallest first."""

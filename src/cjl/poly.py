@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import RingMismatchError, ValidationError
-from .field import GFp, QQ, field_from_json
+from .field import GFp, QQ, field_from_json, located, read_nested, read_str
 
 Mono = tuple  # tuple[int, ...]
 
@@ -189,11 +189,10 @@ class RingContext:
     def eq(self, a, b) -> bool:
         return self.is_zero(a - b)
 
-    def element_from_json(self, s, path: str = ""):
+    def element_from_json(self, s, path: str = "", *keys):
         from .parse import parse_poly
-        if not isinstance(s, str):
-            raise ValidationError("polynomial entries must be strings", path)
-        return parse_poly(self, s, path)
+        with located(path, *keys):
+            return parse_poly(self, read_str(s, path, *keys))
 
     def element_to_json(self, a) -> str:
         return format_poly(a)
@@ -250,18 +249,13 @@ class RingContext:
         if not isinstance(obj, dict):
             raise ValidationError("ring context must be an object", path)
         field = field_from_json(obj, path)
-        names = obj.get("vars")
-        if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
-            raise ValidationError("vars must be a list of strings", path + "/vars")
-        order = obj.get("order", "degrevlex")
-        ctx = RingContext(field, names, order)
-        quot = obj.get("quotient")
-        if quot is not None:
-            if not isinstance(quot, list):
-                raise ValidationError("quotient must be a list of polynomial strings",
-                                      path + "/quotient")
-            gens = [ctx.element_from_json(s, f"{path}/quotient/{i}")
-                    for i, s in enumerate(quot)]
+        names = read_nested(obj.get("vars"), 1, read_str, path, "vars")
+        order = read_str(obj.get("order", "degrevlex"), path, "order")
+        with located(path):
+            ctx = RingContext(field, names, order)
+        if "quotient" in obj:
+            gens = read_nested(obj["quotient"], 1, ctx.element_from_json, path,
+                               "quotient")
             ctx = RingContext(field, names, order, quotient=gens)
         return ctx
 

@@ -41,7 +41,7 @@ def quadratic_cone_ideal(C: Dgla):
     when its differential is zero) — one generator per H² coordinate, kept
     exactly as expanded (no rescaling).
     """
-    H = C if C.has_zero_differential() else cohomology_lie(C)
+    H = cohomology_lie(C)
     S = coefficient_ring(C.field, H.dim(1))
     zeta = S.gens()
     return S, _nonzero_ideal(S, bracket_tensor(H, S, 1, zeta, 1, zeta))
@@ -82,8 +82,7 @@ def resonance_ideal(P: DglaPair, i: int, k: int) -> Ideal:
     over S/I_Q, and the result is returned as its full preimage in the
     plain ring S — it always contains the cone relations.
     """
-    Pc = P if P.has_zero_differentials() else cohomology_pair(P)
-    E = universal_aomoto(Pc)
+    E = universal_aomoto(cohomology_pair(P))
     J = jump_ideal(E, i, k)
     base = J.ctx.base()
     return base.ideal(J.all_gens())
@@ -96,7 +95,7 @@ def pointwise_resonance(P: DglaPair, eta, i: int) -> int:
     equations); the answer is an exact rank computation over the field.
     """
     F = P.field
-    Pc = P if P.has_zero_differentials() else cohomology_pair(P)
+    Pc = cohomology_pair(P)
     n = Pc.lie.dim(1)
     eta = tuple(F.from_int(x) if isinstance(x, int) else x for x in eta)
     if len(eta) != n:

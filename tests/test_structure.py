@@ -275,7 +275,7 @@ def test_flat_ideal_matches_monomial_loop(algebras):
 
 def test_universal_aomoto_matches_action_formula():
     for name, P in corpus().items():
-        Pc = P if P.has_zero_differentials() else cohomology_pair(P)
+        Pc = cohomology_pair(P)
         E = universal_aomoto(Pc)
         ctx = E.ring
         _, cone = reference_cone(Pc.lie)
