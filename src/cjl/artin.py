@@ -3,7 +3,10 @@
 An :class:`ArtinLocalAlgebra` is presented by a basis whose element 0 is
 the unit and whose other elements are nilpotent; the span of those is then
 automatically the unique maximal ideal, and the residue of an element is
-its coordinate on the unit.  Elements are plain tuples of field scalars.
+its coordinate on the unit.  Elements are plain tuples of field scalars;
+their product contracts a sparse structure-constant table in degree 0,
+the same table (``dgla._GradedTable``) and the same axiom checker
+(``dgla.check_algebra``) as the graded algebras of ``cjl.models``.
 
 :func:`make_artin` builds such an algebra from a polynomial ring modulo a
 zero-dimensional ideal, using the standard monomials of a reduced Groebner
@@ -18,6 +21,7 @@ from collections import deque
 from functools import partial
 from typing import Sequence
 
+from .dgla import GradedVectorSpace, _GradedTable, check_algebra
 from .errors import (AxiomError, NotFiniteError, NotLocalError,
                      RingMismatchError, ValidationError)
 from .field import field_from_json, located, read_nested, read_scalar, read_str
@@ -42,56 +46,38 @@ class ArtinLocalAlgebra:
         labels: one display name per basis element; ``labels[0]`` is the unit.
         table: ``table[i][j]`` is the coordinate vector of ``b_i * b_j``.
 
-    The unit, commutativity, associativity and nilpotency axioms are
-    checked on construction.
+    The multiplication is kept as a sparse structure-constant table in
+    degree 0 (:class:`~cjl.dgla._GradedTable`, entry (0, i, 0, j) for
+    ``b_i * b_j``), and products are its contraction.  Construction checks
+    the unit, commutativity and associativity with the graded-algebra
+    checker :func:`~cjl.dgla.check_algebra` (in degree 0 every sign is +1),
+    then that every basis element but the unit is nilpotent.
     """
 
     def __init__(self, field, labels: Sequence[str], table):
         self.field = field
         self.labels = tuple(labels)
-        self.dim = len(self.labels)
-        self.table = tuple(tuple(tuple(v) for v in row) for row in table)
-        if self.dim == 0:
+        self.dim = n = len(self.labels)
+        if n == 0:
             raise ValidationError("an algebra needs at least the unit")
-        if len(self.table) != self.dim or any(len(r) != self.dim for r in self.table) \
-                or any(len(v) != self.dim for r in self.table for v in r):
+        if len(table) != n or any(len(r) != n for r in table) \
+                or any(len(v) != n for r in table for v in r):
             raise ValidationError("multiplication table has wrong shape")
-        self._check_axioms()
-        self.nilpotency_index = self._nilpotency_index()
-
-    # -- axioms --------------------------------------------------------
-
-    def _check_axioms(self):
-        F = self.field
-        n = self.dim
-        for j in range(n):
-            if not vec_is_zero(F, self.sub(self.table[0][j], self.basis(j))):
-                raise AxiomError("basis element 0 is not a unit",
-                                 {"axiom": "unit", "index": j})
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not vec_is_zero(F, self.sub(self.table[i][j], self.table[j][i])):
-                    raise AxiomError("multiplication is not commutative",
-                                     {"axiom": "commutativity", "indices": (i, j)})
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    lhs = self.mul(self.table[i][j], self.basis(k))
-                    rhs = self.mul(self.basis(i), self.table[j][k])
-                    if not vec_is_zero(F, self.sub(lhs, rhs)):
-                        raise AxiomError("multiplication is not associative",
-                                         {"axiom": "associativity",
-                                          "indices": (i, j, k)})
+        self.table = _GradedTable(field, {
+            (0, i, 0, j): tuple(v) for i, row in enumerate(table)
+            for j, v in enumerate(row) if not vec_is_zero(field, v)}, skew=False)
+        check_algebra(self.table, GradedVectorSpace(0, 0, (n,), (self.labels,)))
         for i in range(1, n):
             v = self.basis(i)
             for _ in range(n + 1):
-                if vec_is_zero(F, v):
+                if vec_is_zero(field, v):
                     break
                 v = self.mul(v, self.basis(i))
             else:
                 raise NotLocalError(
                     f"basis element {self.labels[i]!r} is not nilpotent, "
                     "so the algebra is not local with this basis")
+        self.nilpotency_index = self._nilpotency_index()
 
     def _nilpotency_index(self) -> int:
         """Least s with m^s = 0 (1 for a field)."""
@@ -123,9 +109,6 @@ class ArtinLocalAlgebra:
         return tuple(self.field.one if j == i else self.field.zero
                      for j in range(self.dim))
 
-    def from_scalar(self, c):
-        return (c,) + (self.field.zero,) * (self.dim - 1)
-
     def add(self, a, b):
         return tuple(self.field.add(x, y) for x, y in zip(a, b))
 
@@ -139,19 +122,7 @@ class ArtinLocalAlgebra:
         return tuple(self.field.mul(x, c) for x in a)
 
     def mul(self, a, b):
-        F = self.field
-        out = [F.zero] * self.dim
-        for i, x in enumerate(a):
-            if F.is_zero(x):
-                continue
-            for j, y in enumerate(b):
-                if F.is_zero(y):
-                    continue
-                c = F.mul(x, y)
-                for k, t in enumerate(self.table[i][j]):
-                    if not F.is_zero(t):
-                        out[k] = F.add(out[k], F.mul(c, t))
-        return tuple(out)
+        return self.table.contract(0, a, 0, b, self.dim)
 
     def is_zero(self, a) -> bool:
         return vec_is_zero(self.field, a)
@@ -168,9 +139,6 @@ class ArtinLocalAlgebra:
 
     def in_max_ideal(self, a) -> bool:
         return self.field.is_zero(a[0])
-
-    def max_ideal_basis(self):
-        return tuple(self.basis(i) for i in range(1, self.dim))
 
     def inverse(self, a):
         """Geometric series against the nilpotent part."""
@@ -240,7 +208,7 @@ class ArtinLocalAlgebra:
         return (isinstance(other, ArtinLocalAlgebra)
                 and self.field == other.field
                 and self.labels == other.labels
-                and self.table == other.table)
+                and self.table.entries == other.table.entries)
 
     def check_same(self, other):
         if not self.same(other):
@@ -269,8 +237,9 @@ class ArtinLocalAlgebra:
     def to_json(self) -> dict:
         obj = {"field": "Q" if self.field.char == 0 else "Fp",
                "dim": self.dim, "labels": list(self.labels),
-               "mult": [[[self.field.format(c) for c in v] for v in row]
-                        for row in self.table]}
+               "mult": [[[self.field.format(c)
+                          for c in self.table.get(0, i, 0, j, self.dim)]
+                         for j in range(self.dim)] for i in range(self.dim)]}
         if self.field.char:
             obj["p"] = self.field.char
         return obj

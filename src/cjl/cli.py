@@ -14,6 +14,7 @@ failed (a bug in the package, reported as a JSON error object).
 
 import argparse
 import json
+import math
 import sys
 
 from .artin import artin_from_json
@@ -30,7 +31,15 @@ from .mc import (
     tensor_from_json,
     tensor_to_json,
 )
-from .models import Arrangement, cdga_to_pair, exterior, exterior_pair, os_pair, surface_pair
+from .models import (
+    MAX_GENERATORS,
+    MAX_PAIR_DIM,
+    Arrangement,
+    cdga_to_pair,
+    exterior,
+    orlik_solomon,
+    surface_pair,
+)
 from .poly import RingContext, format_poly
 from .resonance import quadratic_cone_ideal, resonance_ideal
 
@@ -170,18 +179,30 @@ def _cmd_analyze(args):
     return analyze(P, claims=claims)
 
 
+def _in_range(flag: str, value: int, cap: int):
+    if not 1 <= value <= cap:
+        raise ValidationError(f"{flag} must be between 1 and {cap}, got {value}", path=flag)
+
+
 def _cmd_model(args):
-    if args.kind == "exterior":
-        P = exterior_pair(args.n, args.r)
-    elif args.kind == "os":
+    # every size is checked against models.MAX_PAIR_DIM before the pair is built
+    if args.kind == "surface":
+        _in_range("--g", args.g, (MAX_PAIR_DIM - 2) // 2)  # dim H(surface) = 2g + 2
+        return pair_to_json(surface_pair(args.g))
+    if args.kind == "os":
         arr = Arrangement.from_json(_read_json(args.normals, "--normals"), path="--normals")
-        P = os_pair(arr, args.r)
-    elif args.kind == "surface":
-        P = surface_pair(args.g)
-    else:  # glr: exterior CDGA with matrix coefficients
-        s = args.s if args.s is not None else args.r
-        P = cdga_to_pair(exterior(args.n), args.r, s)
-    return pair_to_json(P)
+        A = orlik_solomon(arr)
+        dim_a = sum(A.gvs.dims)
+    else:
+        _in_range("--n", args.n, MAX_GENERATORS)
+        A, dim_a = None, 2**args.n
+    r = args.r
+    s = r if getattr(args, "s", None) is None else args.s
+    _in_range("--r", r, math.isqrt(MAX_PAIR_DIM // dim_a))  # Lie side: dim_a * r * r
+    _in_range("--s", s, MAX_PAIR_DIM // (dim_a * r))  # module side: dim_a * r * s
+    if A is None:
+        A = exterior(args.n)
+    return pair_to_json(cdga_to_pair(A, r, s))
 
 
 def _cmd_selftest(args):

@@ -71,10 +71,17 @@ def _check_matrices(field, gvs: GradedVectorSpace, mats, what: str):
 
 
 class _GradedTable:
-    """Sparse bilinear table (i,a) x (j,b) -> vector in degree i+j.
+    """Sparse bilinear table (i,a) x (j,b) -> vector in degree i+j: the
+    structure constants of every product in the package (brackets,
+    actions, graded-commutative and Artin multiplications).
 
     With ``skew`` a missing orientation is derived by graded skew symmetry
     [x,y] = -(-1)^{ij}[y,x].  The entries are fixed once built.
+
+    The table's entries are scalars of its field; the coordinates it
+    multiplies lie in a coefficient ring R over that field: the field
+    itself, an Artin algebra or a polynomial ring, anything with ``add``,
+    ``mul``, ``scale`` (by a field scalar) and ``is_zero``.
     """
 
     def __init__(self, field, entries: dict, skew: bool):
@@ -107,32 +114,34 @@ class _GradedTable:
                 if not F.is_zero(t))
         return out
 
-    def product(self, i: int, us, j: int, vs) -> dict:
-        """The bilinear product on nonzero coordinates: the sum of
-        u_a v_b T(i,a,j,b) over (a, u_a) in ``us`` and (b, v_b) in ``vs``,
-        as a dict {k: coefficient} (entries may cancel to zero)."""
-        F = self.field
+    def product(self, R, i: int, us, j: int, vs) -> dict:
+        """The bilinear product on nonzero coordinates in the ring R: the
+        sum of u_a v_b T(i,a,j,b) over (a, u_a) in ``us`` and (b, v_b) in
+        ``vs``, as a dict {k: coefficient} (entries may cancel to zero).
+        This is the one structure-constant contraction of the package."""
         out = {}
         for a, x in us:
             for b, y in vs:
                 ts = self.terms(i, a, j, b)
                 if ts:
-                    c = F.mul(x, y)
+                    c = R.mul(x, y)
                     for k, t in ts:
-                        out[k] = F.add(out.get(k, F.zero), F.mul(c, t))
+                        z = R.scale(c, t)
+                        out[k] = R.add(out[k], z) if k in out else z
         return out
 
-    def contract(self, i: int, u, j: int, v, out_dim: int):
-        """The product of coordinate vectors u (degree i) and v (degree j)."""
-        F = self.field
-        out = [F.zero] * out_dim
-        for k, x in self.product(i, _nonzero(F, u), j, _nonzero(F, v)).items():
+    def contract(self, i: int, u, j: int, v, out_dim: int, ring=None):
+        """The product of coordinate vectors u (degree i) and v (degree j):
+        field scalars, or elements of ``ring`` when one is given."""
+        R = self.field if ring is None else ring
+        out = [R.zero if ring is None else ring.zero()] * out_dim
+        for k, x in self.product(R, i, _nonzero(R, u), j, _nonzero(R, v)).items():
             out[k] = x
         return tuple(out)
 
 
-def _nonzero(F, u) -> list:
-    return [(a, x) for a, x in enumerate(u) if not F.is_zero(x)]
+def _nonzero(R, u) -> list:
+    return [(a, x) for a, x in enumerate(u) if not R.is_zero(x)]
 
 
 def _all_zero(F, mats) -> bool:
@@ -205,9 +214,6 @@ class DglaPair:
 
     def m_d_apply(self, i: int, u):
         return mat_vec(self.field, self.m_d_mat(i), u)
-
-    def action_vec(self, i: int, a: int, j: int, b: int):
-        return self.action.get(i, a, j, b, self.m_dim(i + j))
 
     def action_elem(self, i: int, u, j: int, v):
         return self.action.contract(i, u, j, v, self.m_dim(i + j))
@@ -295,10 +301,10 @@ def _representation(C: Dgla, space, table, d_c, d_v, axioms: tuple) -> list:
                     for b in range(C.dim(j)):
                         xy = C.bracket.terms(i, a, j, b)
                         for c in range(space.dim(k)):
-                            lhs = table.product(i + j, xy, k, ((c, one),))
-                            t1 = table.product(i, ((a, one),), j + k,
+                            lhs = table.product(F, i + j, xy, k, ((c, one),))
+                            t1 = table.product(F, i, ((a, one),), j + k,
                                                table.terms(j, b, k, c))
-                            t2 = table.product(j, ((b, one),), i + k,
+                            t2 = table.product(F, j, ((b, one),), i + k,
                                                table.terms(i, a, k, c))
                             if not _holds(F, lhs, t1, sgn, t2):
                                 bad.append({"axiom": axioms[0],
@@ -309,8 +315,8 @@ def _representation(C: Dgla, space, table, d_c, d_v, axioms: tuple) -> list:
             for a in range(C.dim(i)):
                 for c in range(space.dim(k)):
                     lhs = _apply(F, d_v.get(i + k), table.terms(i, a, k, c))
-                    t1 = table.product(i + 1, d_c[i][a], k, ((c, one),))
-                    t2 = table.product(i, ((a, one),), k + 1, d_v[k][c])
+                    t1 = table.product(F, i + 1, d_c[i][a], k, ((c, one),))
+                    t2 = table.product(F, i, ((a, one),), k + 1, d_v[k][c])
                     if not _holds(F, lhs, t1, sgn, t2):
                         bad.append({"axiom": axioms[1], "at": (i, a, k, c)})
     return bad
@@ -347,6 +353,49 @@ def check_pair(P: DglaPair) -> list:
     return bad + _representation(C, P.m_gvs, P.action,
                                  _d_images(F, C.gvs, C.d_mat), d_m,
                                  ("lie_action", "action_leibniz"))
+
+
+def check_algebra(table: _GradedTable, space: GradedVectorSpace):
+    """Raise AxiomError at the first failure of the axioms of a graded-
+    commutative algebra with product ``table`` on ``space``: basis vector
+    0 of degree 0 is a two-sided unit (witness (j, b)), xy =
+    (-1)^{|x||y|} yx (witness (i, a, j, b)) and (xy)z = x(yz) (witness
+    (i, a, j, b, k, c)).  An Artin algebra is the case of one degree 0."""
+    F = table.field
+    one = F.one
+    degrees = space.degrees()
+    for j in degrees:
+        for b in range(space.dim(j)):
+            unit = {b: one}
+            if not (_holds(F, dict(table.terms(0, 0, j, b)), unit, one, {})
+                    and _holds(F, dict(table.terms(j, b, 0, 0)), unit, one, {})):
+                raise AxiomError("unit does not act as identity",
+                                 {"axiom": "unit", "at": (j, b)})
+    for i in degrees:
+        for j in degrees:
+            sgn = _sign(F, i * j)
+            for a in range(space.dim(i)):
+                for b in range(space.dim(j)):
+                    if not _holds(F, dict(table.terms(i, a, j, b)), {}, sgn,
+                                  dict(table.terms(j, b, i, a))):
+                        raise AxiomError(
+                            "graded commutativity fails",
+                            {"axiom": "commutativity", "at": (i, a, j, b)})
+    for i in degrees:
+        for j in degrees:
+            for k in degrees:
+                for a in range(space.dim(i)):
+                    for b in range(space.dim(j)):
+                        ab = table.terms(i, a, j, b)
+                        for c in range(space.dim(k)):
+                            lhs = table.product(F, i + j, ab, k, ((c, one),))
+                            rhs = table.product(F, i, ((a, one),), j + k,
+                                                table.terms(j, b, k, c))
+                            if not _holds(F, lhs, rhs, one, {}):
+                                raise AxiomError(
+                                    "associativity fails",
+                                    {"axiom": "associativity",
+                                     "at": (i, a, j, b, k, c)})
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,8 @@ class QQ:
     def mul(a, b):
         return a * b
 
+    scale = mul     # by a field scalar: the coefficient-ring protocol
+
     @staticmethod
     def neg(a):
         return -a
@@ -126,6 +128,8 @@ class GFp:
 
     def mul(self, a, b):
         return (a * b) % self.p
+
+    scale = mul
 
     def neg(self, a):
         return (-a) % self.p

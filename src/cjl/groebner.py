@@ -98,19 +98,15 @@ def _reduced_basis(G: list) -> tuple:
     for g in by_lm:
         if not any(mono_divides(h.lm(), g.lm()) for h in kept):
             kept.append(g)
-    # autoreduce to a fixpoint (tails may open up new reductions)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(kept)):
-            others = kept[:i] + kept[i + 1:]
-            r = reduce_full(kept[i], others).monic()
-            if r.terms != kept[i].terms:
-                if not r.terms:
-                    raise AssertionError("minimal basis element reduced to zero")
-                kept[i] = r
-                changed = True
-    kept.sort(key=lambda g: ctx.key(g.lm()))
+    # autoreduce: no leading monomial divides another, so reducing a tail
+    # never changes a leading monomial (nor the order of ``kept``), and
+    # whether an element is reduced depends only on the others' leading
+    # monomials; one pass suffices
+    for i in range(len(kept)):
+        r = reduce_full(kept[i], kept[:i] + kept[i + 1:]).monic()
+        if not r.terms:
+            raise AssertionError("minimal basis element reduced to zero")
+        kept[i] = r
     return tuple(kept)
 
 
@@ -242,11 +238,6 @@ class Ideal:
     def contains(self, f: Polynomial) -> bool:
         self.ctx.check_same(f.ctx)
         return not reduce_full(f.cast(self.ctx.base()), self.groebner()).terms
-
-    def contains_ideal(self, other: "Ideal") -> bool:
-        self.ctx.check_same(other.ctx)
-        return all(not reduce_full(g, self.groebner()).terms
-                   for g in other.all_gens())
 
     def equals(self, other: "Ideal") -> bool:
         """Equality via uniqueness of the reduced basis."""

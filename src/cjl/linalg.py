@@ -8,6 +8,7 @@ field protocol, so agreement between them is a meaningful cross-check;
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 from .errors import InternalCheckError
@@ -130,31 +131,36 @@ def solve(F, A: Mat, b: Vec, width: int):
     return tuple(x)
 
 
-def bareiss_rank(F, rows: Sequence[Vec]) -> int:
-    """Rank by fraction-free Bareiss condensation — an independent route
-    kept deliberately separate from :func:`rref`."""
+def _bareiss(rows: Sequence, one, is_zero, sub, mul, div) -> int:
+    """Rank by fraction-free Bareiss condensation over an integral domain,
+    given its unit, zero test, operations and exact division."""
     M = [list(r) for r in rows]
     if not M or not M[0]:
         return 0
     nr, nc = len(M), len(M[0])
-    prev = F.one
+    prev = one
     r = 0
     for c in range(nc):
         if r >= nr:
             break
-        pr = next((i for i in range(r, nr) if not F.is_zero(M[i][c])), None)
+        pr = next((i for i in range(r, nr) if not is_zero(M[i][c])), None)
         if pr is None:
             continue
         M[r], M[pr] = M[pr], M[r]
         piv = M[r][c]
         for i in range(r + 1, nr):
             for j in range(c + 1, nc):
-                num = F.sub(F.mul(piv, M[i][j]), F.mul(M[i][c], M[r][j]))
-                M[i][j] = F.div(num, prev)
-            M[i][c] = F.zero
+                M[i][j] = div(sub(mul(piv, M[i][j]), mul(M[i][c], M[r][j])),
+                              prev)
         prev = piv
         r += 1
     return r
+
+
+def bareiss_rank(F, rows: Sequence[Vec]) -> int:
+    """Rank by fraction-free Bareiss condensation — an independent route
+    kept deliberately separate from :func:`rref`."""
+    return _bareiss(rows, F.one, F.is_zero, F.sub, F.mul, F.div)
 
 
 # ---------------------------------------------------------------------------
@@ -188,25 +194,5 @@ def generic_rank_bareiss(ctx: RingContext, rows: Sequence) -> int:
     if ctx.has_quotient():
         raise InternalCheckError("Bareiss generic rank needs a domain; "
                                  "use minor enumeration for quotient contexts")
-    M = [list(r) for r in rows]
-    if not M or not M[0]:
-        return 0
-    nr, nc = len(M), len(M[0])
-    prev = ctx.one()
-    r = 0
-    for c in range(nc):
-        if r >= nr:
-            break
-        pr = next((i for i in range(r, nr) if M[i][c].terms), None)
-        if pr is None:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        piv = M[r][c]
-        for i in range(r + 1, nr):
-            for j in range(c + 1, nc):
-                num = piv * M[i][j] - M[i][c] * M[r][j]
-                M[i][j] = poly_exact_div(num, prev)
-            M[i][c] = ctx.zero()
-        prev = piv
-        r += 1
-    return r
+    return _bareiss(rows, ctx.one(), lambda f: not f.terms, operator.sub,
+                    operator.mul, poly_exact_div)

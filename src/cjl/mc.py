@@ -12,7 +12,10 @@ complex (M (x) A, d_M + omega.) are written once, here, for any
 coefficient ring A with the ring protocol (``zero``, ``one``, ``add``,
 ``mul``, ``scale``, ``is_zero``, ``field``): an Artin algebra for
 deformations, a polynomial ring (or its quotient by the cone relations)
-for the tautological element of ``resonance``.
+for the tautological element of ``resonance``.  Brackets and actions on
+such tensors are the contraction of the pair's structure constants over
+A (:meth:`~cjl.dgla._GradedTable.contract`), the same loop that
+multiplies field vectors and Artin elements.
 """
 
 from __future__ import annotations
@@ -72,32 +75,15 @@ def apply_scalar_matrix(A, mat, u):
     return tuple(out)
 
 
-def _contract(A, table, i: int, u, j: int, v, out_dim: int):
-    """sum_{a,b} T(i,a,j,b) (x) u_a v_b over the nonzero Artin
-    coefficients u_a, v_b."""
-    out = [A.zero()] * out_dim
-    vs = [(b, y) for b, y in enumerate(v) if not A.is_zero(y)]
-    for a, x in enumerate(u):
-        if A.is_zero(x):
-            continue
-        for b, y in vs:
-            ts = table.terms(i, a, j, b)
-            if ts:
-                prod = A.mul(x, y)
-                for k, t in ts:
-                    out[k] = A.add(out[k], A.scale(prod, t))
-    return tuple(out)
-
-
 def bracket_tensor(C: Dgla, A, i: int, u, j: int, v):
     """[x (x) a, y (x) b] = [x,y] (x) ab — the base is commutative and
     sits in degree zero, so no extra sign appears."""
-    return _contract(A, C.bracket, i, u, j, v, C.dim(i + j))
+    return C.bracket.contract(i, u, j, v, C.dim(i + j), A)
 
 
 def action_tensor(P: DglaPair, A, i: int, u, j: int, v):
     """(x (x) a).(m (x) b) = x.m (x) ab."""
-    return _contract(A, P.action, i, u, j, v, P.m_dim(i + j))
+    return P.action.contract(i, u, j, v, P.m_dim(i + j), A)
 
 
 def _check_shape(P, A, u, n, what: str, in_m: bool):

@@ -11,8 +11,8 @@ from __future__ import annotations
 from functools import partial
 from itertools import combinations
 
-from .dgla import Dgla, DglaPair, GradedVectorSpace, _GradedTable
-from .errors import AxiomError, InternalCheckError, ValidationError
+from .dgla import Dgla, DglaPair, GradedVectorSpace, _GradedTable, check_algebra
+from .errors import InternalCheckError, ValidationError
 from .field import QQ, located, read_nested, read_scalar
 from .linalg import Echelon, rank, vec_is_zero
 
@@ -51,53 +51,7 @@ class Cdga:
         return self.table.contract(i, u, j, v, self.dim(i + j))
 
     def validate(self):
-        F = self.field
-        g = self.gvs
-        # unit
-        for j in g.degrees():
-            for b in range(self.dim(j)):
-                want = tuple(F.one if t == b else F.zero
-                             for t in range(self.dim(j)))
-                if self.mult_vec(0, 0, j, b) != want or \
-                        self.mult_vec(j, b, 0, 0) != want:
-                    raise AxiomError("unit does not act as identity",
-                                     {"axiom": "unit", "at": (j, b)})
-        # graded commutativity
-        for i in g.degrees():
-            for j in g.degrees():
-                for a in range(self.dim(i)):
-                    for b in range(self.dim(j)):
-                        lhs = self.mult_vec(i, a, j, b)
-                        rhs = self.mult_vec(j, b, i, a)
-                        sgn = F.one if (i * j) % 2 == 0 else F.neg(F.one)
-                        diff = tuple(F.sub(x, F.mul(sgn, y))
-                                     for x, y in zip(lhs, rhs))
-                        if not vec_is_zero(F, diff):
-                            raise AxiomError(
-                                "graded commutativity fails",
-                                {"axiom": "commutativity", "at": (i, a, j, b)})
-        # associativity
-        for i in g.degrees():
-            for j in g.degrees():
-                for k in g.degrees():
-                    for a in range(self.dim(i)):
-                        ua = tuple(F.one if t == a else F.zero
-                                   for t in range(self.dim(i)))
-                        for b in range(self.dim(j)):
-                            ub = tuple(F.one if t == b else F.zero
-                                       for t in range(self.dim(j)))
-                            ab = self.mult_elem(i, ua, j, ub)
-                            for c in range(self.dim(k)):
-                                uc = tuple(F.one if t == c else F.zero
-                                           for t in range(self.dim(k)))
-                                lhs = self.mult_elem(i + j, ab, k, uc)
-                                rhs = self.mult_elem(
-                                    i, ua, j + k, self.mult_elem(j, ub, k, uc))
-                                if lhs != rhs:
-                                    raise AxiomError(
-                                        "associativity fails",
-                                        {"axiom": "associativity",
-                                         "at": (i, a, j, b, k, c)})
+        check_algebra(self.table, self.gvs)
 
 
 def _shuffle_sign(S, T):
@@ -137,9 +91,21 @@ def exterior(n: int) -> Cdga:
     return Cdga(F, gvs, mult)
 
 
-# most hyperplanes an arrangement may have: its Orlik-Solomon algebra
-# can reach dimension 2**m, and normals come from outside input
-MAX_HYPERPLANES = 12
+# Bounds on the models ``cjl model`` builds, checked before anything is
+# built; sizes come from outside input.  Single runs of build plus JSON on
+# a 2-core host:
+# * MAX_PAIR_DIM bounds the basis of each side of a built-in pair (summed
+#   over degrees): the Lie side of cdga_to_pair(A, r, s) has dim A * r^2
+#   vectors, the module dim A * r * s.  At 128 the pairs took 0.5-1.2 s
+#   (exterior n = 7, r = 1 to n = 1, r = 8), at 256 3.2-4.8 s;
+# * MAX_GENERATORS: the exterior algebra on n generators has dimension
+#   2^n, and 2^7 = MAX_PAIR_DIM;
+# * MAX_HYPERPLANES: orlik_solomon took 0.3-0.8 s on 7 hyperplanes, 2.3-4.5
+#   s on 8 and 25 s on 9 (generic normals in R^2, R^3, R^4 and independent
+#   ones).
+MAX_PAIR_DIM = 128
+MAX_GENERATORS = 7
+MAX_HYPERPLANES = 7
 
 
 class Arrangement:

@@ -297,9 +297,6 @@ class Polynomial:
                 return c
         return self.ctx.field.zero
 
-    def constant_term(self):
-        return self.coeff((0,) * self.ctx.nvars)
-
     def monic(self) -> "Polynomial":
         if not self.terms:
             return self

@@ -1,0 +1,262 @@
+"""Differential tests of Artin multiplication and of the algebra-axiom
+checker, which both go through the structure-constant table of
+``cjl.dgla``.
+
+The references below are the dense routines the table replaced: a triple
+loop over the multiplication table for products, and the unit,
+commutativity and associativity loops over every basis pair and triple
+with dense products.  Products are also checked against multiplication
+of polynomials and normal forms, a route that reads no table at all.
+"""
+
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cjl.artin import MAX_ARTIN_DIM, ArtinLocalAlgebra, artin_from_json, make_artin
+from cjl.cli import run
+from cjl.dgla import pair_to_json
+from cjl.errors import AxiomError, NotLocalError
+from cjl.field import QQ, GFp
+from cjl.linalg import solve
+from cjl.models import exterior_pair
+from cjl.poly import Polynomial, RingContext
+
+FIELDS = [QQ(), GFp(2), GFp(3), GFp(7)]
+
+
+def dense_table(A):
+    n = A.dim
+    return [[A.table.get(0, i, 0, j, n) for j in range(n)] for i in range(n)]
+
+
+def reference_mul(F, table, a, b):
+    """The dense triple loop over the multiplication table."""
+    out = [F.zero] * len(a)
+    for i, x in enumerate(a):
+        if F.is_zero(x):
+            continue
+        for j, y in enumerate(b):
+            if F.is_zero(y):
+                continue
+            c = F.mul(x, y)
+            for k, t in enumerate(table[i][j]):
+                if not F.is_zero(t):
+                    out[k] = F.add(out[k], F.mul(c, t))
+    return tuple(out)
+
+
+def reference_axioms(F, table):
+    """The first failure of the unit (both sides), commutativity and
+    associativity axioms, from dense products of basis vectors, as a
+    witness with degree-0 coordinates; None when all hold."""
+    n = len(table)
+
+    def basis(i):
+        return tuple(F.one if j == i else F.zero for j in range(n))
+
+    def differ(u, v):
+        return any(not F.eq(x, y) for x, y in zip(u, v))
+
+    for j in range(n):
+        if differ(table[0][j], basis(j)) or differ(table[j][0], basis(j)):
+            return {"axiom": "unit", "at": (0, j)}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if differ(table[i][j], table[j][i]):
+                return {"axiom": "commutativity", "at": (0, i, 0, j)}
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = reference_mul(F, table, table[i][j], basis(k))
+                rhs = reference_mul(F, table, basis(i), table[j][k])
+                if differ(lhs, rhs):
+                    return {"axiom": "associativity",
+                            "at": (0, i, 0, j, 0, k)}
+    return None
+
+
+@st.composite
+def quotient_rings(draw, max_box=12):
+    """A field and k[vars]/(pure powers, extra generators without constant
+    term): always finite-dimensional and local."""
+    F = draw(st.sampled_from(FIELDS))
+    nvars = draw(st.integers(1, 2))
+    names = ("t", "s")[:nvars]
+    ctx = RingContext(F, names)
+    powers = draw(st.lists(st.integers(2, 4), min_size=nvars, max_size=nvars)
+                  .filter(lambda ps: ps[0] * (ps[1] if len(ps) > 1 else 1) <= max_box))
+    gens = [ctx.var(i) ** e for i, e in enumerate(powers)]
+    for _ in range(draw(st.integers(0, 2))):
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            mono = tuple(draw(st.integers(0, 3)) for _ in names)
+            if any(mono):
+                terms[mono] = F.from_int(draw(st.integers(-3, 3)))
+        gens.append(ctx.from_dict(terms))
+    return ctx, make_artin(ctx, gens)
+
+
+def elements(A):
+    F = A.field
+    return st.lists(st.integers(-4, 4).map(F.from_int), min_size=A.dim,
+                    max_size=A.dim).map(tuple)
+
+
+def to_poly(A, ctx, a):
+    """The element with coordinates ``a`` as a polynomial in the standard
+    monomials of ``make_artin``."""
+    return Polynomial(ctx.base(), tuple(
+        (m, c) for m, c in sorted(zip(A.monomials, a), key=lambda mc: ctx.key(mc[0]),
+                                  reverse=True) if not A.field.is_zero(c)))
+
+
+def combine(A, coeffs, vecs):
+    out = A.zero()
+    for c, v in zip(coeffs, vecs):
+        out = A.add(out, A.scale(v, c))
+    return out
+
+
+def rebased(A, shear):
+    """The explicit table of A on the basis 1, b_i + sum_{k>i} c_ik b_k:
+    the same algebra, presented without monomials."""
+    F = A.field
+    n = A.dim
+    new = [A.basis(0)] + [
+        tuple(F.one if k == i else (F.from_int(shear[(i, k)]) if k > i else F.zero)
+              for k in range(n)) for i in range(1, n)]
+    cols = tuple(tuple(v[r] for v in new) for r in range(n))
+
+    def coords(v):
+        return solve(F, cols, v, n)
+
+    return [[coords(A.mul(x, y)) for y in new] for x in new], new, coords
+
+
+@settings(max_examples=60, deadline=None)
+@given(quotient_rings().flatmap(lambda cA: st.tuples(
+    st.just(cA), st.lists(st.tuples(elements(cA[1]), elements(cA[1])),
+                          min_size=1, max_size=6))))
+def test_mul_matches_polynomial_product_and_dense_loop(drawn):
+    (ctx, A), pairs = drawn
+    F = A.field
+    table = dense_table(A)
+    for a, b in pairs:
+        got = A.mul(a, b)
+        assert got == reference_mul(F, table, a, b)
+        assert got == A.poly_to_vec(to_poly(A, ctx, a) * to_poly(A, ctx, b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(quotient_rings(max_box=8).flatmap(lambda cA: st.tuples(
+    st.just(cA),
+    st.dictionaries(st.tuples(st.integers(1, 8), st.integers(1, 8)),
+                    st.integers(-2, 2)),
+    st.lists(st.tuples(elements(cA[1]), elements(cA[1])), min_size=1, max_size=4))))
+def test_mul_on_explicit_tables_matches_dense_loop(drawn):
+    (_, A), shear, pairs = drawn
+    F = A.field
+    table, new, coords = rebased(A, {(i, k): shear.get((i, k), 0)
+                                     for i in range(A.dim) for k in range(A.dim)})
+    B = ArtinLocalAlgebra(F, A.labels, table)
+    assert B.nilpotency_index == A.nilpotency_index
+    for a, b in pairs:
+        got = B.mul(a, b)
+        assert got == reference_mul(F, table, a, b)
+        # the same product computed in A, through the change of basis
+        assert got == coords(A.mul(combine(A, a, new), combine(A, b, new)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(quotient_rings(max_box=8).flatmap(lambda cA: st.tuples(
+    st.just(cA[1]), st.booleans(), st.booleans(),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5),
+                       st.sampled_from([-2, -1, 1, 2])), min_size=1, max_size=2))))
+def test_axiom_checker_matches_dense_loops(drawn):
+    """Perturbed tables; edits off the unit's row and column, made on both
+    orientations, leave only associativity (and nilpotency) to fail."""
+    A, off_unit, symmetric, edits = drawn
+    F = A.field
+    n = A.dim
+    table = [list(row) for row in dense_table(A)]
+    for i, j, k, c in edits:
+        if off_unit and n > 1:
+            i, j = 1 + i % (n - 1), 1 + j % (n - 1)
+        i, j, k = i % n, j % n, k % n
+        for p, q in {(i, j), (j, i)} if symmetric else {(i, j)}:
+            v = list(table[p][q])
+            v[k] = F.add(v[k], F.from_int(c))
+            table[p][q] = tuple(v)
+    want = reference_axioms(F, table)
+    try:
+        ArtinLocalAlgebra(F, A.labels, table)
+    except AxiomError as exc:
+        assert exc.witness == want
+    except NotLocalError:
+        assert want is None
+    else:
+        assert want is None
+
+
+def test_dense_loops_accept_a_valid_ring():
+    for F in FIELDS:
+        ctx = RingContext(F, ("t", "s"))
+        t, s = ctx.gens()
+        A = make_artin(ctx, [t**3, s**2])
+        assert reference_axioms(F, dense_table(A)) is None
+
+
+def test_ring_at_the_dimension_cap_builds():
+    doc = {"ring": {"field": "Q", "vars": ["t", "s"], "order": "degrevlex",
+                    "quotient": ["t^8", "s^4"]}}
+    A = artin_from_json(doc)
+    assert A.dim == MAX_ARTIN_DIM == 32
+    assert A.nilpotency_index == 7 + 3 + 1
+    table = dense_table(A)
+    x = tuple(A.field.from_int((3 * k) % 7 - 3) for k in range(A.dim))
+    y = tuple(A.field.from_int((5 * k) % 11 - 5) for k in range(A.dim))
+    assert A.mul(x, y) == reference_mul(A.field, table, x, y)
+
+
+# ---------------------------------------------------------------------------
+# exit-2 witnesses of explicit tables given to --artin
+# ---------------------------------------------------------------------------
+
+def _table(rows):
+    return {"field": "Q", "labels": ["1", "x", "y"][:len(rows)], "mult": rows}
+
+
+ONE, X, Y, ZERO = [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]
+WITNESSES = [
+    # 1 * x = 0
+    (_table([[ONE, ZERO, Y], [X, ZERO, ZERO], [Y, ZERO, ZERO]]),
+     {"error": "unit does not act as identity (at --artin)",
+      "witness": {"axiom": "unit", "at": [0, 1]}}),
+    # y * x = x but x * y = 0
+    (_table([[ONE, X, Y], [X, ZERO, ZERO], [Y, X, ZERO]]),
+     {"error": "graded commutativity fails (at --artin)",
+      "witness": {"axiom": "commutativity", "at": [0, 1, 0, 2]}}),
+    # x * y = y * x = x, everything else in m squares to 0: (xy)y = x, x(yy) = 0
+    (_table([[ONE, X, Y], [X, ZERO, X], [Y, X, ZERO]]),
+     {"error": "associativity fails (at --artin)",
+      "witness": {"axiom": "associativity", "at": [0, 1, 0, 2, 0, 2]}}),
+    # x * x = x: an idempotent, so the algebra is not local
+    ({"field": "Q", "labels": ["1", "x"], "mult": [[[1, 0], [0, 1]], [[0, 1], [0, 1]]]},
+     {"error": "basis element 'x' is not nilpotent, so the algebra is not local "
+               "with this basis (at --artin)", "path": "--artin"}),
+]
+
+
+@pytest.mark.parametrize("doc, want", WITNESSES)
+def test_artin_table_exit_2_witness(tmp_path, capsys, doc, want):
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps(pair_to_json(exterior_pair(2))))
+    artin = tmp_path / "artin.json"
+    artin.write_text(json.dumps(doc))
+    code = run(["mc", "--pair", str(pair), "--artin", str(artin),
+                "--omega", str(tmp_path / "unread.json")])
+    cap = capsys.readouterr()
+    assert code == 2 and cap.out == ""
+    assert json.loads(cap.err) == want

@@ -4,10 +4,12 @@ pipes, and byte determinism."""
 import io
 import itertools
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -17,7 +19,8 @@ from cjl.dgla import MAX_DIM, _gvs_from_json, pair_from_json, pair_to_json
 from cjl.errors import InternalCheckError, ValidationError
 from cjl.field import QQ
 from cjl.geometry import analyze
-from cjl.models import Arrangement, os_pair
+from cjl.models import (MAX_GENERATORS, MAX_HYPERPLANES, MAX_PAIR_DIM, Arrangement,
+                        os_pair)
 from cjl.poly import RingContext, format_poly
 
 CX_LINE = {
@@ -182,6 +185,49 @@ def test_model_output_reloads_as_pair(capsys):
     assert code == 0
     P = pair_from_json(json.loads(out))
     assert canonical(pair_to_json(P)) + "\n" == out
+
+
+# built-in pairs have even dimension (2^n, 2g + 2, and an Orlik-Solomon
+# algebra's Poincare polynomial has the factor 1 + t), so MAX_PAIR_DIM + 2
+# is the smallest dimension above the cap
+HALF = MAX_PAIR_DIM // 2
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["exterior", "--n", str(MAX_GENERATORS + 1)], "--n"),
+    (["glr", "--n", str(MAX_GENERATORS + 1), "--r", "1"], "--n"),
+    (["exterior", "--n", str(10**12)], "--n"),
+    (["exterior", "--n", "0"], "--n"),
+    (["exterior", "--n", "1", "--r", str(math.isqrt(HALF) + 1)], "--r"),
+    (["exterior", "--n", "2", "--r", "0"], "--r"),
+    (["glr", "--n", "1", "--r", "1", "--s", str(HALF + 1)], "--s"),
+    (["glr", "--n", "1", "--r", "2", "--s", str(10**12)], "--s"),
+    (["surface", "--g", str(HALF)], "--g"),
+    (["surface", "--g", "0"], "--g"),
+    (["os", "--normals", "arrangement"], "--normals/normals"),
+])
+def test_model_size_is_refused_before_it_is_built(tmp_path, capsys, argv, path):
+    normals = {"normals": [[1, k] for k in range(MAX_HYPERPLANES + 1)]}
+    argv = [_write(tmp_path, "arr.json", normals) if a == "arrangement" else a
+            for a in argv]
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["model"] + argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert json.loads(err)["path"] == path
+
+
+@pytest.mark.parametrize("argv", [
+    ["glr", "--n", "1", "--r", "1", "--s", str(HALF)],
+    ["surface", "--g", str(HALF - 1)],
+])
+def test_model_at_the_size_cap_is_built(capsys, argv):
+    code, out, _ = _run(capsys, ["model"] + argv)
+    assert code == 0
+    obj = json.loads(out)
+    dims = obj["lie"]["dims"] + obj["module"]["dims"]
+    assert max(sum(obj["lie"]["dims"]), sum(obj["module"]["dims"])) == MAX_PAIR_DIM
+    assert max(dims) <= MAX_PAIR_DIM <= MAX_DIM
 
 
 def test_reruns_are_byte_identical(tmp_path, capsys):

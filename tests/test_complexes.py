@@ -84,7 +84,7 @@ def _artin_entry(A, rng):
     c = [rng.randint(-2, 2) if k or rng.below(4) == 0 else 0 for k in range(A.dim)]
     out = A.zero()
     for k, ck in enumerate(c):
-        out = A.add(out, A.mul(A.from_scalar(A.field.from_int(ck)), A.basis(k)))
+        out = A.add(out, A.scale(A.basis(k), A.field.from_int(ck)))
     return out
 
 

@@ -175,7 +175,7 @@ def test_cohomology_zero_differential_is_copy():
     for a in range(4):
         for b in range(4):
             assert H.lie.bracket_vec(0, a, 0, b) == C.bracket_vec(0, a, 0, b)
-            assert H.action_vec(0, a, 0, b) == P.action_vec(0, a, 0, b)
+            assert H.action.get(0, a, 0, b, 4) == P.action.get(0, a, 0, b, 4)
 
 
 def test_cohomology_betti_match_rank_nullity():
@@ -275,7 +275,7 @@ def test_json_round_trip():
     for key, vec in P.lie.bracket.entries.items():
         assert Q.lie.bracket_vec(*key) == vec
     for key, vec in P.action.entries.items():
-        assert Q.action_vec(*key) == vec
+        assert Q.action.find(*key) == vec
 
 
 def test_json_rejects_bad_entries():

@@ -277,7 +277,7 @@ def test_aomoto_zero_connection_is_module_differential():
         got = E.diff(j)
         for r, row in enumerate(got):
             for c, x in enumerate(row):
-                assert A.eq(x, A.from_scalar(want[r][c]))
+                assert A.eq(x, A.scale(A.one(), want[r][c]))
 
 
 def test_aomoto_rejects_non_flat():

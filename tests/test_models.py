@@ -34,7 +34,7 @@ def test_exterior_pair_matches_wedge_action():
     # abelian at rank one
     assert P.lie.bracket.entries == {}
     # e2 . e1 = -e1e2
-    assert P.action_vec(1, 1, 1, 0) == (F.neg(F.one),)
+    assert P.action.find(1, 1, 1, 0) == (F.neg(F.one),)
 
 
 def test_exterior_rejects_bad_n():
@@ -183,9 +183,9 @@ def test_surface_genus_one_is_torus():
     T = exterior_pair(2)
     assert S.lie.gvs.dims == T.lie.gvs.dims
     for key, vec in T.action.entries.items():
-        assert S.action_vec(*key) == vec
+        assert S.action.find(*key) == vec
     for key, vec in S.action.entries.items():
-        assert T.action_vec(*key) == vec
+        assert T.action.find(*key) == vec
 
 
 def test_surface_pair_valid():

@@ -20,7 +20,7 @@ def test_parse_format_roundtrip_examples():
     assert format_poly(f) == s
     assert f.coeff((2, 1, 0)) == Fraction(3, 2)
     assert f.coeff((0, 0, 1)) == Fraction(-1)
-    assert f.constant_term() == 1
+    assert f.coeff((0, 0, 0)) == 1
 
 
 def test_parse_rejects_garbage():

@@ -311,8 +311,8 @@ def flat_connections(P, A, rng, count):
     vanishes (then only d omega = 0 is needed)."""
     C = P.lie
     n = C.dim(1)
-    square_zero = all(not any(A.mul(x, y)) for x in A.max_ideal_basis()
-                      for y in A.max_ideal_basis())
+    m = [A.basis(i) for i in range(1, A.dim)]
+    square_zero = all(not any(A.mul(x, y)) for x in m for y in m)
 
     def elem():
         return tuple([F.zero] + [F.from_int(rng.randint(-2, 2))
