@@ -10,16 +10,22 @@ of the two-block matrix ``d(i-1) (+) d(i)`` at size ``rank(i) - k + 1``.
 Its vanishing locus is where the degree-``i`` cohomology of the fiber has
 dimension at least ``k``; the conventions for out-of-range sizes (unit
 ideal at size <= 0, zero ideal past the shape) make that statement true
-verbatim at the edges of the window.
+verbatim at the edges of the window.  It is computed block by block, as
+sum_a I_a(d(i-1)) * I_{r-a}(d(i)) (Bruns-Vetter, *Determinantal Rings*,
+LNM 1327), never from the assembled matrix.  Minor enumeration is held to
+the step budget of :mod:`cjl.groebner` (``CJL_STEP_BUDGET``).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Sequence
 
 from .artin import ArtinLocalAlgebra
-from .errors import InternalCheckError, RingMismatchError, ValidationError
+from .errors import (InternalCheckError, ResourceLimitError, RingMismatchError,
+                     ValidationError)
+from .groebner import step_budget
 from .linalg import rank as field_rank
 
 
@@ -116,8 +122,20 @@ def _minor(ring, mat, rows: tuple, cols: tuple, cache: dict):
     return total
 
 
+def _within_budget(count: int, what: str):
+    limit = step_budget()
+    if count > limit:
+        raise ResourceLimitError(f"{count} {what}", limit)
+
+
 def matrix_minors(ring, mat, r: int, nrows: int, ncols: int) -> list:
-    """All r x r minors in row-major lexicographic order of index sets."""
+    """All r x r minors in row-major lexicographic order of index sets.
+
+    Refused with :class:`ResourceLimitError` before any minor is expanded
+    when the number of index pairs, C(nrows, r) * C(ncols, r), exceeds the
+    step budget (:func:`cjl.groebner.step_budget`)."""
+    _within_budget(math.comb(nrows, r) * math.comb(ncols, r),
+                   f"index pairs of {r} x {r} minors")
     cache: dict = {}
     out = []
     for rows in itertools.combinations(range(nrows), r):
@@ -141,19 +159,41 @@ def determinantal_ideal(ring, mat, r: int, nrows: int | None = None,
     return ring.ideal(matrix_minors(ring, mat, r, nrows, ncols))
 
 
-def block_diag(ring, A, B, ra: int, ca: int, rb: int, cb: int):
-    z = ring.zero()
-    top = tuple(tuple(A[i]) + (z,) * cb for i in range(ra))
-    bot = tuple((z,) * ca + tuple(B[i]) for i in range(rb))
-    return top + bot
+def _in_max_ideal(ring, mat) -> bool:
+    return all(ring.in_max_ideal(a) for row in mat for a in row)
 
 
 def block_diag_determinantal(ring, A, B, r: int, ra: int, ca: int,
                              rb: int, cb: int):
-    """Ideal of the r x r minors of the block-diagonal matrix A (+) B,
-    taken from the assembled matrix."""
-    return determinantal_ideal(ring, block_diag(ring, A, B, ra, ca, rb, cb),
-                               r, ra + rb, ca + cb)
+    """Ideal of the r x r minors of the block-diagonal matrix A (+) B.
+
+    A minor of A (+) B that takes a rows from A is zero unless it takes a
+    columns from A too, and then it is the a x a minor of A times the
+    (r-a) x (r-a) minor of B: the generators are those products over the
+    nonzero minors of each block, split by split (a = 0, 1, ...).  Over an
+    Artin ring the s x s minors of a block with every entry in the maximal
+    ideal m lie in m^s, so a split whose products lie in m^s = 0 is skipped
+    unexpanded.  A split's count of products is held to the step budget
+    like a block's count of index pairs (:func:`matrix_minors`).
+    """
+    if r <= 0:
+        return ring.unit_ideal()
+    nilp = None
+    if isinstance(ring, ArtinLocalAlgebra):
+        nilp = ring.nilpotency_index
+        a_in_m, b_in_m = _in_max_ideal(ring, A), _in_max_ideal(ring, B)
+    gens = []
+    for a in range(max(0, r - min(rb, cb)), min(r, ra, ca) + 1):
+        b = r - a
+        if nilp is not None and a_in_m * a + b_in_m * b >= nilp:
+            continue
+        ma = [m for m in matrix_minors(ring, A, a, ra, ca) if not ring.is_zero(m)]
+        if not ma:
+            continue
+        mb = [m for m in matrix_minors(ring, B, b, rb, cb) if not ring.is_zero(m)]
+        _within_budget(len(ma) * len(mb), "products of block minors")
+        gens.extend(ring.mul(x, y) for x in ma for y in mb)
+    return ring.ideal(gens)
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +204,12 @@ def jump_ideal(E: FreeComplex, i: int, k: int):
     """Jump ideal in degree ``i`` at level ``k >= 1``.
 
     Over an Artin ring the complex is minimized first (the ideal is
-    invariant under that, and the matrices shrink); over a polynomial
-    context the minors are taken as-is and the ideal is represented by
-    its full preimage upstairs when the context is a quotient.
+    invariant under that, and the matrices shrink).  Every entry of the
+    minimal complex lies in the maximal ideal m, so at a size ``r`` at or
+    above the nilpotency index the ideal is zero and no minor is expanded.
+    Over a polynomial context the minors are taken as-is and the ideal is
+    represented by its full preimage upstairs when the context is a
+    quotient.
     """
     if k < 1:
         raise ValidationError(f"jump level must be >= 1, got {k}")

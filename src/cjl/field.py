@@ -74,14 +74,13 @@ class QQ:
         """Parse ``"3"``, ``"-3"`` or ``"3/2"`` (reduced on the way in)."""
         s = s.strip()
         try:
-            if "/" in s:
-                num, den = s.split("/")
-                f = Fraction(int(num), int(den))
-            else:
-                f = Fraction(int(s))
-        except (ValueError, ZeroDivisionError) as e:
+            num, slash, den = s.partition("/")
+            num, den = int(num), int(den) if slash else 1
+        except ValueError as e:
             raise ValidationError(f"bad rational literal {s!r}: {e}")
-        return f
+        if den == 0:
+            raise ValidationError(f"bad rational literal {s!r}: zero denominator")
+        return Fraction(num, den)
 
     @staticmethod
     def format(a) -> str:
@@ -155,12 +154,13 @@ class GFp:
     def parse(self, s: str):
         s = s.strip()
         try:
-            if "/" in s:
-                num, den = s.split("/")
-                return self.div(int(num) % self.p, int(den) % self.p)
-            return int(s) % self.p
-        except (ValueError, ZeroDivisionError) as e:
+            num, slash, den = s.partition("/")
+            num, den = int(num) % self.p, int(den) % self.p if slash else 1
+        except ValueError as e:
             raise ValidationError(f"bad F{self.p} literal {s!r}: {e}")
+        if den == 0:
+            raise ValidationError(f"bad F{self.p} literal {s!r}: zero denominator")
+        return self.div(num, den) if slash else num
 
     def format(self, a) -> str:
         return str(a % self.p)

@@ -15,7 +15,10 @@ Step budget: each S-pair taken from the queue, among the interreduced rows
 and the elements added to them, counts as one step.  When the count would
 exceed the budget — the ``CJL_STEP_BUDGET`` environment variable, or
 200000 by default — :class:`ResourceLimitError` is raised rather than
-grinding on.
+grinding on.  The same budget bounds minor enumeration in
+:mod:`cjl.complexes`: a block whose r x r minors have more index pairs,
+or a split of a block-diagonal matrix with more products of nonzero block
+minors, is refused before any of them is computed.
 
 Example:
     >>> ctx = RingContext(QQ(), ("x", "y"))

@@ -72,11 +72,11 @@ class _P:
             num = int(val)
             if self.peek() == ("op", "/"):
                 self.take()
-                den = self.parse_int()
-                if den == 0:
-                    self.fail("zero denominator")
                 F = self.ctx.field
-                c = F.div(F.from_int(num), F.from_int(den))
+                den = F.from_int(self.parse_int())
+                if F.is_zero(den):
+                    self.fail("zero denominator")
+                c = F.div(F.from_int(num), den)
                 return self.ctx.constant(c)
             return self.ctx.from_int(num)
         if kind == "name":

@@ -106,6 +106,30 @@ def test_mc_jump_flag(tmp_path, capsys, monkeypatch):
     assert out == '{"jump_vanishes":true,"mc":true}\n'
 
 
+# A flat omega on glr (the 2-torus CDGA with r = s = 2) over Q[t]/(t^3):
+# e1 (x) aX, e2 (x) (bX + cI) for a, b, c in m and X = (9, 17, -32, -31)
+# (coordinates on t, t^2; seeded).  [aX, bX + cI] = 0, so omega is flat.
+GLR_FLAT_OMEGA = [["126", "288"], ["238", "544"], ["-448", "-1024"], ["-434", "-992"],
+                  ["-196", "336"], ["-425", "663"], ["800", "-1248"], ["804", "-1224"]]
+
+
+def test_glr_twisted_jump_verdicts(tmp_path, capsys, monkeypatch):
+    """mc --jump 1 K on glr over Q[t]/(t^3), pinned from the assembled-matrix
+    route.  The degree-1 rank is 8, so K <= 6 asks for minors of size
+    9 - K >= 3 = the nilpotency index: they vanish without expansion."""
+    art = _write(tmp_path, "t3.json", {"ring": {"field": "Q", "vars": ["t"],
+                                                "order": "degrevlex", "quotient": ["t^3"]}})
+    om = _write(tmp_path, "om.json", GLR_FLAT_OMEGA)
+    _, pair_text, _ = _run(capsys, ["model", "glr", "--n", "2", "--r", "2"])
+    for K, vanishes in enumerate([True] * 6 + [False] * 2, start=1):
+        start = time.perf_counter()
+        code, out, _ = _run(capsys, ["mc", "--artin", art, "--omega", om,
+                                     "--jump", "1", str(K)],
+                            stdin_text=pair_text, monkeypatch=monkeypatch)
+        assert code == 0 and json.loads(out) == {"jump_vanishes": vanishes, "mc": True}, K
+        assert time.perf_counter() - start < 5.0, K
+
+
 def test_mc_reports_defect(tmp_path, capsys):
     # Heisenberg: z | e1,e2 | f with [e1,e2] = f, acting on nothing.
     # omega = (e1 + e2) t over Q[t]/(t^3) has defect (1/2)[w,w] = f t^2.

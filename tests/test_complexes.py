@@ -1,14 +1,17 @@
-import itertools
+import json
+import time
 
 import pytest
 
+from cjl import complexes
 from cjl.artin import ArtinMap, make_artin
+from cjl.cli import run
 from cjl.complexes import (FreeComplex, base_change, block_diag_determinantal,
                            determinantal_ideal, fiber_cohomology_rank,
                            jump_ideal, minimize_complex)
-from cjl.errors import ValidationError
+from cjl.errors import ResourceLimitError, ValidationError
 from cjl.field import QQ
-from cjl.groebner import Ideal
+from cjl.groebner import DEFAULT_BUDGET, Ideal
 from cjl.parse import parse_poly
 from cjl.poly import RingContext, format_poly
 from cjl.rng import Rng
@@ -73,6 +76,14 @@ def convolution_ideal(ring, A, B, r, ra, ca, rb, cb):
     return out
 
 
+def assembled_ideal(ring, A, B, r, ra, ca, rb, cb):
+    """Oracle: the r x r minors of the assembled matrix [[A, 0], [0, B]]."""
+    z = ring.zero()
+    top = tuple(tuple(A[i]) + (z,) * cb for i in range(ra))
+    bot = tuple((z,) * ca + tuple(B[i]) for i in range(rb))
+    return determinantal_ideal(ring, top + bot, r, ra + rb, ca + cb)
+
+
 def _linear_entry(ring, rng):
     x, y = ring.gens()
     return (ring.from_int(rng.randint(-2, 2)) * x
@@ -88,29 +99,134 @@ def _artin_entry(A, rng):
     return out
 
 
-def _convolution_rings():
+def _max_ideal_entry(A, rng):
+    # every entry in m: the sizes at and above the nilpotency index vanish
+    out = _artin_entry(A, rng)
+    return A.sub(out, A.scale(A.one(), out[0]))
+
+
+def _artin(names, quotient):
+    ctx = RingContext(QQ(), names)
+    return make_artin(ctx, [parse_poly(ctx, q) for q in quotient])
+
+
+def _convolution_cases():
     ctx = RingContext(QQ(), ("x", "y"))
     x, y = ctx.gens()
     qctx = RingContext(QQ(), ("x", "y"), quotient=[x * y, y ** 3])
-    tctx = RingContext(QQ(), ("t",))
-    t, = tctx.gens()
-    A = make_artin(tctx, [t ** 3])
-    return [pytest.param(ctx, _linear_entry, id="poly"),
-            pytest.param(qctx, _linear_entry, id="quotient"),
-            pytest.param(A, _artin_entry, id="artin")]
+    t3 = _artin(("t",), ["t^3"])
+    t3s2 = _artin(("t", "s"), ["t^3", "s^2"])
+    return [pytest.param(ctx, _linear_entry, _linear_entry, id="poly"),
+            pytest.param(qctx, _linear_entry, _linear_entry, id="quotient"),
+            pytest.param(t3, _artin_entry, _artin_entry, id="artin"),
+            pytest.param(t3, _max_ideal_entry, _max_ideal_entry, id="t3-in-m"),
+            pytest.param(t3, _max_ideal_entry, _artin_entry, id="t3-units-in-B"),
+            pytest.param(t3s2, _max_ideal_entry, _max_ideal_entry, id="t3s2-in-m"),
+            pytest.param(t3s2, _artin_entry, _max_ideal_entry, id="t3s2-units-in-A"),
+            pytest.param(t3s2, _artin_entry, _artin_entry, id="t3s2-units")]
 
 
-@pytest.mark.parametrize("ring,entry", _convolution_rings())
+@pytest.mark.parametrize("ring,entry_a,entry_b", _convolution_cases())
 @pytest.mark.parametrize("seed", range(3))
-def test_block_diag_matches_convolution(ring, entry, seed):
+def test_block_diag_matches_convolution(ring, entry_a, entry_b, seed):
+    """Production against both oracles, every size from 0 to past the shape
+    (over the Artin rings that includes every size at and above the
+    nilpotency index: 3 for k[t]/(t^3), 4 for k[t,s]/(t^3,s^2))."""
     rng = Rng(seed)
-    for ra, ca, rb, cb in ((1, 2, 2, 1), (2, 1, 1, 2), (2, 2, 1, 2), (2, 2, 2, 2)):
-        A = tuple(tuple(entry(ring, rng) for _ in range(ca)) for _ in range(ra))
-        B = tuple(tuple(entry(ring, rng) for _ in range(cb)) for _ in range(rb))
+    for ra, ca, rb, cb in ((1, 2, 2, 1), (2, 1, 1, 2), (2, 2, 1, 2), (2, 2, 2, 2),
+                           (3, 2, 2, 3)):
+        A = tuple(tuple(entry_a(ring, rng) for _ in range(ca)) for _ in range(ra))
+        B = tuple(tuple(entry_b(ring, rng) for _ in range(cb)) for _ in range(rb))
         for r in range(min(ra + rb, ca + cb) + 2):
             direct = block_diag_determinantal(ring, A, B, r, ra, ca, rb, cb)
-            assert direct.equals(convolution_ideal(ring, A, B, r, ra, ca, rb, cb)), \
-                ((ra, ca, rb, cb), r)
+            case = ((ra, ca, rb, cb), r)
+            assert direct.equals(convolution_ideal(ring, A, B, r, ra, ca, rb, cb)), case
+            assert direct.equals(assembled_ideal(ring, A, B, r, ra, ca, rb, cb)), case
+
+
+def _count_minor_calls(monkeypatch):
+    calls = []
+    real = complexes.matrix_minors
+
+    def counted(ring, mat, r, nrows, ncols):
+        calls.append((r, nrows, ncols))
+        return real(ring, mat, r, nrows, ncols)
+
+    monkeypatch.setattr(complexes, "matrix_minors", counted)
+    return calls
+
+
+def test_jump_at_nilpotency_index_expands_no_minor(monkeypatch):
+    """After minimization every entry lies in m, so at a size r at or above
+    the nilpotency index the jump ideal is zero without any expansion."""
+    calls = _count_minor_calls(monkeypatch)
+    for A in (_artin(("t",), ["t^3"]), _artin(("t", "s"), ["t^3", "s^2"])):
+        rng = Rng(A.dim)
+        z = A.zero()
+        d = tuple(tuple(_max_ideal_entry(A, rng) for _ in range(4)) for _ in range(4))
+        # d (+) 1: a unit summand that minimization splits off
+        E = FreeComplex(A, 0, 1, (5, 5),
+                        (tuple(row + (z,) for row in d) + ((z,) * 4 + (A.one(),),),))
+        M = minimize_complex(E)
+        assert M.ranks == (4, 4)
+        for i in (0, 1):
+            for k in range(1, M.rank(i) - A.nilpotency_index + 2):
+                calls.clear()
+                J = jump_ideal(E, i, k)
+                assert calls == [] and J.is_zero(), (A, i, k)
+                r = M.rank(i) - k + 1
+                assert assembled_ideal(A, M.diff(i - 1), M.diff(i), r, M.rank(i),
+                                       M.rank(i - 1), M.rank(i + 1), M.rank(i)).is_zero()
+
+
+def test_nilpotency_shortcut_needs_every_entry_in_m(monkeypatch):
+    """A block holding a unit is expanded at every size: 1_2 (+) (t) over
+    k[t]/(t^3) has the nonzero 3 x 3 minor t, and 3 is the nilpotency index."""
+    A = _artin(("t",), ["t^3"])
+    one, z, t = A.one(), A.zero(), A.basis(1)
+    calls = _count_minor_calls(monkeypatch)
+    J = block_diag_determinantal(A, ((one, z), (z, one)), ((t,),), 3, 2, 2, 1, 1)
+    assert calls and J.equals(A.ideal([t]))
+
+
+def test_minor_budget_refuses_before_expanding(tmp_path, capsys, monkeypatch):
+    """jump --i 0 --k 7 on a 14 x 14 matrix of distinct variables needs the
+    C(14, 8)^2 = 9 018 009 minors of size 8: exit 3 at once."""
+    monkeypatch.delenv("CJL_STEP_BUDGET", raising=False)
+    names = [f"x{j}" for j in range(196)]
+    cx = tmp_path / "cx.json"
+    cx.write_text(json.dumps({
+        "ring": {"field": "Q", "vars": names, "order": "degrevlex"},
+        "lo": 0, "ranks": [14, 14],
+        "diffs": [[names[14 * r:14 * r + 14] for r in range(14)]]}))
+    real = complexes._minor
+
+    def empty_only(ring, mat, rows, cols, cache):
+        # the 14 x 0 block has one minor, the empty one; without the budget
+        # the 8 x 8 minors of the 14 x 14 block would be expanded here
+        assert not rows, "a minor was expanded"
+        return real(ring, mat, rows, cols, cache)
+
+    monkeypatch.setattr(complexes, "_minor", empty_only)
+    start = time.perf_counter()
+    code = run(["jump", "--complex", str(cx), "--i", "0", "--k", "7"])
+    assert time.perf_counter() - start < 2.0
+    err = json.loads(capsys.readouterr().err)
+    assert code == 3 and err["budget"] == DEFAULT_BUDGET
+    assert err["error"].startswith("9018009 index pairs of 8 x 8 minors")
+
+
+def test_minor_budget_counts_products_of_block_minors(monkeypatch):
+    # (x y) (+) (z w)^T at size 2: blocks of 2 index pairs each, 4 products
+    ctx = RingContext(QQ(), ("x", "y", "z", "w"))
+    x, y, z, w = ctx.gens()
+    A, B = ((x, y),), ((z,), (w,))
+    monkeypatch.setenv("CJL_STEP_BUDGET", "4")
+    I = block_diag_determinantal(ctx, A, B, 2, 1, 2, 2, 1)
+    assert [format_poly(g) for g in I.gens] == ["x*z", "x*w", "y*z", "y*w"]
+    monkeypatch.setenv("CJL_STEP_BUDGET", "3")
+    with pytest.raises(ResourceLimitError, match="4 products"):
+        block_diag_determinantal(ctx, A, B, 2, 1, 2, 2, 1)
 
 
 def two_term(ctx, f):

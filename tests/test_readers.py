@@ -105,6 +105,26 @@ def test_bad_value_is_exit_2_at_its_path(files, kind, doc, keys, bad, path):
     assert code == 2 and err["path"] == path
 
 
+CX_LINE_F5 = dict(CX_LINE, ring=dict(CX_LINE["ring"], field="Fp", p=5))
+
+
+@pytest.mark.parametrize("kind, doc, keys, bad, path", [
+    ("tensor", OMEGA, (0, 0), "1/0", "--omega/0/0"),
+    ("artin", dict(T3_TABLE, field="Fp", p=5), ("mult", 1, 1, 2), "1/5", "--artin/mult/1/1/2"),
+    ("artin", dict(T3_TABLE, field="Fp", p=5), ("mult", 1, 1, 2), "-2/10", "--artin/mult/1/1/2"),
+    ("complex", CX_LINE, ("diffs", 0, 0, 0), "1/0*x0", "--complex/diffs/0/0/0"),
+    ("complex", CX_LINE_F5, ("diffs", 0, 0, 0), "1/5*x0", "--complex/diffs/0/0/0"),
+])
+def test_zero_denominator_is_exit_2_at_its_path(files, kind, doc, keys, bad, path):
+    """A denominator that is zero in the field (0 over Q, a multiple of p
+    over F_p) is reported as such, in scalars and in polynomial literals."""
+    assert run_cli(_argv(kind, files("valid.json", doc), files))[0] == 0
+    code, err = run_cli(_argv(kind, files("bad.json", _replace(doc, keys, bad)), files))
+    assert code == 2 and err["path"] == path
+    assert err["error"].startswith("zero denominator") \
+        or f"{bad!r}: zero denominator" in err["error"], err
+
+
 @pytest.mark.parametrize("doc, path", [
     ({"ring": dict(T3["ring"], quotient=[f"t^{MAX_ARTIN_DIM + 1}"])}, "--artin/ring/quotient"),
     ({"ring": dict(T3["ring"], quotient=["t^1000000"])}, "--artin/ring/quotient"),
