@@ -140,14 +140,6 @@ class _Geometry:
 # ranks and threshold
 # ---------------------------------------------------------------------------
 
-def generic_ranks(P):
-    """Cohomology dimensions and generic differential ranks of the
-    universal complex, as two equal-length tuples indexed from the
-    lowest module degree.  The top entry of the second tuple is 0."""
-    g = _Geometry(P)
-    return g.b, g.beta
-
-
 def exactness_threshold(P) -> int:
     """First absolute degree where the universal complex stops being
     exact.
@@ -273,7 +265,8 @@ def schur_nonnegativity(cs: ChernSeries, q: int) -> list:
 
     Entries use the standard determinant ``det(c_{lam_t + j - t})`` over
     the partition's rows; indices below zero read as 0, and the series
-    must be truncated no lower than weight ``q - 1``."""
+    must be truncated no lower than weight ``q - 1``.  Claim family
+    ``9.1l``; it can fail (a negative determinant)."""
     if q - 1 >= len(cs.coeffs):
         raise ValidationError(
             f"series truncated at {len(cs.coeffs) - 1}, need {q - 1}")
@@ -307,7 +300,8 @@ def binomial_bound(b, beta, a: int, free_coefficients: bool,
     non-free syzygy module) fails exactly at the bottom of a minimal
     linear window: the image of the first map is free there.  So the
     rank claims start at the degree above the bottom, and degrees with
-    no cohomology are skipped as vacuous."""
+    no cohomology are skipped as vacuous.  Claim family ``9.1k``; both
+    bounds can fail."""
     out = []
     for i in range(min(a, len(b))):
         if free_coefficients:
@@ -342,7 +336,9 @@ def _inclusions(g: _Geometry) -> list:
 
     Consecutive degrees nest upward (claim family ``9.1c``); two degrees
     below the threshold the level-1 locus sits inside the next degree's
-    level-2 locus (family ``9.1j``)."""
+    level-2 locus (family ``9.1j``).  Both compare jump ideals of
+    different degrees, which no construction relates, so both can fail;
+    they are decided by radical membership."""
     a_pos = g.threshold_pos()
     out = []
     for pos in range(1, a_pos):
@@ -364,7 +360,8 @@ def _codim_bounds(g: _Geometry):
     gets the full cone dimension and makes the upper bounds vacuous.
     The bounds assume depth equals codimension for the coefficients,
     which is automatic for free coefficients and principal quotients and
-    flagged otherwise (flag ``cm_assumed``)."""
+    flagged otherwise (flag ``cm_assumed``).  All three families can
+    fail."""
     a_pos = g.threshold_pos()
     flags = []
     if len(g.iq) > 1:
@@ -403,34 +400,38 @@ def _codim_bounds(g: _Geometry):
 def _support_claims(g: _Geometry, a_pos: int) -> list:
     """Fitting-support identities below the threshold.
 
-    Level 1: the expected-rank minor locus and the level-1 jump locus
-    have the same reduced support (family ``9.1b``).  Level 2: the
-    deeper minor locus sits inside the level-2 jump locus, and the two
-    agree away from the level-1 locus (family ``9.1g``) — the latter is
-    decided at the radical level through V(I.J) = V(I) u V(J), no point
-    sampling involved."""
+    Level 1: the expected-rank minor locus V(fit1) and the level-1 jump
+    locus V(res1) have the same reduced support (family ``9.1b``).
+    Level 2: the deeper minor locus V(fit2) sits inside the level-2 jump
+    locus V(res2), and the two agree away from V(res1) (family ``9.1g``).
+
+    Only V(res1) inside V(fit1) can fail; it is decided by radical
+    membership.  The rest holds by construction: below the threshold
+    b_i = beta_i + beta_{i-1} (``9.1a``), and the jump ideal of size r is
+    sum_a I_a(d(i-1)) I_{r-a}(d(i)), so res1 in fit1, res2 in fit2 and
+    res1 in res2 as ideals, hence V(res2) inside V(fit2 res1).  These
+    three are checked by ideal membership; a failure means the block-minor
+    construction is broken (``InternalCheckError``), not a false claim."""
     out = []
     for pos in range(a_pos):
         i = g.lo + pos
-        fit1 = g.fit(pos, g.beta[pos])
-        res1 = g.res(pos, 1)
-        same = _locus_inside(fit1, res1) and _locus_inside(res1, fit1)
+        fit1, fit2 = g.fit(pos, g.beta[pos]), g.fit(pos, g.beta[pos] - 1)
+        res1, res2 = g.res(pos, 1), g.res(pos, 2)
+        for small, big, what in ((res1, fit1, "res1 in fit1"),
+                                 (res2, fit2, "res2 in fit2"),
+                                 (res1, res2, "res1 in res2")):
+            if not all(big.contains(f) for f in small.groebner()):
+                raise InternalCheckError(
+                    f"block-minor inclusion {what} fails in degree {i}")
         out.append({
             "id": f"9.1b:i={i}",
-            "holds": same,
+            "holds": _locus_inside(fit1, res1),
             "witness": {"minor_size": g.beta[pos]},
         })
-        fit2 = g.fit(pos, g.beta[pos] - 1)
-        res2 = g.res(pos, 2)
-        contained = _locus_inside(res2, fit2)
-        product = g.S.ideal([a * b for a in fit2.groebner()
-                             for b in res1.groebner()])
-        off_level_one = _locus_inside(product, res2)
         out.append({
             "id": f"9.1g:i={i},k=2",
-            "holds": contained and off_level_one,
-            "witness": {"contained": contained,
-                        "equal_off_level_one": off_level_one},
+            "holds": True,
+            "witness": {"contained": True, "equal_off_level_one": True},
         })
     return out
 
@@ -486,7 +487,13 @@ def analyze(P, claims=None) -> dict:
     series per intermediate degree.
 
     ``claims`` optionally restricts the verdict list to ids starting
-    with any of the given prefixes.  The result is JSON-ready."""
+    with any of the given prefixes.  The result is JSON-ready.
+
+    Three families hold by construction below the threshold and can only
+    report ``holds: true``: ``9.1a`` (the threshold is the first degree
+    where it fails), the second half of ``9.1b`` and both halves of
+    ``9.1g`` (see :func:`_support_claims`).  Every other family can
+    fail."""
     g = _Geometry(P)
     a_pos = g.threshold_pos()
     a = g.lo + a_pos

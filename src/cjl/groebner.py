@@ -13,12 +13,13 @@ downstream ideal computation) is reproducible byte for byte.
 
 Step budget: each S-pair taken from the queue, among the interreduced rows
 and the elements added to them, counts as one step.  When the count would
-exceed the budget — the ``CJL_STEP_BUDGET`` environment variable, or
-200000 by default — :class:`ResourceLimitError` is raised rather than
-grinding on.  The same budget bounds minor enumeration in
-:mod:`cjl.complexes`: a block whose r x r minors have more index pairs,
-or a split of a block-diagonal matrix with more products of nonzero block
-minors, is refused before any of them is computed.
+exceed the budget — the ``CJL_STEP_BUDGET`` environment variable (a
+positive integer, else :class:`ValidationError`), or 200000 by default —
+:class:`ResourceLimitError` is raised rather than grinding on.  The same
+budget bounds minor enumeration in :mod:`cjl.complexes`: a block whose
+r x r minors have more index pairs, or a split of a block-diagonal matrix
+with more products of nonzero block minors, is refused before any of them
+is computed.
 
 Example:
     >>> ctx = RingContext(QQ(), ("x", "y"))
@@ -51,9 +52,12 @@ def step_budget(explicit: int | None = None) -> int:
     if raw is None:
         return DEFAULT_BUDGET
     try:
-        return int(raw)
+        if int(raw) >= 1:
+            return int(raw)
     except ValueError:
-        raise ValidationError(f"CJL_STEP_BUDGET must be an integer, got {raw!r}")
+        pass
+    raise ValidationError(
+        f"CJL_STEP_BUDGET must be a positive integer, got {raw!r}")
 
 
 def reduce_full(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:

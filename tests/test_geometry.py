@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cjl.dgla import Dgla, DglaPair, GradedVectorSpace
-from cjl.errors import ValidationError
+from cjl.errors import InternalCheckError, ValidationError
 from cjl.field import QQ
-from cjl.geometry import (ChernSeries, _Geometry, _series_product,
-                          alternating_sum, analyze, binomial_bound,
-                          chern_exponent, chern_series, exactness_threshold,
-                          generic_ranks, schur_nonnegativity, tor_crosscheck)
+from cjl.geometry import (ChernSeries, _Geometry, _locus_inside,
+                          _series_product, _support_claims, alternating_sum,
+                          analyze, binomial_bound, chern_exponent,
+                          chern_series, exactness_threshold,
+                          schur_nonnegativity, tor_crosscheck)
 from cjl.models import Arrangement, exterior_pair, os_pair, surface_pair
+from cjl.poly import RingContext
 from cjl.resonance import pointwise_resonance
 from cjl.rng import Rng
 
@@ -49,19 +51,23 @@ def concurrent():
 # -- generic ranks and threshold ------------------------------------------
 
 def test_generic_ranks_torus():
-    assert generic_ranks(exterior_pair(2)) == ((1, 2, 1), (1, 1, 0))
+    g = _Geometry(exterior_pair(2))
+    assert (g.b, g.beta) == ((1, 2, 1), (1, 1, 0))
 
 
 def test_generic_ranks_torus3():
-    assert generic_ranks(exterior_pair(3)) == ((1, 3, 3, 1), (1, 2, 1, 0))
+    g = _Geometry(exterior_pair(3))
+    assert (g.b, g.beta) == ((1, 3, 3, 1), (1, 2, 1, 0))
 
 
 def test_generic_ranks_surface():
-    assert generic_ranks(surface_pair(2)) == ((1, 4, 1), (1, 1, 0))
+    g = _Geometry(surface_pair(2))
+    assert (g.b, g.beta) == ((1, 4, 1), (1, 1, 0))
 
 
 def test_generic_ranks_arrangement():
-    assert generic_ranks(concurrent()) == ((1, 3, 2), (1, 2, 0))
+    g = _Geometry(concurrent())
+    assert (g.b, g.beta) == ((1, 3, 2), (1, 2, 0))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -129,6 +135,62 @@ def test_inclusion_claims_torus3():
     assert "9.1c:i=1" in ids and "9.1c:i=2" in ids
     assert "9.1j:i=0" in ids and "9.1j:i=1" in ids
     assert all(c["holds"] for c in claims)
+
+
+def four_lines():
+    return os_pair(Arrangement([[1, 0], [0, 1], [1, 1], [1, -1]]), 1)
+
+
+@pytest.mark.parametrize("make", [lambda: exterior_pair(2), lambda: exterior_pair(3),
+                                  lambda: surface_pair(2), concurrent, four_lines],
+                         ids=["exterior-2", "exterior-3", "surface-2", "3-line", "4-line"])
+def test_support_claims_match_radical_route(make):
+    """Oracle for 9.1b/9.1g: below the threshold the three inclusions that
+    hold by construction are ideal memberships, and the radical route
+    (9.1b both ways, 9.1g through the product ideal fit2.res1) agrees
+    with the verdicts that analyze reports."""
+    P = make()
+    g = _Geometry(P)
+    a_pos = g.threshold_pos()
+    report = {c["id"]: c for c in analyze(P, claims=["9.1b", "9.1g"])["claims"]}
+    assert len(report) == 2 * a_pos
+    for pos in range(a_pos):
+        i = g.lo + pos
+        fit1, fit2 = g.fit(pos, g.beta[pos]), g.fit(pos, g.beta[pos] - 1)
+        res1, res2 = g.res(pos, 1), g.res(pos, 2)
+        for small, big in ((res1, fit1), (res2, fit2), (res1, res2)):
+            assert all(big.contains(f) for f in small.groebner())
+        same = _locus_inside(fit1, res1) and _locus_inside(res1, fit1)
+        assert report[f"9.1b:i={i}"]["holds"] == same
+        contained = _locus_inside(res2, fit2)
+        product = g.S.ideal([a * b for a in fit2.groebner() for b in res1.groebner()])
+        off_level_one = _locus_inside(product, res2)
+        assert report[f"9.1g:i={i},k=2"] == {
+            "id": f"9.1g:i={i},k=2", "holds": contained and off_level_one,
+            "witness": {"contained": contained, "equal_off_level_one": off_level_one}}
+
+
+@pytest.mark.parametrize("n, key, broken, what", [
+    (2, (1, 1), "unit_ideal", "res1 in fit1"),
+    (3, (1, 2), "unit_ideal", "res2 in fit2"),
+    (2, (1, 2), "zero_ideal", "res1 in res2"),
+])
+def test_support_claims_refuse_a_broken_construction(n, key, broken, what):
+    """A jump ideal that misses an inclusion the block minors guarantee is
+    a bug, reported as InternalCheckError rather than as a false claim."""
+    g = _Geometry(exterior_pair(n))
+    g._res[key] = getattr(g.S, broken)()
+    with pytest.raises(InternalCheckError, match=what):
+        _support_claims(g, g.threshold_pos())
+
+
+def test_locus_inside_non_homogeneous():
+    """V(x - 1) is a point, and (x) has no constant term, yet the point
+    is not inside V(x)."""
+    ctx = RingContext(F, ("x",))
+    x = ctx.var(0)
+    assert not _locus_inside(ctx.ideal([x]), ctx.ideal([x - ctx.one()]))
+    assert _locus_inside(ctx.ideal([x]), ctx.ideal([x * x]))
 
 
 def codim_report(P):

@@ -363,9 +363,10 @@ def test_budget_env_var(monkeypatch):
     monkeypatch.setenv("CJL_STEP_BUDGET", "1")
     with pytest.raises(ResourceLimitError):
         buchberger([x**2 - y, x * y - ctx.one(), y**3 - x], ctx)
-    monkeypatch.setenv("CJL_STEP_BUDGET", "notanint")
-    with pytest.raises(ValidationError):
-        buchberger([x**2 - y, x * y - ctx.one()], ctx)
+    for raw in ("notanint", "0", "-5"):
+        monkeypatch.setenv("CJL_STEP_BUDGET", raw)
+        with pytest.raises(ValidationError):
+            buchberger([x**2 - y, x * y - ctx.one()], ctx)
 
 
 def test_groebner_over_fp():
