@@ -37,9 +37,13 @@ ACYCLIC_ARM = (
     '{"i":2,"a":0,"j":0,"b":0,"out":[1]}]}}'
 )
 
+# the braid arrangement A3 (the hyperplanes x_p = x_q in R^4), fed to `model os`
+BRAID_A3 = ('{"normals":[[1,-1,0,0],[1,0,-1,0],[1,0,0,-1],[0,1,-1,0],[0,1,0,-1],'
+            '[0,0,1,-1]]}')
+
 LINE_COMPLEX = '{"ring":{"field":"Q","vars":["x0"]},"lo":0,"ranks":[1,1],"diffs":[[["x0"]]]}'
 
-# (golden name, model or literal pair fed on stdin, or None for LINE_COMPLEX, verb argv)
+# (golden name, model or literal input fed on stdin, or None for LINE_COMPLEX, verb argv)
 CASES = (
     [(f"analyze-{m}", m, ["analyze"]) for m in ("exterior-2", "surface-2", "surface-3", "3-line")]
     + [(f"resonance-exterior-3-i{i}-k{k}", "exterior-3", ["resonance", "--i", str(i), "--k", str(k)])
@@ -53,7 +57,8 @@ CASES = (
        ("resonance-acyclic-arm-i0", "acyclic-arm", ["resonance", "--i", "0", "--k", "1"]),
        ("resonance-acyclic-arm-i1", "acyclic-arm", ["resonance", "--i", "1", "--k", "1"]),
        ("readme-resonance", "exterior-2", ["resonance", "--i", "1", "--k", "1"]),
-       ("readme-jump", None, ["jump", "--i", "0", "--k", "1"])]
+       ("readme-jump", None, ["jump", "--i", "0", "--k", "1"]),
+       ("model-os-braid-a3", "braid-a3", ["model", "os", "--normals", "-"])]
 )
 
 
@@ -73,6 +78,7 @@ def _stdout(argv, stdin_text):
 def _outputs():
     pairs = {m: _stdout(*MODELS[m]) for m in MODELS}
     pairs["acyclic-arm"] = ACYCLIC_ARM
+    pairs["braid-a3"] = BRAID_A3
     return {name: _stdout(argv, pairs[m] if m else LINE_COMPLEX) for name, m, argv in CASES}
 
 

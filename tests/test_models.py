@@ -6,6 +6,7 @@ import pytest
 from cjl.dgla import check_dgla, check_pair
 from cjl.errors import AxiomError, ValidationError
 from cjl.field import QQ
+from cjl.linalg import Echelon, vec_is_zero
 from cjl.models import (MAX_HYPERPLANES, Arrangement, Cdga, cdga_to_pair,
                         exterior, exterior_pair, orlik_solomon, os_pair,
                         surface_cdga, surface_pair)
@@ -115,18 +116,84 @@ def nbc_count(arr, k):
                if not any(b <= set(S) for b in broken))
 
 
-@pytest.mark.parametrize("normals", [
-    [[1, 0], [0, 1]],
-    [[1, 0], [0, 1], [1, 1]],
-    [[1, 0], [0, 1], [1, 1], [1, -1]],
-    [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]],
-    [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],
-    [[1, -1, 0], [1, 0, -1], [0, 1, -1], [1, 0, 0], [0, 1, 0]],
-], ids=["2-lines", "3-lines", "4-lines", "near-pencil", "generic-4-planes", "braid-plus"])
+SMALL_ARRANGEMENTS = {
+    "2-lines": [[1, 0], [0, 1]],
+    "3-lines": [[1, 0], [0, 1], [1, 1]],
+    "4-lines": [[1, 0], [0, 1], [1, 1], [1, -1]],
+    "near-pencil": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]],
+    "generic-4-planes": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],
+    "braid-plus": [[1, -1, 0], [1, 0, -1], [0, 1, -1], [1, 0, 0], [0, 1, 0]],
+}
+
+
+@pytest.mark.parametrize("normals", SMALL_ARRANGEMENTS.values(), ids=SMALL_ARRANGEMENTS)
 def test_os_dims_match_nbc_count(normals):
     arr = Arrangement(normals)
     A = orlik_solomon(arr)
     assert [A.dim(k) for k in range(arr.m + 1)] == [nbc_count(arr, k) for k in range(arr.m + 1)]
+
+
+def relation_span_os(arr):
+    """Oracle: the Orlik-Solomon algebra as the quotient of the exterior
+    algebra by the span of (monomial) * (circuit boundary) in each degree,
+    kept on the non-pivot monomials of that span's RREF; returns (dims,
+    labels, {(i, a, j, b): product vector}) with only nonzero products."""
+    m = arr.m
+    E = exterior(m)
+    by_deg = [list(combinations(range(1, m + 1), k)) for k in range(m + 1)]
+    index = [{S: a for a, S in enumerate(lst)} for lst in by_deg]
+
+    def unit(k, a):
+        return tuple(F.one if t == a else F.zero for t in range(len(by_deg[k])))
+
+    rel = [Echelon(F, len(lst)) for lst in by_deg]
+    for C in arr.circuits():
+        S = tuple(c + 1 for c in C)
+        boundary = [F.zero] * len(by_deg[len(S) - 1])
+        for pos in range(len(S)):
+            boundary[index[len(S) - 1][S[:pos] + S[pos + 1:]]] = F.from_int((-1) ** pos)
+        for extra in range(m - len(S) + 2):
+            for a in range(len(by_deg[extra])):
+                v = E.mult_elem(extra, unit(extra, a), len(S) - 1, tuple(boundary))
+                if not vec_is_zero(F, v):
+                    rel[extra + len(S) - 1].add(v)
+    keep = []
+    for k in range(m + 1):
+        pivots = {next(c for c, x in enumerate(row) if x != 0) for row in rel[k].basis()}
+        keep.append([a for a in range(len(by_deg[k])) if a not in pivots])
+    top = max(k for k in range(m + 1) if keep[k])
+    mult = {}
+    for i in range(top + 1):
+        for j in range(top + 1 - i):
+            for a2, a in enumerate(keep[i]):
+                for b2, b in enumerate(keep[j]):
+                    red = rel[i + j].reduce(E.mult_elem(i, unit(i, a), j, unit(j, b)))
+                    assert all(red[c] == 0 for c in range(len(red)) if c not in keep[i + j])
+                    v = tuple(red[c] for c in keep[i + j])
+                    if not vec_is_zero(F, v):
+                        mult[(i, a2, j, b2)] = v
+    dims = tuple(len(keep[k]) for k in range(top + 1))
+    labels = tuple(tuple(E.gvs.label(k, a) for a in keep[k]) for k in range(top + 1))
+    return dims, labels, mult
+
+
+ORACLE_ARRANGEMENTS = dict(
+    SMALL_ARRANGEMENTS,
+    **{"braid-A3": [[1, -1, 0, 0], [1, 0, -1, 0], [1, 0, 0, -1],
+                    [0, 1, -1, 0], [0, 1, 0, -1], [0, 0, 1, -1]],
+       # X3: xyz(x+y)(x+z)(y+z)
+       "X3": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 0, 1], [0, 1, 1]]})
+
+
+@pytest.mark.parametrize("normals", ORACLE_ARRANGEMENTS.values(), ids=ORACLE_ARRANGEMENTS)
+def test_os_matches_relation_span(normals):
+    arr = Arrangement(normals)
+    A = orlik_solomon(arr)
+    dims, labels, mult = relation_span_os(arr)
+    assert A.gvs.dims == dims
+    assert A.gvs.labels == labels
+    nonzero = {key: v for key, v in A.table.entries.items() if not vec_is_zero(F, v)}
+    assert nonzero == mult
 
 
 def test_os_deletion_never_raises_b1():
