@@ -191,7 +191,8 @@ def _cmd_model(args):
         return pair_to_json(surface_pair(args.g))
     if args.kind == "os":
         arr = Arrangement.from_json(_read_json(args.normals, "--normals"), path="--normals")
-        A = orlik_solomon(arr)
+        with located("--normals"):
+            A = orlik_solomon(arr)
         dim_a = sum(A.gvs.dims)
     else:
         _in_range("--n", args.n, MAX_GENERATORS)

@@ -8,13 +8,13 @@ structure lives in the products.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 from itertools import combinations
 
 from .dgla import Dgla, DglaPair, GradedVectorSpace, _GradedTable, check_algebra
-from .errors import InternalCheckError, ValidationError
+from .errors import ValidationError
 from .field import QQ, located, read_nested, read_scalar
-from .linalg import Echelon, rank, vec_is_zero
+from .linalg import rank
 
 
 class Cdga:
@@ -65,30 +65,40 @@ def _subset_label(S) -> str:
     return "".join(f"e{i}" for i in S)
 
 
+def _subset_algebra(basis, straighten) -> Cdga:
+    """The algebra over QQ spanned in degree k by the sorted k-subsets
+    ``basis[k]`` of generators, with e_S e_T = 0 when S and T meet, else the
+    shuffle sign times ``straighten(U)``, U the sorted union: a dict from
+    basis subsets to integer coefficients."""
+    F = QQ()
+    index = [{S: a for a, S in enumerate(lst)} for lst in basis]
+    top = len(basis) - 1
+    mult = {}
+    for i in range(top + 1):
+        for j in range(top + 1 - i):
+            for a, S in enumerate(basis[i]):
+                for b, T in enumerate(basis[j]):
+                    if set(S) & set(T):
+                        continue
+                    terms = straighten(tuple(sorted(S + T)))
+                    if terms:
+                        sign = _shuffle_sign(S, T)
+                        vec = [F.zero] * len(basis[i + j])
+                        for U, x in terms.items():
+                            vec[index[i + j][U]] = F.from_int(sign * x)
+                        mult[(i, a, j, b)] = tuple(vec)
+    labels = [[_subset_label(S) for S in lst] for lst in basis]
+    gvs = GradedVectorSpace(0, top, [len(lst) for lst in basis], labels)
+    return Cdga(F, gvs, mult)
+
+
 def exterior(n: int) -> Cdga:
     """The exterior algebra on n degree-1 generators, basis indexed by
     sorted subsets of {1..n}."""
     if n < 1:
         raise ValidationError("need at least one generator")
-    F = QQ()
     by_deg = [list(combinations(range(1, n + 1), k)) for k in range(n + 1)]
-    index = [{S: a for a, S in enumerate(lst)} for lst in by_deg]
-    labels = [[_subset_label(S) for S in lst] for lst in by_deg]
-    gvs = GradedVectorSpace(0, n, [len(lst) for lst in by_deg], labels)
-    mult = {}
-    for i, Si in enumerate(by_deg):
-        for j, Sj in enumerate(by_deg):
-            if i + j > n:
-                continue
-            for a, S in enumerate(Si):
-                for b, T in enumerate(Sj):
-                    if set(S) & set(T):
-                        continue
-                    U = tuple(sorted(S + T))
-                    vec = [F.zero] * len(by_deg[i + j])
-                    vec[index[i + j][U]] = F.from_int(_shuffle_sign(S, T))
-                    mult[(i, a, j, b)] = tuple(vec)
-    return Cdga(F, gvs, mult)
+    return _subset_algebra(by_deg, lambda U: {U: 1})
 
 
 # Bounds on the models ``cjl model`` builds, checked before anything is
@@ -100,12 +110,15 @@ def exterior(n: int) -> Cdga:
 #   (exterior n = 7, r = 1 to n = 1, r = 8), at 256 3.2-4.8 s;
 # * MAX_GENERATORS: the exterior algebra on n generators has dimension
 #   2^n, and 2^7 = MAX_PAIR_DIM;
-# * MAX_HYPERPLANES: orlik_solomon took 0.3-0.8 s on 7 hyperplanes, 2.3-4.5
-#   s on 8 and 25 s on 9 (generic normals in R^2, R^3, R^4 and independent
-#   ones).
+# * MAX_HYPERPLANES bounds the subsets that Arrangement.circuits ranks
+#   (all of them on generic normals) before orlik_solomon can refuse a
+#   basis above MAX_PAIR_DIM.  `cjl model os` on generic normals in R^2 to
+#   R^6 took at most 0.55 s on 8 hyperplanes, 0.40 s on 9, 0.60 s on 10
+#   (refused at dimension 764 in R^6; 0.78 s on seeded random normals with
+#   entries in {-1, 0, 1}), 1.36 s on 11 and 2.98 s on 12.
 MAX_PAIR_DIM = 128
 MAX_GENERATORS = 7
-MAX_HYPERPLANES = 7
+MAX_HYPERPLANES = 10
 
 
 class Arrangement:
@@ -168,81 +181,52 @@ def _proportional(u, v) -> bool:
 
 
 def orlik_solomon(arr: Arrangement) -> Cdga:
-    """Quotient of the exterior algebra on the hyperplanes by the
-    boundary relations of the circuits; graded pieces materialized by
-    row reduction."""
-    F = QQ()
-    m = arr.m
-    E = exterior(m)
-    circuits = arr.circuits()
-    by_deg = [list(combinations(range(1, m + 1), k)) for k in range(m + 1)]
-    index = [{S: a for a, S in enumerate(lst)} for lst in by_deg]
+    """The Orlik-Solomon algebra on its no-broken-circuit basis (Orlik-Terao,
+    Arrangements of Hyperplanes, 1992, section 3.1).
 
-    def boundary(S):
-        """Coordinates of the alternating boundary of e_S in degree |S|-1."""
-        vec = [F.zero] * len(by_deg[len(S) - 1])
-        for pos in range(len(S)):
-            T = S[:pos] + S[pos + 1:]
-            sgn = F.from_int(1 if pos % 2 == 0 else -1)
-            vec[index[len(S) - 1][T]] = sgn
-        return tuple(vec)
+    A broken circuit is a circuit minus its largest element; degree k is
+    spanned by the k-subsets of {1..m} that contain none (so they are
+    independent).  e_U is zero when U contains a circuit; when it contains
+    the broken part of a circuit C = (c_0 < ... < c_p), the relation
+    d e_C = 0 rewrites e_(C - c_p) as sum_{j<p} (-1)^(p+j+1) e_(C - c_j),
+    each term trading c_j for the larger c_p, so the rewriting ends.
+    ValidationError if the basis has more than MAX_PAIR_DIM elements."""
+    circuits = [(frozenset(C), frozenset(C[:-1]), C)
+                for C in (tuple(c + 1 for c in C) for C in arr.circuits())]
 
-    # relation span per degree: all products (basis monomial) * dS
-    rel = {k: Echelon(F, len(by_deg[k])) for k in range(m + 1)}
-    for S in circuits:
-        dS = boundary(tuple(i + 1 for i in S))
-        dlen = len(S) - 1
-        for extra in range(0, m - dlen + 1):
-            k = dlen + extra
-            if k > m:
-                continue
-            for T in by_deg[extra]:
-                a = index[extra][T]
-                u = tuple(F.one if t == a else F.zero
-                          for t in range(len(by_deg[extra])))
-                v = E.mult_elem(extra, u, dlen, dS)
-                if not vec_is_zero(F, v):
-                    rel[k].add(v)
+    def broken(U: set):
+        """A circuit whose broken part lies in U, or None."""
+        return next((C for _, part, C in circuits if part <= U), None)
 
-    keep = {}   # degree -> list of surviving subset indices
-    for k in range(m + 1):
-        pivots = {next(c for c, x in enumerate(row) if not F.is_zero(x))
-                  for row in rel[k].basis()}
-        keep[k] = [a for a in range(len(by_deg[k])) if a not in pivots]
+    basis = [[S for S in combinations(range(1, arr.m + 1), k)
+              if broken(set(S)) is None] for k in range(arr.m + 1)]
+    while not basis[-1]:
+        basis.pop()
+    dim = sum(map(len, basis))
+    if dim > MAX_PAIR_DIM:
+        raise ValidationError(f"Orlik-Solomon algebra of dimension {dim} "
+                              f"above bound {MAX_PAIR_DIM}")
 
-    top = max(k for k in range(m + 1) if keep[k])
-    dims = [len(keep[k]) for k in range(top + 1)]
-    labels = [[_subset_label(by_deg[k][a]) for a in keep[k]]
-              for k in range(top + 1)]
-    gvs = GradedVectorSpace(0, top, dims, labels)
-    pos = {k: {a: t for t, a in enumerate(keep[k])} for k in range(top + 1)}
+    @cache
+    def straighten(U):
+        Us = set(U)
+        if any(whole <= Us for whole, _, _ in circuits):
+            return {}
+        C = broken(Us)
+        if C is None:
+            return {U: 1}
+        rest = tuple(u for u in U if u not in C)
+        p = len(C) - 1
+        out = {}
+        for j in range(p):
+            D = C[:j] + C[j + 1:]
+            sign = ((-1) ** (p + j + 1) * _shuffle_sign(C[:-1], rest)
+                    * _shuffle_sign(D, rest))
+            for V, x in straighten(tuple(sorted(D + rest))).items():
+                out[V] = out.get(V, 0) + sign * x
+        return {V: x for V, x in out.items() if x}
 
-    def project(k, v):
-        red = rel[k].reduce(v)
-        out = [F.zero] * len(keep[k])
-        for c, x in enumerate(red):
-            if not F.is_zero(x):
-                if c not in pos[k]:
-                    raise InternalCheckError(
-                        "reduced product not supported on the chosen basis")
-                out[pos[k][c]] = x
-        return tuple(out)
-
-    mult = {}
-    for i in range(top + 1):
-        for j in range(top + 1):
-            if i + j > top:
-                continue
-            for a2, a in enumerate(keep[i]):
-                ua = tuple(F.one if t == a else F.zero
-                           for t in range(len(by_deg[i])))
-                for b2, b in enumerate(keep[j]):
-                    ub = tuple(F.one if t == b else F.zero
-                               for t in range(len(by_deg[j])))
-                    v = project(i + j, E.mult_elem(i, ua, j, ub))
-                    if not vec_is_zero(F, v):
-                        mult[(i, a2, j, b2)] = v
-    return Cdga(F, gvs, mult)
+    return _subset_algebra(basis, straighten)
 
 
 # ---------------------------------------------------------------------------

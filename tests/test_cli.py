@@ -241,6 +241,19 @@ def test_model_size_is_refused_before_it_is_built(tmp_path, capsys, argv, path):
     assert json.loads(err)["path"] == path
 
 
+def test_os_algebra_above_the_pair_cap_is_refused(tmp_path, capsys):
+    # 9 generic planes in R^4 (normals on the moment curve): dimension 186
+    arr = _write(tmp_path, "arr.json",
+                 {"normals": [[t ** e for e in range(4)] for t in range(1, 10)]})
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["model", "os", "--normals", arr])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    err = json.loads(err)
+    assert err["path"] == "--normals"
+    assert f"dimension 186 above bound {MAX_PAIR_DIM}" in err["error"]
+
+
 @pytest.mark.parametrize("argv", [
     ["glr", "--n", "1", "--r", "1", "--s", str(HALF)],
     ["surface", "--g", str(HALF - 1)],
