@@ -50,12 +50,13 @@ class FreeComplex:
             raise ValidationError("negative rank")
         self.diffs = tuple(tuple(tuple(row) for row in m) for m in diffs)
         if len(self.diffs) != hi - lo:
-            raise ValidationError("need one differential per adjacent pair")
+            raise ValidationError("need one differential per adjacent pair",
+                                  at=("diffs",))
         for j, m in enumerate(self.diffs):
             if len(m) != self.ranks[j + 1] or any(len(r) != self.ranks[j] for r in m):
                 raise ValidationError(
                     f"differential {j} has shape {len(m)}x?, expected "
-                    f"{self.ranks[j + 1]}x{self.ranks[j]}")
+                    f"{self.ranks[j + 1]}x{self.ranks[j]}", at=("diffs", j))
         self._check_dd()
 
     def _check_dd(self):

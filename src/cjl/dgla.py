@@ -57,7 +57,8 @@ class GradedVectorSpace:
 
 def _check_matrices(field, gvs: GradedVectorSpace, mats, what: str):
     if len(mats) != gvs.hi - gvs.lo:
-        raise ValidationError(f"{what}: need one matrix per adjacent degree pair")
+        raise ValidationError(f"{what}: need one matrix per adjacent degree pair",
+                              at=("d",))
     out = []
     for idx, m in enumerate(mats):
         rows = gvs.dim(gvs.lo + idx + 1)
@@ -65,7 +66,7 @@ def _check_matrices(field, gvs: GradedVectorSpace, mats, what: str):
         m = tuple(tuple(r) for r in m)
         if len(m) != rows or any(len(r) != cols for r in m):
             raise ValidationError(
-                f"{what}: matrix {idx} must be {rows}x{cols}")
+                f"{what}: matrix {idx} must be {rows}x{cols}", at=("d", idx))
         out.append(m)
     return tuple(out)
 
@@ -155,13 +156,15 @@ class Dgla:
         self.field = field
         self.gvs = gvs
         self.d = _check_matrices(field, gvs, d, "lie differential")
-        for (i, a, j, b), v in bracket.items():
+        for n, ((i, a, j, b), v) in enumerate(bracket.items()):
             if not (gvs.lo <= i <= gvs.hi and 0 <= a < gvs.dim(i)
                     and gvs.lo <= j <= gvs.hi and 0 <= b < gvs.dim(j)):
-                raise ValidationError(f"bracket entry at bad index {(i, a, j, b)}")
+                raise ValidationError(f"bracket entry at bad index {(i, a, j, b)}",
+                                      at=("bracket", n))
             if len(v) != gvs.dim(i + j):
                 raise ValidationError(
-                    f"bracket value at {(i, a, j, b)} has wrong length")
+                    f"bracket value at {(i, a, j, b)} has wrong length",
+                    at=("bracket", n))
         self.bracket = _GradedTable(field, bracket, skew=True)
 
     def dim(self, i: int) -> int:
@@ -194,13 +197,15 @@ class DglaPair:
         self.lie = lie
         self.m_gvs = m_gvs
         self.m_d = _check_matrices(lie.field, m_gvs, m_d, "module differential")
-        for (i, a, j, b), v in action.items():
+        for n, ((i, a, j, b), v) in enumerate(action.items()):
             if not (lie.gvs.lo <= i <= lie.gvs.hi and 0 <= a < lie.dim(i)
                     and m_gvs.lo <= j <= m_gvs.hi and 0 <= b < m_gvs.dim(j)):
-                raise ValidationError(f"action entry at bad index {(i, a, j, b)}")
+                raise ValidationError(f"action entry at bad index {(i, a, j, b)}",
+                                      at=("action", n))
             if len(v) != m_gvs.dim(i + j):
                 raise ValidationError(
-                    f"action value at {(i, a, j, b)} has wrong length")
+                    f"action value at {(i, a, j, b)} has wrong length",
+                    at=("action", n))
         self.action = _GradedTable(lie.field, action, skew=False)
 
     def m_dim(self, i: int) -> int:

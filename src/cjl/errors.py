@@ -4,7 +4,9 @@ Every error that a caller may want to catch programmatically carries a
 machine-readable payload:
 
 * ``ValidationError.path`` is a JSON-pointer-ish string locating the bad
-  field in the input document (empty when the input was built in code).
+  field in the input document (empty when the input was built in code);
+  ``ValidationError.at`` holds the keys of the bad entry below the object
+  a constructor was given, which ``field.located`` appends to its path.
 * ``AxiomError.witness`` is a dict naming the violated identity and the
   basis indices at which it fails.
 * ``ResourceLimitError.budget`` is the step budget that was exhausted.
@@ -20,9 +22,10 @@ class CjlError(Exception):
 class ValidationError(CjlError):
     """Malformed input: bad JSON shape, bad dimensions, bad field element."""
 
-    def __init__(self, message: str, path: str = ""):
+    def __init__(self, message: str, path: str = "", at: tuple = ()):
         self.message = message
         self.path = path
+        self.at = at
         super().__init__(message)
 
     def __str__(self):

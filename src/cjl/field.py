@@ -202,7 +202,8 @@ def json_path(path: str, keys) -> str:
 
 class located:
     """Context manager: a ValidationError raised inside that carries no
-    path yet gets the path of ``keys`` below ``path``."""
+    path yet gets the path of ``keys`` below ``path``, followed by the
+    error's own relative keys ``at``."""
 
     __slots__ = ("path", "keys")
 
@@ -215,7 +216,7 @@ class located:
 
     def __exit__(self, kind, exc, tb):
         if isinstance(exc, ValidationError) and not exc.path:
-            exc.path = json_path(self.path, self.keys)
+            exc.path = json_path(self.path, self.keys + exc.at)
         return False
 
 

@@ -83,13 +83,13 @@ class RingContext:
     def __init__(self, field, names: Sequence[str], order: str = "degrevlex",
                  quotient: Sequence["Polynomial"] | None = None):
         if order not in ORDER_KEYS:
-            raise ValidationError(f"unknown monomial order {order!r}")
+            raise ValidationError(f"unknown monomial order {order!r}", at=("order",))
         names = tuple(names)
         if len(set(names)) != len(names):
-            raise ValidationError("duplicate variable names")
-        for nm in names:
+            raise ValidationError("duplicate variable names", at=("vars",))
+        for k, nm in enumerate(names):
             if not nm or not (nm[0].isalpha() or nm[0] == "_"):
-                raise ValidationError(f"bad variable name {nm!r}")
+                raise ValidationError(f"bad variable name {nm!r}", at=("vars", k))
         self.field = field
         self.names = names
         self.nvars = len(names)

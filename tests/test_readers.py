@@ -26,6 +26,7 @@ ARR = {"normals": [[1, 0], [0, 1], [1, 1]]}
 T3 = {"ring": {"field": "Q", "vars": ["t"], "order": "degrevlex", "quotient": ["t^3"]}}
 T3_TABLE = artin_from_json(T3).to_json()
 EXTERIOR_2 = pair_to_json(exterior_pair(2))
+GL2 = pair_to_json(cdga_to_pair(exterior(1), 2))  # gl_2 brackets in degree 0
 OMEGA = [["1", "0"], ["0", "1"]]  # on the maximal-ideal basis of Q[t]/(t^3)
 
 
@@ -95,6 +96,18 @@ DEFECTS = [
     ("normals", ARR, ("normals", 0, 0), float("inf"), "--normals/normals/0/0"),
     # a declared rank is capped before any matrix is read
     ("complex", CX_LINE, ("ranks", 0), MAX_DIM + 1, "--complex/ranks/0"),
+    # errors a constructor finds carry the path of their own entry
+    ("pair", GL2, ("lie", "bracket", 2, "b"), 9, "--pair/lie/bracket/2"),
+    ("pair", GL2, ("lie", "bracket", 1, "out"), ["1"], "--pair/lie/bracket/1"),
+    ("pair", EXTERIOR_2, ("module", "action", 1, "i"), 5, "--pair/module/action/1"),
+    ("pair", EXTERIOR_2, ("module", "action", 1, "out"), [], "--pair/module/action/1"),
+    ("pair", EXTERIOR_2, ("lie", "d", 1), [["0"]], "--pair/lie/d/1"),
+    ("pair", EXTERIOR_2, ("module", "d", 0), [["0"]], "--pair/module/d/0"),
+    ("pair", EXTERIOR_2, ("lie", "d"), [], "--pair/lie/d"),
+    ("complex", CX_LINE, ("diffs", 0), [["x0", "x0"]], "--complex/diffs/0"),
+    ("complex", CX_LINE, ("diffs",), [], "--complex/diffs"),
+    ("complex", CX_LINE, ("ring", "order"), "revlex", "--complex/ring/order"),
+    ("complex", CX_LINE, ("ring", "vars", 0), "0x", "--complex/ring/vars/0"),
 ]
 
 
