@@ -184,6 +184,19 @@ def test_support_claims_refuse_a_broken_construction(n, key, broken, what):
         _support_claims(g, g.threshold_pos())
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_support_claims_report_a_failing_9_1b(n):
+    """The zero ideal as level-1 jump ideal passes the membership guards,
+    but its locus is the whole cone, which V(fit1) does not contain: every
+    9.1b verdict then reads false, so none is wired to true."""
+    g = _Geometry(exterior_pair(n))
+    a_pos = g.threshold_pos()
+    for pos in range(a_pos):
+        g._res[(pos, 1)] = g.S.zero_ideal()
+    verdicts = [c["holds"] for c in _support_claims(g, a_pos) if c["id"].startswith("9.1b")]
+    assert len(verdicts) == a_pos > 0 and not any(verdicts)
+
+
 def test_locus_inside_non_homogeneous():
     """V(x - 1) is a point, and (x) has no constant term, yet the point
     is not inside V(x)."""
