@@ -191,12 +191,11 @@ def orlik_solomon(arr: Arrangement) -> Cdga:
     d e_C = 0 rewrites e_(C - c_p) as sum_{j<p} (-1)^(p+j+1) e_(C - c_j),
     each term trading c_j for the larger c_p, so the rewriting ends.
     ValidationError if the basis has more than MAX_PAIR_DIM elements."""
-    circuits = [(frozenset(C), frozenset(C[:-1]), C)
-                for C in (tuple(c + 1 for c in C) for C in arr.circuits())]
+    circuits = [tuple(c + 1 for c in C) for C in arr.circuits()]
 
     def broken(U: set):
         """A circuit whose broken part lies in U, or None."""
-        return next((C for _, part, C in circuits if part <= U), None)
+        return next((C for C in circuits if U.issuperset(C[:-1])), None)
 
     basis = [[S for S in combinations(range(1, arr.m + 1), k)
               if broken(set(S)) is None] for k in range(arr.m + 1)]
@@ -210,7 +209,7 @@ def orlik_solomon(arr: Arrangement) -> Cdga:
     @cache
     def straighten(U):
         Us = set(U)
-        if any(whole <= Us for whole, _, _ in circuits):
+        if any(Us.issuperset(C) for C in circuits):
             return {}
         C = broken(Us)
         if C is None:
