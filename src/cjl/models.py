@@ -113,9 +113,10 @@ def exterior(n: int) -> Cdga:
 # * MAX_HYPERPLANES bounds the subsets that Arrangement.circuits ranks
 #   (all of them on generic normals) before orlik_solomon can refuse a
 #   basis above MAX_PAIR_DIM.  `cjl model os` on generic normals in R^2 to
-#   R^6 took at most 0.55 s on 8 hyperplanes, 0.40 s on 9, 0.60 s on 10
-#   (refused at dimension 764 in R^6; 0.78 s on seeded random normals with
-#   entries in {-1, 0, 1}), 1.36 s on 11 and 2.98 s on 12.
+#   R^6 took at most 0.55-0.76 s on 8 hyperplanes, 0.40-0.49 s on 9,
+#   0.60-0.66 s on 10 (refused at dimension 764 in R^6; 0.56-0.78 s on
+#   seeded random normals with entries in {-1, 0, 1}), 1.36-1.43 s on 11
+#   and 2.96-2.98 s on 12 (two runs each).
 MAX_PAIR_DIM = 128
 MAX_GENERATORS = 7
 MAX_HYPERPLANES = 10
