@@ -51,7 +51,8 @@ class ArtinLocalAlgebra:
     ``b_i * b_j``), and products are its contraction.  Construction checks
     the unit, commutativity and associativity with the graded-algebra
     checker :func:`~cjl.dgla.check_algebra` (in degree 0 every sign is +1),
-    then that every basis element but the unit is nilpotent.
+    which visits only the products the nonzero entries reach, then that
+    every basis element but the unit is nilpotent.
     """
 
     def __init__(self, field, labels: Sequence[str], table):
@@ -282,10 +283,6 @@ class ArtinIdeal:
 
     def contained_in_max_ideal(self) -> bool:
         return all(self.algebra.field.is_zero(v[0]) for v in self.basis)
-
-    def plus(self, other: "ArtinIdeal") -> "ArtinIdeal":
-        self.algebra.check_same(other.algebra)
-        return ArtinIdeal(self.algebra, self.basis + other.basis)
 
     def times(self, other: "ArtinIdeal") -> "ArtinIdeal":
         self.algebra.check_same(other.algebra)

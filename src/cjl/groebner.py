@@ -44,10 +44,8 @@ from .poly import (Polynomial, RingContext, format_poly, mono_deg, mono_div,
 DEFAULT_BUDGET = 200_000
 
 
-def step_budget(explicit: int | None = None) -> int:
-    """Resolve the S-pair budget: explicit arg, else env var, else default."""
-    if explicit is not None:
-        return explicit
+def step_budget() -> int:
+    """The step budget: ``CJL_STEP_BUDGET`` when set, else the default."""
     raw = os.environ.get("CJL_STEP_BUDGET")
     if raw is None:
         return DEFAULT_BUDGET
@@ -135,8 +133,7 @@ def _interreduce(gens: Sequence[Polynomial], ctx: RingContext) -> list:
     return list(rows.values())
 
 
-def buchberger(gens: Sequence[Polynomial], ctx: RingContext,
-               budget: int | None = None) -> tuple:
+def buchberger(gens: Sequence[Polynomial], ctx: RingContext) -> tuple:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
     The generators are interreduced linearly first (:func:`_interreduce`);
@@ -145,8 +142,6 @@ def buchberger(gens: Sequence[Polynomial], ctx: RingContext,
     Args:
         gens: generators (context must match ``ctx``; zeros are fine).
         ctx: a quotient-free ring context.
-        budget: cap on S-pairs taken among the interreduced rows; ``None``
-            defers to ``CJL_STEP_BUDGET``.
 
     Returns:
         The reduced basis as a tuple of monic polynomials sorted by
@@ -154,7 +149,7 @@ def buchberger(gens: Sequence[Polynomial], ctx: RingContext,
     """
     if ctx.has_quotient():
         raise ValidationError("Groebner engine works upstairs; pass the base ring")
-    limit = step_budget(budget)
+    limit = step_budget()
     G = _interreduce(gens, ctx)
     if not G:
         return ()
@@ -265,19 +260,6 @@ class Ideal:
             return not gb
         qgb = tuple(g.terms for g in self.ctx.quotient_gb())
         return tuple(g.terms for g in gb) == qgb
-
-    # arithmetic -------------------------------------------------------
-
-    def plus(self, other: "Ideal") -> "Ideal":
-        self.ctx.check_same(other.ctx)
-        return Ideal(self.ctx, self.gens + other.gens)
-
-    def times(self, other: "Ideal") -> "Ideal":
-        """Product ideal; in a quotient context the quotient generators
-        are re-adjoined by construction, keeping the preimage honest."""
-        self.ctx.check_same(other.ctx)
-        prods = [a * b for a in self.gens for b in other.gens]
-        return Ideal(self.ctx, prods)
 
     def radical_contains(self, f: Polynomial) -> bool:
         """Membership in the radical, by the extra-variable trick: f lies

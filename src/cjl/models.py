@@ -9,12 +9,13 @@ structure lives in the products.
 from __future__ import annotations
 
 from functools import cache, partial
-from itertools import combinations
+from itertools import combinations, product
 
-from .dgla import Dgla, DglaPair, GradedVectorSpace, _GradedTable, check_algebra
+from .dgla import (Dgla, DglaPair, GradedVectorSpace, _GradedTable, _zero_d,
+                   check_algebra)
 from .errors import ValidationError
 from .field import QQ, located, read_nested, read_scalar
-from .linalg import rank
+from .linalg import rank, vec_is_zero
 
 
 class Cdga:
@@ -236,82 +237,57 @@ def orlik_solomon(arr: Arrangement) -> Cdga:
 def cdga_to_pair(A: Cdga, r: int, s: int | None = None) -> DglaPair:
     """Tensor with square matrices for the Lie side and r-by-s matrices
     for the module:  [a@x, b@y] = ab@xy - (-1)^{|a||b|} ba@yx,  with the
-    module acted on by left multiplication."""
+    module acted on by left multiplication.  Each nonzero product ab of
+    A gives [a@E_pq, b@E_qy] its term ab@E_py, [b@E_pq, a@E_yp] its term
+    -(-1)^{|a||b|} ab@E_yq, and (a@E_pq).(b@W_qu) = ab@W_pu."""
     if s is None:
         s = r
     if r < 1 or s < 1:
         raise ValidationError("matrix sizes must be positive")
     F = A.field
     g = A.gvs
-    lie_basis = {i: [(a, p, q) for a in range(A.dim(i))
-                     for p in range(r) for q in range(r)]
-                 for i in g.degrees()}
-    mod_basis = {i: [(a, p, u) for a in range(A.dim(i))
-                     for p in range(r) for u in range(s)]
-                 for i in g.degrees()}
-    lie_pos = {i: {t: n for n, t in enumerate(lie_basis[i])}
-               for i in g.degrees()}
-    mod_pos = {i: {t: n for n, t in enumerate(mod_basis[i])}
-               for i in g.degrees()}
-
     lie_labels = [[f"{g.label(i, a)}@E{p}{q}" if r > 1 else g.label(i, a)
-                   for (a, p, q) in lie_basis[i]] for i in g.degrees()]
+                   for a in range(A.dim(i)) for p in range(r) for q in range(r)]
+                  for i in g.degrees()]
     mod_labels = [[f"{g.label(i, a)}@W{p}{u}" if r * s > 1 else g.label(i, a)
-                   for (a, p, u) in mod_basis[i]] for i in g.degrees()]
-    lie_gvs = GradedVectorSpace(0, g.hi, [len(lie_basis[i])
+                   for a in range(A.dim(i)) for p in range(r) for u in range(s)]
+                  for i in g.degrees()]
+    lie_gvs = GradedVectorSpace(0, g.hi, [A.dim(i) * r * r
                                           for i in g.degrees()], lie_labels)
-    mod_gvs = GradedVectorSpace(0, g.hi, [len(mod_basis[i])
+    mod_gvs = GradedVectorSpace(0, g.hi, [A.dim(i) * r * s
                                           for i in g.degrees()], mod_labels)
 
-    bracket = {}
-    for i in g.degrees():
-        for j in g.degrees():
-            if i + j > g.hi:
-                continue
-            sgn = F.one if (i * j) % 2 == 0 else F.neg(F.one)
-            for n1, (a, p, q) in enumerate(lie_basis[i]):
-                for n2, (b, x, y) in enumerate(lie_basis[j]):
-                    vec = [F.zero] * len(lie_basis[i + j])
-                    ab = A.mult_vec(i, a, j, b)
-                    if q == x:
-                        for c, t in enumerate(ab):
-                            if not F.is_zero(t):
-                                vec[lie_pos[i + j][(c, p, y)]] = \
-                                    F.add(vec[lie_pos[i + j][(c, p, y)]], t)
-                    if y == p:
-                        ba = A.mult_vec(j, b, i, a)
-                        for c, t in enumerate(ba):
-                            if not F.is_zero(t):
-                                k = lie_pos[i + j][(c, x, q)]
-                                vec[k] = F.sub(vec[k], F.mul(sgn, t))
-                    if any(not F.is_zero(t) for t in vec):
-                        bracket[(i, n1, j, n2)] = tuple(vec)
+    def E(a, p, q):
+        return (a * r + p) * r + q
 
-    action = {}
-    for i in g.degrees():
-        for j in g.degrees():
-            if i + j > g.hi:
-                continue
-            for n1, (a, p, q) in enumerate(lie_basis[i]):
-                for n2, (b, x, y) in enumerate(mod_basis[j]):
-                    if q != x:
-                        continue
-                    ab = A.mult_vec(i, a, j, b)
-                    vec = [F.zero] * len(mod_basis[i + j])
-                    for c, t in enumerate(ab):
-                        if not F.is_zero(t):
-                            vec[mod_pos[i + j][(c, p, y)]] = t
-                    if any(not F.is_zero(t) for t in vec):
-                        action[(i, n1, j, n2)] = tuple(vec)
+    def W(a, p, u):
+        return (a * r + p) * s + u
 
-    zero_d = [tuple((F.zero,) * lie_gvs.dim(i)
-                    for _ in range(lie_gvs.dim(i + 1)))
-              for i in range(0, g.hi)]
-    zero_md = [tuple((F.zero,) * mod_gvs.dim(i)
-                     for _ in range(mod_gvs.dim(i + 1)))
-               for i in range(0, g.hi)]
-    lie = Dgla(F, lie_gvs, zero_d, bracket)
-    return DglaPair(lie, mod_gvs, zero_md, action)
+    bracket, action = {}, {}
+
+    def add(table, key, n, k, t):
+        vec = table.setdefault(key, [F.zero] * n)
+        vec[k] = F.add(vec[k], t)
+
+    for i, a, j, b in A.table.entries:
+        n = A.dim(i + j)
+        sgn = F.one if (i * j) % 2 == 0 else F.neg(F.one)
+        for c, t in A.table.terms(i, a, j, b):
+            for p, q, y in product(range(r), repeat=3):
+                add(bracket, (i, E(a, p, q), j, E(b, q, y)), n * r * r,
+                    E(c, p, y), t)
+                add(bracket, (j, E(b, p, q), i, E(a, y, p)), n * r * r,
+                    E(c, y, q), F.neg(F.mul(sgn, t)))
+            for p, q, u in product(range(r), range(r), range(s)):
+                add(action, (i, E(a, p, q), j, W(b, q, u)), n * r * s,
+                    W(c, p, u), t)
+
+    def nonzero(table):
+        return {key: tuple(v) for key, v in table.items()
+                if not vec_is_zero(F, v)}
+
+    lie = Dgla(F, lie_gvs, _zero_d(F, lie_gvs), nonzero(bracket))
+    return DglaPair(lie, mod_gvs, _zero_d(F, mod_gvs), nonzero(action))
 
 
 def exterior_pair(n: int, r: int = 1) -> DglaPair:

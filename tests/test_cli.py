@@ -338,6 +338,19 @@ def test_declared_dimension_above_bound_is_exit_2_with_path(capsys, monkeypatch)
         assert f"above bound {MAX_DIM}" in json.loads(err)["error"]
 
 
+def test_structureless_pair_at_the_bound_is_checked_quickly():
+    """The axiom check walks the nonzero entries, so a pair that declares
+    MAX_DIM vectors per side and no structure is read at once (a walk over
+    every basis triple would take hours)."""
+    empty = {"lie": {"degrees": [0, 0], "dims": [MAX_DIM]},
+             "module": {"degrees": [0, 0], "dims": [MAX_DIM]}}
+    res = subprocess.run([sys.executable, "-m", "cjl.cli", "cone"],
+                         input=json.dumps(empty), capture_output=True,
+                         text=True, env=_child_env(), timeout=20)
+    assert res.returncode == 0
+    assert res.stdout == '{"generators":[]}\n'
+
+
 @pytest.mark.parametrize("p, message", [
     ("7", "p must be an integer"),
     (True, "p must be an integer"),
@@ -410,11 +423,16 @@ def test_complex_json_round_trip(tmp_path, capsys):
         complex_from_json(dict(CX_LINE, diffs=[]))
 
 
-def test_subprocess_pipe_end_to_end():
-    # the child interpreters import the same cjl as this one, installed or not
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports the same cjl as
+    this one, installed or not."""
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def test_subprocess_pipe_end_to_end():
+    env = _child_env()
     model = subprocess.run(
         [sys.executable, "-m", "cjl.cli", "model", "exterior", "--n", "2"],
         capture_output=True, text=True, env=env)

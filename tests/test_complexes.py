@@ -66,14 +66,13 @@ def test_block_diag_torus_shape():
 
 
 def convolution_ideal(ring, A, B, r, ra, ca, rb, cb):
-    """Oracle: the minor ideal of A (+) B as sum_j I_j(A) * I_{r-j}(B)."""
+    """Oracle: the minor ideal of A (+) B as sum_j I_j(A) * I_{r-j}(B),
+    generated by the products of the generators of the two factors."""
     if r <= 0:
         return ring.unit_ideal()
-    out = ring.zero_ideal()
-    for j in range(r + 1):
-        out = out.plus(determinantal_ideal(ring, A, j, ra, ca).times(
-            determinantal_ideal(ring, B, r - j, rb, cb)))
-    return out
+    return ring.ideal([ring.mul(f, g) for j in range(r + 1)
+                       for f in determinantal_ideal(ring, A, j, ra, ca).gens
+                       for g in determinantal_ideal(ring, B, r - j, rb, cb).gens])
 
 
 def assembled_ideal(ring, A, B, r, ra, ca, rb, cb):

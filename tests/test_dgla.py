@@ -263,6 +263,20 @@ def test_bracket_preservation_checked():
                     {0: tuple(unit_vec(4, r) for r in range(4))})
 
 
+def test_identity_between_abelian_and_gl2_is_no_pair_map():
+    """The identity of the spaces of gl_2 (+) adjoint and of the abelian
+    pair on them preserves no bracket: each way, the failing products sit
+    on one side only (the source, or the target)."""
+    P = adjoint_pair(gl2_dgla())
+    A = abelian_pair((4,), (4,))
+    eye = {0: tuple(unit_vec(4, r) for r in range(4))}
+    for source, target in ((P, A), (A, P)):
+        with pytest.raises(ValidationError, match="bracket preservation"):
+            DglaPairMap(source, target, eye, eye)
+    with pytest.raises(ValidationError, match="action equivariance"):
+        DglaPairMap(P, DglaPair(P.lie, A.m_gvs, [], {}), eye, eye)
+
+
 # ---------------------------------------------------------------------------
 # JSON
 # ---------------------------------------------------------------------------

@@ -19,8 +19,10 @@ from hypothesis import given, settings, strategies as st
 from cjl.acceptance import _solvable_pair
 from cjl.dgla import (Dgla, DglaPair, GradedVectorSpace, _GradedTable,
                       check_dgla, check_pair)
+from cjl.errors import AxiomError
 from cjl.field import QQ
-from cjl.models import cdga_to_pair, exterior, exterior_pair, surface_pair
+from cjl.models import (Arrangement, Cdga, cdga_to_pair, exterior, exterior_pair,
+                        orlik_solomon, surface_cdga, surface_pair)
 from test_dgla import adjoint_pair, gl2_dgla, heisenberg_pair
 
 F = QQ()
@@ -143,9 +145,10 @@ def corpus():
     }
 
 
-def perturb(P, rng):
+def perturb(P, rng, fresh=False):
     """Change one coordinate of one bracket or action vector (stored, or
-    new at a random index) by a nonzero integer."""
+    new at a random index) by a nonzero integer; with ``fresh``, at an
+    index where the table had no vector, in neither orientation."""
     C = P.lie
     bracket, action = dict(C.bracket.entries), dict(P.action.entries)
     while True:
@@ -156,8 +159,10 @@ def perturb(P, rng):
         i = rng.choice(list(C.gvs.degrees()))
         j = rng.choice(list(space.degrees()))
         if C.dim(i) and dim_in(j) and dim_out(i + j):
-            break
-    key = (i, rng.randrange(C.dim(i)), j, rng.randrange(dim_in(j)))
+            key = (i, rng.randrange(C.dim(i)), j, rng.randrange(dim_in(j)))
+            if not fresh or not (key in table or
+                                 on_lie and key[2:] + key[:2] in table):
+                break
     vec = list(table.get(key, (F.zero,) * dim_out(i + j)))
     vec[rng.randrange(len(vec))] += rng.choice([-2, -1, 1, 2])
     table[key] = tuple(vec)
@@ -196,6 +201,99 @@ def test_checkers_match_reference_on_perturbations():
     seen.update(w["axiom"] for w in got)
     assert {"d_squared", "skew", "jacobi", "leibniz", "module_d_squared",
             "lie_action", "action_leibniz"} <= seen
+
+
+def test_checkers_match_reference_on_inserted_entries():
+    """Vectors at indices where the tables had none: the triples and pairs
+    the checkers visit must follow the new support, not only the old."""
+    rng = random.Random(20261019)
+    seen = set()
+    for name, P in corpus().items():
+        for t in range(6):
+            Q = perturb(P, rng, fresh=True)
+            got = _checked(Q)
+            assert got == reference_witnesses(Q), (name, t)
+            seen.update(w["axiom"] for w in got)
+    assert {"skew", "jacobi", "leibniz", "lie_action", "action_leibniz"} <= seen
+
+
+def reference_algebra_witness(A):
+    """The first failure, in dense loop order, of the unit, graded
+    commutativity and associativity of the Cdga A, or None."""
+    dim = A.dim
+    degrees = list(A.gvs.degrees())
+
+    def mul(i, u, j, v):
+        return _dense(A.table.entries, False, dim, i, u, j, v)
+
+    one = _unit(dim(0), 0)
+    for j in degrees:
+        for b in range(dim(j)):
+            y = _unit(dim(j), b)
+            if mul(0, one, j, y) != y or mul(j, y, 0, one) != y:
+                return {"axiom": "unit", "at": (j, b)}
+    for i, j in product(degrees, repeat=2):
+        for a, b in product(range(dim(i)), range(dim(j))):
+            x, y = _unit(dim(i), a), _unit(dim(j), b)
+            if mul(i, x, j, y) != [_sign(i * j) * t for t in mul(j, y, i, x)]:
+                return {"axiom": "commutativity", "at": (i, a, j, b)}
+    for i, j, k in product(degrees, repeat=3):
+        for a, b, c in product(range(dim(i)), range(dim(j)), range(dim(k))):
+            x, y, z = _unit(dim(i), a), _unit(dim(j), b), _unit(dim(k), c)
+            if mul(i + j, mul(i, x, j, y), k, z) != mul(i, x, j + k, mul(j, y, k, z)):
+                return {"axiom": "associativity", "at": (i, a, j, b, k, c)}
+    return None
+
+
+def perturb_algebra(A, rng, fresh):
+    """Change one coordinate of one product of two basis vectors other
+    than the unit by a nonzero integer, at a stored index or (``fresh``)
+    at one where neither orientation is stored; on half the draws change
+    the mirror product by the graded-commutative amount too, so that
+    associativity is what breaks."""
+    mult = dict(A.table.entries)
+    degrees = list(A.gvs.degrees())
+    while True:
+        i, j = rng.choice(degrees), rng.choice(degrees)
+        if A.dim(i) and A.dim(j) and A.dim(i + j):
+            key = (i, rng.randrange(A.dim(i)), j, rng.randrange(A.dim(j)))
+            if (0, 0) in (key[:2], key[2:]):
+                continue
+            mirror = key[2:] + key[:2]
+            if (key in mult) != fresh and not (fresh and mirror in mult):
+                break
+    k, delta = rng.randrange(A.dim(i + j)), rng.choice([-2, -1, 1, 2])
+    changes = [(key, delta), (mirror, _sign(i * j) * delta)]
+    for at, t in changes[:1 + (rng.random() < 0.5)]:
+        vec = list(mult.get(at, (F.zero,) * A.dim(i + j)))
+        vec[k] += t
+        mult[at] = tuple(vec)
+    return Cdga(F, A.gvs, mult)
+
+
+def _algebra_witness(A):
+    try:
+        A.validate()
+    except AxiomError as exc:
+        return exc.witness
+    return None
+
+
+def test_algebra_check_matches_reference_on_graded_algebras():
+    """check_algebra in odd degrees, where the signs are not all +1, on
+    perturbed and inserted products."""
+    rng = random.Random(20261020)
+    seen = set()
+    algebras = {"exterior-3": exterior(3), "surface-2": surface_cdga(2),
+                "3-line": orlik_solomon(Arrangement([[1, 0], [0, 1], [1, 1]]))}
+    for name, A in algebras.items():
+        assert _algebra_witness(A) is None is reference_algebra_witness(A)
+        for t in range(16):
+            B = perturb_algebra(A, rng, fresh=t % 2 == 1)
+            got = _algebra_witness(B)
+            assert got == reference_algebra_witness(B), (name, t)
+            seen.add(got and got["axiom"])
+    assert {"commutativity", "associativity"} <= seen
 
 
 @settings(max_examples=200, deadline=None)
