@@ -341,7 +341,7 @@ def test_declared_dimension_above_bound_is_exit_2_with_path(capsys, monkeypatch)
 def test_structureless_pair_at_the_bound_is_checked_quickly():
     """The axiom check walks the nonzero entries, so a pair that declares
     MAX_DIM vectors per side and no structure is read at once (a walk over
-    every basis triple would take hours)."""
+    every basis triple would take days)."""
     empty = {"lie": {"degrees": [0, 0], "dims": [MAX_DIM]},
              "module": {"degrees": [0, 0], "dims": [MAX_DIM]}}
     res = subprocess.run([sys.executable, "-m", "cjl.cli", "cone"],
