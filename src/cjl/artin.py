@@ -260,12 +260,18 @@ class ArtinIdeal:
             if len(g) != algebra.dim:
                 raise ValidationError("generator has wrong length")
         self.ech = Echelon(algebra.field, algebra.dim)
-        work = deque(self.gens)
-        while work:
-            v = work.popleft()
-            if self.ech.add(v):
-                for j in range(1, algebra.dim):
-                    work.append(algebra.mul(v, algebra.basis(j)))
+        if any(algebra.is_unit(g) for g in self.gens):
+            # in a local ring a generator outside m is a unit, so the ideal
+            # is the whole algebra: its reduced basis is the identity rows
+            for j in range(algebra.dim):
+                self.ech.add(algebra.basis(j))
+        else:
+            work = deque(self.gens)
+            while work:
+                v = work.popleft()
+                if self.ech.add(v):
+                    for j in range(1, algebra.dim):
+                        work.append(algebra.mul(v, algebra.basis(j)))
         self.basis = self.ech.basis()
 
     def contains(self, v) -> bool:

@@ -34,7 +34,12 @@ def ring_same(r1, r2) -> bool:
 
 
 class FreeComplex:
-    """Bounded cochain complex of free modules with explicit matrices."""
+    """Bounded cochain complex of free modules with explicit matrices.
+
+    A complex is immutable once built: ``ranks`` and ``diffs`` are tuples
+    and nothing reassigns them.  That is what lets a complex over an Artin
+    ring keep its minimal model (:attr:`minimal`) for its whole life.
+    """
 
     def __init__(self, ring, lo: int, hi: int, ranks: Sequence[int],
                  diffs: Sequence):
@@ -58,6 +63,7 @@ class FreeComplex:
                     f"differential {j} has shape {len(m)}x?, expected "
                     f"{self.ranks[j + 1]}x{self.ranks[j]}", at=("diffs", j))
         self._check_dd()
+        self._minimal = None
 
     def _check_dd(self):
         R = self.ring
@@ -72,6 +78,14 @@ class FreeComplex:
                         raise ValidationError(
                             f"d.d != 0 at degrees {self.lo + j} -> {self.lo + j + 2}, "
                             f"entry ({r},{c})")
+
+    @property
+    def minimal(self) -> "FreeComplex":
+        """The minimal model, from :func:`minimize_complex` on first use
+        and kept on the complex (Artin coefficients only)."""
+        if self._minimal is None:
+            self._minimal = minimize_complex(self)
+        return self._minimal
 
     # -- window access -------------------------------------------------
 
@@ -204,8 +218,10 @@ def block_diag_determinantal(ring, A, B, r: int, ra: int, ca: int,
 def jump_ideal(E: FreeComplex, i: int, k: int):
     """Jump ideal in degree ``i`` at level ``k >= 1``.
 
-    Over an Artin ring the complex is minimized first (the ideal is
-    invariant under that, and the matrices shrink).  Every entry of the
+    Over an Artin ring the ideal is read from the minimal model of the
+    complex (it is invariant under minimization, and the matrices shrink),
+    which is built once per complex (:attr:`FreeComplex.minimal`), so the
+    whole family over every ``i`` and ``k`` shares it.  Every entry of the
     minimal complex lies in the maximal ideal m, so at a size ``r`` at or
     above the nilpotency index the ideal is zero and no minor is expanded.
     Over a polynomial context the minors are taken as-is and the ideal is
@@ -215,7 +231,7 @@ def jump_ideal(E: FreeComplex, i: int, k: int):
     if k < 1:
         raise ValidationError(f"jump level must be >= 1, got {k}")
     if isinstance(E.ring, ArtinLocalAlgebra):
-        E = minimize_complex(E)
+        E = E.minimal
     r = E.rank(i) - k + 1
     dp = E.diff(i - 1)
     di = E.diff(i)
@@ -232,6 +248,10 @@ def minimize_complex(E: FreeComplex) -> FreeComplex:
     """Split off unit pivots until every differential entry lies in the
     maximal ideal.  The result is the minimal model of the complex; over
     an Artin local ring it exists and is unique up to isomorphism.
+
+    This is the one route to a minimal model; :attr:`FreeComplex.minimal`
+    calls it once per complex.  A complex with no unit entry is returned
+    as it is, and the result is marked as its own minimal model.
     """
     A = E.ring
     if not isinstance(A, ArtinLocalAlgebra):
@@ -299,8 +319,13 @@ def minimize_complex(E: FreeComplex) -> FreeComplex:
         ranks[j] -= 1
         ranks[j + 1] -= 1
 
-    return FreeComplex(A, E.lo, E.hi,
-                       ranks, [tuple(tuple(row) for row in m) for m in diffs])
+    if tuple(ranks) == E.ranks:
+        M = E
+    else:
+        M = FreeComplex(A, E.lo, E.hi,
+                        ranks, [tuple(tuple(row) for row in m) for m in diffs])
+    M._minimal = M
+    return M
 
 
 # ---------------------------------------------------------------------------

@@ -110,13 +110,15 @@ class _GradedTable:
         return (self.field.zero,) * out_dim if v is None else v
 
     def terms(self, i: int, a: int, j: int, b: int) -> tuple:
-        """The nonzero coordinates (k, t) of the vector at (i,a,j,b)."""
+        """The nonzero coordinates (k, t) of the vector at (i,a,j,b); a
+        coordinate equal to 1 is the field's ``one`` object itself."""
         key = (i, a, j, b)
         out = self._terms.get(key)
         if out is None:
             F = self.field
             out = self._terms[key] = tuple(
-                (k, t) for k, t in enumerate(self.find(i, a, j, b) or ())
+                (k, F.one if F.eq(t, F.one) else t)
+                for k, t in enumerate(self.find(i, a, j, b) or ())
                 if not F.is_zero(t))
         return out
 
@@ -124,15 +126,21 @@ class _GradedTable:
         """The bilinear product on nonzero coordinates in the ring R: the
         sum of u_a v_b T(i,a,j,b) over (a, u_a) in ``us`` and (b, v_b) in
         ``vs``, as a dict {k: coefficient} (entries may cancel to zero).
-        This is the one structure-constant contraction of the package."""
+        This is the one structure-constant contraction of the package.
+
+        A factor that is the field's ``one`` object is skipped: no product
+        u_a v_b is formed when u_a or v_b is it, and no scaling by T when
+        the coordinate of T is (see :meth:`terms`).  Multiplying by 1 is
+        the identity in any ring, so the result is exact for every R."""
+        one = self.field.one
         out = {}
         for a, x in us:
             for b, y in vs:
                 ts = self.terms(i, a, j, b)
                 if ts:
-                    c = R.mul(x, y)
+                    c = y if x is one else x if y is one else R.mul(x, y)
                     for k, t in ts:
-                        z = R.scale(c, t)
+                        z = c if t is one else R.scale(c, t)
                         out[k] = R.add(out[k], z) if k in out else z
         return out
 

@@ -1,3 +1,4 @@
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -5,8 +6,10 @@ import pytest
 from cjl.artin import ArtinIdeal, ArtinLocalAlgebra, artin_from_json, make_artin
 from cjl.errors import (AxiomError, NotFiniteError, NotLocalError,
                         ValidationError)
-from cjl.field import QQ
+from cjl.field import QQ, GFp
 from cjl.groebner import Ideal
+from cjl.linalg import Echelon
+from cjl.parse import parse_poly
 from cjl.poly import RingContext
 
 
@@ -157,3 +160,43 @@ def test_quotient_context_make_artin():
     qctx = RingContext(QQ(), ("t",), quotient=[t**3])
     A = make_artin(qctx, Ideal(qctx, [qctx.var(0) ** 2]))
     assert A.dim == 2  # (S/t^3)/(t^2) = Q[t]/(t^2)
+
+
+# the rings of the artin-deformation benchmark workload, and one over F_5
+UNIT_IDEAL_RINGS = {
+    "t3": (QQ(), ("t",), ["t^3"]),
+    "t4": (QQ(), ("t",), ["t^4"]),
+    "xy2": (QQ(), ("x", "y"), ["x^2", "x*y", "y^2"]),
+    "t3s2": (QQ(), ("t", "s"), ["t^3", "s^2"]),
+    "t3s2-F5": (GFp(5), ("t", "s"), ["t^3", "s^2"]),
+}
+
+
+def closure_basis(A, gens):
+    """Reference: the reduced echelon basis and pivots of the span of the
+    generators closed under multiplication by every basis element."""
+    ech = Echelon(A.field, A.dim)
+    work = deque(gens)
+    while work:
+        v = work.popleft()
+        if ech.add(v):
+            work.extend(A.mul(v, A.basis(j)) for j in range(1, A.dim))
+    return ech.basis(), ech.pivots
+
+
+@pytest.mark.parametrize("ring", sorted(UNIT_IDEAL_RINGS))
+def test_unit_generator_gives_the_closure_basis(ring):
+    """An ideal with a unit among its generators takes the identity rows
+    without forming products; they must equal the full closure's basis."""
+    F, names, rels = UNIT_IDEAL_RINGS[ring]
+    ctx = RingContext(F, names)
+    A = make_artin(ctx, [parse_poly(ctx, r) for r in rels])
+    m = [A.basis(j) for j in range(1, A.dim)]
+    three = F.from_int(3)
+    unit = A.add(A.scale(A.one(), three), A.scale(m[-1], F.from_int(2)))
+    for gens in ([A.one()], [unit], m + [unit], [m[0], A.sub(A.one(), m[0])]):
+        I = ArtinIdeal(A, gens)
+        basis, pivots = closure_basis(A, gens)
+        assert I.basis == basis and I.ech.pivots == pivots, (ring, gens)
+        assert I.is_unit() and I.dim() == A.dim
+        assert I.gens == tuple(gens)

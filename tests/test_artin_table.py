@@ -1,22 +1,25 @@
 """Differential tests of Artin multiplication and of the algebra-axiom
 checker, which both go through the structure-constant table of
-``cjl.dgla``.
+``cjl.dgla``, and of the table's contraction itself.
 
 The references below are the dense routines the table replaced: a triple
 loop over the multiplication table for products, and the unit,
 commutativity and associativity loops over every basis pair and triple
 with dense products.  Products are also checked against multiplication
 of polynomials and normal forms, a route that reads no table at all.
+The contraction, which skips factors equal to 1, is checked against a
+dense loop that multiplies by every factor.
 """
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cjl.artin import MAX_ARTIN_DIM, ArtinLocalAlgebra, artin_from_json, make_artin
 from cjl.cli import run
-from cjl.dgla import pair_to_json
+from cjl.dgla import GradedVectorSpace, _GradedTable, pair_to_json
 from cjl.errors import AxiomError, NotLocalError
 from cjl.field import QQ, GFp
 from cjl.linalg import solve
@@ -218,6 +221,87 @@ def test_ring_at_the_dimension_cap_builds():
     x = tuple(A.field.from_int((3 * k) % 7 - 3) for k in range(A.dim))
     y = tuple(A.field.from_int((5 * k) % 11 - 5) for k in range(A.dim))
     assert A.mul(x, y) == reference_mul(A.field, table, x, y)
+
+
+# ---------------------------------------------------------------------------
+# the contraction of a graded table, against a dense loop
+# ---------------------------------------------------------------------------
+
+def reference_contract(R, zero, table, i, u, j, v, out_dim):
+    """Every coordinate pair times every stored (or skew-derived) entry,
+    with R's own mul and scale: no factor equal to 1 is skipped."""
+    F = table.field
+    out = [zero] * out_dim
+    for a, x in enumerate(u):
+        for b, y in enumerate(v):
+            vec = table.find(i, a, j, b)
+            for k, t in enumerate(vec or ()):
+                if not F.is_zero(t):
+                    out[k] = R.add(out[k], R.scale(R.mul(x, y), t))
+    return out
+
+
+def ones(F):
+    """Objects equal to 1: the field's ``one`` and, over Q, a reduced
+    Fraction(2, 2) and a literal read from JSON text (distinct objects)."""
+    return [F.one, F.div(F.from_int(2), F.from_int(2)), F.parse(json.loads('"1"'))]
+
+
+def random_table(F, rng, space, skew):
+    """Entries on every index pair whose product degree lies in the window,
+    about a third of them missing, the others dense in 0, +-1 and 2."""
+    scalars = ones(F) * 3 + [F.zero, F.neg(F.one), F.from_int(2)]
+    entries = {}
+    for i in space.degrees():
+        for j in space.degrees():
+            n = space.dim(i + j)
+            if not n:
+                continue
+            for a in range(space.dim(i)):
+                for b in range(space.dim(j)):
+                    if rng.random() < 2 / 3:
+                        entries[(i, a, j, b)] = tuple(rng.choice(scalars) for _ in range(n))
+    return _GradedTable(F, entries, skew)
+
+
+@pytest.mark.parametrize("F", [QQ(), GFp(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("skew", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+def test_contract_matches_dense_loop(F, skew, seed):
+    """Over the field and over an Artin ring (``contract(..., ring=A)``),
+    on coordinates that are often 1, some as unit vectors."""
+    assert all(F.eq(x, F.one) for x in ones(F))
+    if F.char == 0:
+        assert not any(x is F.one for x in ones(F)[1:])
+    rng = random.Random(seed)
+    space = GradedVectorSpace(0, 2, (3, 2, 2))
+    table = random_table(F, rng, space, skew)
+    ctx = RingContext(F, ("t", "s"))
+    t, s = ctx.gens()
+    A = make_artin(ctx, [t**2, s**2])
+    scalars = ones(F) + [F.zero, F.zero, F.from_int(3), F.neg(F.one)]
+    elements = [A.one(), A.zero(), A.basis(1), A.basis(3),
+                A.add(A.one(), A.basis(2)), tuple(F.from_int(k - 1) for k in range(A.dim))]
+    checked = 0
+    for i in space.degrees():
+        for j in space.degrees():
+            n = space.dim(i + j)
+            for rep in range(4):
+                u = [rng.choice(scalars) for _ in range(space.dim(i))]
+                v = [rng.choice(scalars) for _ in range(space.dim(j))]
+                if v and rep % 2:
+                    v = [F.zero] * len(v)
+                    v[rng.randrange(len(v))] = F.one   # a unit vector
+                got = table.contract(i, u, j, v, n)
+                want = reference_contract(F, F.zero, table, i, u, j, v, n)
+                assert len(got) == n and all(F.eq(x, y) for x, y in zip(got, want))
+                ua = [rng.choice(elements) for _ in range(space.dim(i))]
+                va = [rng.choice(elements) for _ in range(space.dim(j))]
+                got = table.contract(i, ua, j, va, n, A)
+                want = reference_contract(A, A.zero(), table, i, ua, j, va, n)
+                assert len(got) == n and all(A.eq(x, y) for x, y in zip(got, want))
+                checked += n
+    assert checked > 50
 
 
 # ---------------------------------------------------------------------------

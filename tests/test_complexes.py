@@ -1,3 +1,4 @@
+import functools
 import json
 import time
 
@@ -338,6 +339,47 @@ def test_jump_over_artin():
     assert J.contained_in_max_ideal()
     assert J.equals(A.ideal([t]))
     assert jump_ideal(E, 1, 2).is_unit()
+
+
+def _mat_mul(A, X, Y):
+    return tuple(tuple(functools.reduce(A.add, (A.mul(x, Y[s][c]) for s, x in enumerate(row)),
+                                        A.zero())
+                       for c in range(len(Y[0]))) for row in X)
+
+
+def test_minimal_model_is_built_once_per_complex(monkeypatch):
+    """Every jump ideal of a complex reads one minimal model: the family
+    over all (i, k) minimizes once, and a fresh copy of the complex, asked
+    in the reverse order, gives the same echelon bases."""
+    A = _artin(("t", "s"), ["t^3", "s^2"])
+    one, z, m1, m2 = A.one(), A.zero(), A.basis(1), A.basis(2)
+    # (m1) (+) 1 out of degree 0 and (m2, 1) out of f3 in degree 1, seen
+    # through the unit upper triangular change of basis G on degree 1
+    G = ((one, m1, one), (z, one, m2), (z, z, one))
+    Ginv = ((one, A.neg(m1), A.sub(A.mul(m1, m2), one)), (z, one, A.neg(m2)), (z, z, one))
+    d0 = _mat_mul(A, G, ((m1, z), (z, one), (z, z)))
+    d1 = _mat_mul(A, ((z, z, m2), (z, z, one)), Ginv)
+    E = FreeComplex(A, 0, 2, (2, 3, 2), (d0, d1))
+    calls = []
+    real = complexes.minimize_complex
+
+    def counted(C):
+        calls.append(C)
+        return real(C)
+
+    monkeypatch.setattr(complexes, "minimize_complex", counted)
+    levels = [(i, k) for i in range(E.lo - 1, E.hi + 2) for k in range(1, E.rank(i) + 2)]
+    first = {ik: jump_ideal(E, *ik).basis for ik in levels}
+    assert calls == [E]
+    M = E.minimal
+    assert M.ranks == (1, 1, 1) and M.minimal is M and calls == [E]
+    copy = FreeComplex(A, E.lo, E.hi, E.ranks, E.diffs)
+    assert {ik: jump_ideal(copy, *ik).basis for ik in reversed(levels)} == first
+    assert calls == [E, copy]
+    assert first[(0, 1)] == A.ideal([m1]).basis
+    # a complex with no unit entry is its own model
+    N = FreeComplex(A, 0, 1, (1, 1), (((m1,),),))
+    assert N.minimal is N and N.minimal.minimal is N and calls[-1] is N
 
 
 def test_fiber_cohomology_rank():
