@@ -261,8 +261,7 @@ class ArtinIdeal:
                 raise ValidationError("generator has wrong length")
         self.ech = Echelon(algebra.field, algebra.dim)
         if any(algebra.is_unit(g) for g in self.gens):
-            # in a local ring a generator outside m is a unit, so the ideal
-            # is the whole algebra: its reduced basis is the identity rows
+            # a unit generates the whole algebra: the identity rows
             for j in range(algebra.dim):
                 self.ech.add(algebra.basis(j))
         else:

@@ -36,9 +36,8 @@ def ring_same(r1, r2) -> bool:
 class FreeComplex:
     """Bounded cochain complex of free modules with explicit matrices.
 
-    A complex is immutable once built: ``ranks`` and ``diffs`` are tuples
-    and nothing reassigns them.  That is what lets a complex over an Artin
-    ring keep its minimal model (:attr:`minimal`) for its whole life.
+    Immutable once built (``ranks`` and ``diffs`` are tuples that nothing
+    reassigns), so it can keep its minimal model (:attr:`minimal`).
     """
 
     def __init__(self, ring, lo: int, hi: int, ranks: Sequence[int],
@@ -81,8 +80,8 @@ class FreeComplex:
 
     @property
     def minimal(self) -> "FreeComplex":
-        """The minimal model, from :func:`minimize_complex` on first use
-        and kept on the complex (Artin coefficients only)."""
+        """The minimal model (Artin coefficients), built on first use by
+        :func:`minimize_complex` and kept."""
         if self._minimal is None:
             self._minimal = minimize_complex(self)
         return self._minimal
@@ -218,12 +217,11 @@ def block_diag_determinantal(ring, A, B, r: int, ra: int, ca: int,
 def jump_ideal(E: FreeComplex, i: int, k: int):
     """Jump ideal in degree ``i`` at level ``k >= 1``.
 
-    Over an Artin ring the ideal is read from the minimal model of the
-    complex (it is invariant under minimization, and the matrices shrink),
-    which is built once per complex (:attr:`FreeComplex.minimal`), so the
-    whole family over every ``i`` and ``k`` shares it.  Every entry of the
-    minimal complex lies in the maximal ideal m, so at a size ``r`` at or
-    above the nilpotency index the ideal is zero and no minor is expanded.
+    Over an Artin ring it is read from the minimal model (the ideal is
+    invariant under minimization, and the matrices shrink), built once per
+    complex for all ``i`` and ``k`` (:attr:`FreeComplex.minimal`).  Every
+    entry of that model lies in the maximal ideal m, so at a size ``r`` at
+    or above the nilpotency index the ideal is zero and no minor is expanded.
     Over a polynomial context the minors are taken as-is and the ideal is
     represented by its full preimage upstairs when the context is a
     quotient.
@@ -248,10 +246,8 @@ def minimize_complex(E: FreeComplex) -> FreeComplex:
     """Split off unit pivots until every differential entry lies in the
     maximal ideal.  The result is the minimal model of the complex; over
     an Artin local ring it exists and is unique up to isomorphism.
-
-    This is the one route to a minimal model; :attr:`FreeComplex.minimal`
-    calls it once per complex.  A complex with no unit entry is returned
-    as it is, and the result is marked as its own minimal model.
+    :attr:`FreeComplex.minimal` calls it once per complex.  A complex with
+    no unit entry is returned as it is; the result is its own model.
     """
     A = E.ring
     if not isinstance(A, ArtinLocalAlgebra):
@@ -319,11 +315,8 @@ def minimize_complex(E: FreeComplex) -> FreeComplex:
         ranks[j] -= 1
         ranks[j + 1] -= 1
 
-    if tuple(ranks) == E.ranks:
-        M = E
-    else:
-        M = FreeComplex(A, E.lo, E.hi,
-                        ranks, [tuple(tuple(row) for row in m) for m in diffs])
+    M = E if tuple(ranks) == E.ranks else FreeComplex(
+        A, E.lo, E.hi, ranks, [tuple(tuple(row) for row in m) for m in diffs])
     M._minimal = M
     return M
 

@@ -127,11 +127,8 @@ class _GradedTable:
         sum of u_a v_b T(i,a,j,b) over (a, u_a) in ``us`` and (b, v_b) in
         ``vs``, as a dict {k: coefficient} (entries may cancel to zero).
         This is the one structure-constant contraction of the package.
-
-        A factor that is the field's ``one`` object is skipped: no product
-        u_a v_b is formed when u_a or v_b is it, and no scaling by T when
-        the coordinate of T is (see :meth:`terms`).  Multiplying by 1 is
-        the identity in any ring, so the result is exact for every R."""
+        Factors that are the field's ``one`` object (see :meth:`terms`) are
+        skipped, not multiplied: exact in any ring, as 1 is its identity."""
         one = self.field.one
         out = {}
         for a, x in us:
