@@ -18,6 +18,10 @@ The package is organized bottom-up:
   algebras, and matrix-valued coefficient pairs built from them.
 * :mod:`cjl.cli`, :mod:`cjl.acceptance` — the ``cjl`` command and the
   nine-check release battery behind ``cjl selftest``.
+
+The package holds only code that a ``cjl`` verb, the battery or the
+benchmark reaches; ``tests/test_tooling.py`` checks, by name, that every
+function, class and method has a caller outside the tests.
 """
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ from time import perf_counter
 
 from .artin import artin_from_json
 from .complexes import FreeComplex, base_change, fiber_cohomology_rank, jump_ideal
-from .dgla import Dgla, DglaPair, GradedVectorSpace
+from .dgla import Dgla, DglaPair, GradedVectorSpace, cohomology_lie
 from .field import QQ
 from .geometry import analyze, exactness_threshold, tor_crosscheck
 from .groebner import krull_dimension, krull_dimension_by_enumeration, reduce_full
@@ -453,8 +453,7 @@ def check_two_path_agreement(seed=0):
         checked = 0
         for label, P in _model_corpus():
             a = exactness_threshold(P)
-            I = resonance_ideal(P, P.m_gvs.lo, 1)
-            n = I.ctx.nvars
+            n = cohomology_lie(P.lie).dim(1)
             F = P.field
             points = 0
             while points < 10:

@@ -215,9 +215,6 @@ class ArtinLocalAlgebra:
         if not self.same(other):
             raise RingMismatchError("elements of different algebras")
 
-    def element_to_json(self, a):
-        return [self.field.format(x) for x in a]
-
     def format_element(self, a) -> str:
         F = self.field
         parts = []
@@ -234,16 +231,6 @@ class ArtinLocalAlgebra:
             else:
                 parts.append(f"{cs}*{lab}")
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
-
-    def to_json(self) -> dict:
-        obj = {"field": "Q" if self.field.char == 0 else "Fp",
-               "dim": self.dim, "labels": list(self.labels),
-               "mult": [[[self.field.format(c)
-                          for c in self.table.get(0, i, 0, j, self.dim)]
-                         for j in range(self.dim)] for i in range(self.dim)]}
-        if self.field.char:
-            obj["p"] = self.field.char
-        return obj
 
     def __repr__(self):
         return f"ArtinLocalAlgebra(dim={self.dim}, nilp={self.nilpotency_index})"

@@ -95,19 +95,6 @@ def complex_from_json(obj, path: str = "/complex") -> FreeComplex:
         return FreeComplex(ring, lo, lo + len(ranks) - 1, ranks, diffs)
 
 
-def complex_to_json(E: FreeComplex) -> dict:
-    ring = E.ring
-    return {
-        "ring": ring.to_json(),
-        "lo": E.lo,
-        "ranks": list(E.ranks),
-        "diffs": [
-            [[ring.element_to_json(e) for e in row] for row in E.diff(i)]
-            for i in range(E.lo, E.hi)
-        ],
-    }
-
-
 def _ideal_strings(ideal):
     return [format_poly(g) for g in reversed(ideal.groebner())]
 

@@ -28,7 +28,7 @@ from typing import Sequence
 from .errors import AxiomError, ValidationError
 from .field import (QQ, field_from_json, json_path, located, read_int,
                     read_nested, read_scalar)
-from .linalg import Echelon, mat_vec, nullspace, rank, solve, vec_is_zero
+from .linalg import Echelon, nullspace, solve, vec_is_zero
 
 
 class GradedVectorSpace:
@@ -186,12 +186,6 @@ class Dgla:
         return tuple((self.field.zero,) * self.dim(i)
                      for _ in range(self.dim(i + 1)))
 
-    def d_apply(self, i: int, u):
-        return mat_vec(self.field, self.d_mat(i), u)
-
-    def bracket_vec(self, i: int, a: int, j: int, b: int):
-        return self.bracket.get(i, a, j, b, self.dim(i + j))
-
     def bracket_elem(self, i: int, u, j: int, v):
         return self.bracket.contract(i, u, j, v, self.dim(i + j))
 
@@ -226,9 +220,6 @@ class DglaPair:
             return self.m_d[i - self.m_gvs.lo]
         return tuple((self.field.zero,) * self.m_dim(i)
                      for _ in range(self.m_dim(i + 1)))
-
-    def m_d_apply(self, i: int, u):
-        return mat_vec(self.field, self.m_d_mat(i), u)
 
     def action_elem(self, i: int, u, j: int, v):
         return self.action.contract(i, u, j, v, self.m_dim(i + j))
@@ -475,11 +466,11 @@ class _DegreeHomology:
         return tuple(x[self.n_b:])
 
 
-def _homology(F, d_mat, dim, degrees) -> dict:
-    """The _DegreeHomology of each of ``degrees``, for the complex with
-    differentials ``d_mat(i)`` and dimensions ``dim(i)``."""
-    return {i: _DegreeHomology(F, d_mat(i - 1), d_mat(i), dim(i), dim(i - 1))
-            for i in degrees}
+def _homology(F, d_mat, gvs: GradedVectorSpace) -> dict:
+    """The _DegreeHomology of each degree of ``gvs``, for the complex with
+    differentials ``d_mat(i)``."""
+    return {i: _DegreeHomology(F, d_mat(i - 1), d_mat(i), gvs.dim(i), gvs.dim(i - 1))
+            for i in gvs.degrees()}
 
 
 def _induced(F, ch: dict, vh: dict, product) -> dict:
@@ -506,7 +497,7 @@ def _zero_d(F, gvs: GradedVectorSpace) -> list:
 
 def _cohomology_lie(C: Dgla) -> tuple:
     F = C.field
-    ch = _homology(F, C.d_mat, C.dim, C.gvs.degrees())
+    ch = _homology(F, C.d_mat, C.gvs)
     g = GradedVectorSpace(C.gvs.lo, C.gvs.hi, [h.h for h in ch.values()])
     return Dgla(F, g, _zero_d(F, g), _induced(F, ch, ch, C.bracket_elem)), ch
 
@@ -528,158 +519,9 @@ def cohomology_pair(P: DglaPair) -> DglaPair:
         return P
     F = P.field
     lie, ch = _cohomology_lie(P.lie)
-    mh = _homology(F, P.m_d_mat, P.m_dim, P.m_gvs.degrees())
+    mh = _homology(F, P.m_d_mat, P.m_gvs)
     m = GradedVectorSpace(P.m_gvs.lo, P.m_gvs.hi, [h.h for h in mh.values()])
     return DglaPair(lie, m, _zero_d(F, m), _induced(F, ch, mh, P.action_elem))
-
-
-def module_betti(P: DglaPair) -> tuple:
-    """Cohomology dimensions of the module complex over its window."""
-    return tuple(h.h for h in _homology(P.field, P.m_d_mat, P.m_dim,
-                                        P.m_gvs.degrees()).values())
-
-
-# ---------------------------------------------------------------------------
-# maps of pairs
-# ---------------------------------------------------------------------------
-
-class DglaPairMap:
-    """Degreewise maps (on the algebra and the module) that intertwine the
-    differentials, brackets, and actions."""
-
-    def __init__(self, source: DglaPair, target: DglaPair, lie_comps: dict,
-                 mod_comps: dict):
-        self.source = source
-        self.target = target
-        self.F = source.field
-        self.lie_comps = {i: tuple(tuple(r) for r in m)
-                          for i, m in lie_comps.items()}
-        self.mod_comps = {i: tuple(tuple(r) for r in m)
-                          for i, m in mod_comps.items()}
-        for i, m in self.lie_comps.items():
-            if len(m) != target.lie.dim(i) or \
-                    any(len(r) != source.lie.dim(i) for r in m):
-                raise ValidationError(f"lie component {i} has wrong shape")
-        for i, m in self.mod_comps.items():
-            if len(m) != target.m_dim(i) or \
-                    any(len(r) != source.m_dim(i) for r in m):
-                raise ValidationError(f"module component {i} has wrong shape")
-        self._check()
-
-    def lie_comp(self, i: int):
-        if i in self.lie_comps:
-            return self.lie_comps[i]
-        return tuple((self.F.zero,) * self.source.lie.dim(i)
-                     for _ in range(self.target.lie.dim(i)))
-
-    def mod_comp(self, i: int):
-        if i in self.mod_comps:
-            return self.mod_comps[i]
-        return tuple((self.F.zero,) * self.source.m_dim(i)
-                     for _ in range(self.target.m_dim(i)))
-
-    def apply_lie(self, i: int, u):
-        return mat_vec(self.F, self.lie_comp(i), u)
-
-    def apply_mod(self, i: int, u):
-        return mat_vec(self.F, self.mod_comp(i), u)
-
-    def _check(self):
-        F = self.F
-        S, T = self.source, self.target
-
-        def differ(lhs, rhs):
-            return not vec_is_zero(F, tuple(F.sub(x, y) for x, y in zip(lhs, rhs)))
-
-        def chain_rule(src, tgt, dim, d_s, d_t, apply, what):
-            for i in range(min(src.lo, tgt.lo), max(src.hi, tgt.hi)):
-                for u in _units(F, dim(i)):
-                    if differ(apply(i + 1, d_s(i, u)), d_t(i, apply(i, u))):
-                        raise ValidationError(
-                            f"{what} fails d-chain rule at {i}")
-
-        def sources(comp, space) -> dict:
-            """By target basis vector (i, r), the source basis vectors
-            whose image has a term there."""
-            return {(i, r): [c for c, x in enumerate(row) if not F.is_zero(x)]
-                    for i in space.degrees() for r, row in enumerate(comp(i))}
-
-        def preserves(space, table_s, table_t, mu_s, mu_t, comp, apply, what):
-            # f(x.v) = f(x).f(v) can fail only where x.v != 0 or where the
-            # target multiplies a term of f(x) by a term of f(v)
-            xs, vs = sources(self.lie_comp, S.lie.gvs), sources(comp, space)
-            visit = set(_support(table_s)[0])
-            for i, r, j, t in _support(table_t)[0]:
-                visit.update((i, a, j, b) for a in xs.get((i, r), ())
-                            for b in vs.get((j, t), ()))
-            for i, a, j, b in sorted(visit, key=lambda at: at[0::2] + at[1::2]):
-                x = tuple(F.one if t == a else F.zero for t in range(S.lie.dim(i)))
-                v = tuple(F.one if t == b else F.zero for t in range(space.dim(j)))
-                lhs = apply(i + j, mu_s(i, x, j, v))
-                rhs = mu_t(i, self.apply_lie(i, x), j, apply(j, v))
-                if differ(lhs, rhs):
-                    raise ValidationError(f"map fails {what} at {(i, a, j, b)}")
-
-        chain_rule(S.lie.gvs, T.lie.gvs, S.lie.dim, S.lie.d_apply,
-                   T.lie.d_apply, self.apply_lie, "lie map")
-        chain_rule(S.m_gvs, T.m_gvs, S.m_dim, S.m_d_apply, T.m_d_apply,
-                   self.apply_mod, "module map")
-        preserves(S.lie.gvs, S.lie.bracket, T.lie.bracket, S.lie.bracket_elem,
-                  T.lie.bracket_elem, self.lie_comp, self.apply_lie,
-                  "bracket preservation")
-        preserves(S.m_gvs, S.action, T.action, S.action_elem, T.action_elem,
-                  self.mod_comp, self.apply_mod, "action equivariance")
-
-
-def _q_equivalent(prof: dict, q: int | None) -> bool:
-    """Whether a profile {degree: (h_source, h_target, induced rank)} is
-    an isomorphism on cohomology in degrees <= q and an injection in
-    degree q + 1 (``q = None``: an isomorphism in all degrees)."""
-    for i, (h_s, h_t, r) in sorted(prof.items()):
-        if q is None or i <= q:
-            if not (h_s == h_t == r):
-                return False
-        elif i == q + 1 and r != h_s:
-            return False
-    return True
-
-
-def _map_profile(F, src: dict, tgt: dict, comp) -> dict:
-    """{degree: (h_source, h_target, induced rank)} for the map with
-    components ``comp(i)`` between complexes whose _DegreeHomology by
-    degree is ``src`` and ``tgt``: the induced rank is the rank of the
-    images of the source representatives modulo the target boundaries."""
-    out = {}
-    for i, hs in src.items():
-        ht = tgt[i]
-        images = [mat_vec(F, comp(i), z) for z in hs.reps]
-        out[i] = (hs.h, ht.h,
-                  rank(F, list(ht.boundaries.basis()) + images) - ht.n_b)
-    return out
-
-
-def pair_map_profiles(gmap: DglaPairMap) -> tuple:
-    """Per-degree (h_source, h_target, induced rank) for the algebra and
-    the module components of a pair map."""
-    F = gmap.F
-    S, T = gmap.source, gmap.target
-    lie = range(min(S.lie.gvs.lo, T.lie.gvs.lo),
-                max(S.lie.gvs.hi, T.lie.gvs.hi) + 1)
-    mod = range(min(S.m_gvs.lo, T.m_gvs.lo), max(S.m_gvs.hi, T.m_gvs.hi) + 1)
-    return (_map_profile(F, _homology(F, S.lie.d_mat, S.lie.dim, lie),
-                         _homology(F, T.lie.d_mat, T.lie.dim, lie),
-                         gmap.lie_comp),
-            _map_profile(F, _homology(F, S.m_d_mat, S.m_dim, mod),
-                         _homology(F, T.m_d_mat, T.m_dim, mod),
-                         gmap.mod_comp))
-
-
-def pair_map_equivalence(gmap: DglaPairMap, i: int | None) -> bool:
-    """Whether the map induces an isomorphism on algebra cohomology
-    through degree 1 (injection in 2) and on module cohomology through
-    degree i (injection in i+1)."""
-    lie_prof, mod_prof = pair_map_profiles(gmap)
-    return _q_equivalent(lie_prof, 1) and _q_equivalent(mod_prof, i)
 
 
 # ---------------------------------------------------------------------------

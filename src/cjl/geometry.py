@@ -33,6 +33,7 @@ class _Geometry:
         self.lo = self.E.lo
         self.b = tuple(self.E.ranks)
         self.npos = len(self.b)
+        self._minors: dict = {}
         self.beta = tuple(self._generic_rank(p) for p in range(self.npos))
         self.dim_cone = krull_dimension(self.S.ideal(self.iq))
         self._res: dict = {}
@@ -49,14 +50,10 @@ class _Geometry:
         with symbolic pivots; over a quotient, where cross-multiplying
         by a zero divisor would lose information, the minor ideals are
         enumerated directly."""
-        mat = self.E.diff(self.lo + pos)
-        nrows = self.E.rank(self.lo + pos + 1)
-        ncols = self.b[pos]
         if not self.ctx.has_quotient():
-            return generic_rank_bareiss(self.ctx, mat)
-        for r in range(min(nrows, ncols), 0, -1):
-            ideal_r = determinantal_ideal(self.ctx, mat, r, nrows, ncols)
-            if any(not self.ctx.is_zero(m) for m in ideal_r.gens):
+            return generic_rank_bareiss(self.ctx, self.E.diff(self.lo + pos))
+        for r in range(min(self.E.rank(self.lo + pos + 1), self.b[pos]), 0, -1):
+            if any(not self.ctx.is_zero(m) for m in self.minors(pos, r).gens):
                 return r
         return 0
 
@@ -73,15 +70,22 @@ class _Geometry:
             self._res[key] = self.preimage(J)
         return self._res[key]
 
+    def minors(self, pos: int, r: int):
+        """Ideal of the coefficient ring generated by the r x r minors of d
+        out of position ``pos``, enumerated once per (pos, r)."""
+        key = (pos, r)
+        if key not in self._minors:
+            self._minors[key] = determinantal_ideal(
+                self.ctx, self.E.diff(self.lo + pos), r,
+                self.E.rank(self.lo + pos + 1), self.b[pos])
+        return self._minors[key]
+
     def fit(self, pos: int, r: int):
         """Ideal of the r x r minors of d out of position ``pos``: where
         that map drops below rank r, presented upstairs."""
         key = (pos, r)
         if key not in self._fit:
-            mat = self.E.diff(self.lo + pos)
-            nrows = self.E.rank(self.lo + pos + 1)
-            J = determinantal_ideal(self.ctx, mat, r, nrows, self.b[pos])
-            self._fit[key] = self.preimage(J)
+            self._fit[key] = self.preimage(self.minors(pos, r))
         return self._fit[key]
 
     def codim(self, ideal_upstairs) -> tuple:

@@ -45,12 +45,6 @@ class Cdga:
     def dim(self, i: int) -> int:
         return self.gvs.dim(i)
 
-    def mult_vec(self, i: int, a: int, j: int, b: int):
-        return self.table.get(i, a, j, b, self.dim(i + j))
-
-    def mult_elem(self, i: int, u, j: int, v):
-        return self.table.contract(i, u, j, v, self.dim(i + j))
-
     def validate(self):
         check_algebra(self.table, self.gvs)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import RingMismatchError, ValidationError
-from .field import GFp, QQ, field_from_json, located, read_nested, read_str
+from .field import field_from_json, located, read_nested, read_str
 
 Mono = tuple  # tuple[int, ...]
 
@@ -194,9 +194,6 @@ class RingContext:
         with located(path, *keys):
             return parse_poly(self, read_str(s, path, *keys))
 
-    def element_to_json(self, a) -> str:
-        return format_poly(a)
-
     def ideal(self, gens):
         from .groebner import Ideal
         return Ideal(self, list(gens))
@@ -234,15 +231,6 @@ class RingContext:
         return f"RingContext({self.field.name}[{','.join(self.names)}], {self.order}{q})"
 
     # -- serialization ------------------------------------------------
-
-    def to_json(self) -> dict:
-        obj = {"field": "Q" if isinstance(self.field, QQ) else "Fp",
-               "vars": list(self.names), "order": self.order}
-        if isinstance(self.field, GFp):
-            obj["p"] = self.field.p
-        if self._quotient_gens:
-            obj["quotient"] = [format_poly(g) for g in self._quotient_gens]
-        return obj
 
     @staticmethod
     def from_json(obj: dict, path: str = "/ring") -> "RingContext":
@@ -290,12 +278,6 @@ class Polynomial:
         if not self.terms:
             return -1
         return max(mono_deg(m) for m, _ in self.terms)
-
-    def coeff(self, mono: Mono):
-        for m, c in self.terms:
-            if m == mono:
-                return c
-        return self.ctx.field.zero
 
     def monic(self) -> "Polynomial":
         if not self.terms:

@@ -18,7 +18,7 @@ from .dgla import Dgla, DglaPair, _units, cohomology_lie, cohomology_pair
 from .errors import ValidationError
 from .groebner import Ideal
 from .linalg import rank
-from .mc import bracket_tensor, structure_equation, twisted_complex
+from .mc import bracket_tensor, twisted_complex
 from .poly import RingContext
 
 
@@ -45,16 +45,6 @@ def quadratic_cone_ideal(C: Dgla):
     S = coefficient_ring(C.field, H.dim(1))
     zeta = S.gens()
     return S, _nonzero_ideal(S, bracket_tensor(H, S, 1, zeta, 1, zeta))
-
-
-def flat_connection_ideal(C: Dgla):
-    """The ideal of the flatness equation dω + ½[ω,ω] = 0 on C¹.
-
-    Same construction as the cone but on the chain level, with the
-    linear term of the differential included.
-    """
-    S = coefficient_ring(C.field, C.dim(1))
-    return S, _nonzero_ideal(S, structure_equation(C, S, S.gens()))
 
 
 def universal_aomoto(P: DglaPair) -> FreeComplex:

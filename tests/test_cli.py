@@ -14,7 +14,7 @@ import time
 import pytest
 
 from cjl import cli
-from cjl.cli import canonical, complex_from_json, complex_to_json, run
+from cjl.cli import canonical, complex_from_json, run
 from cjl.dgla import MAX_DIM, _gvs_from_json, pair_from_json, pair_to_json
 from cjl.errors import InternalCheckError, ValidationError
 from cjl.field import QQ
@@ -418,7 +418,12 @@ def test_usage_errors_exit_2(capsys):
 
 def test_complex_json_round_trip(tmp_path, capsys):
     E = complex_from_json(CX_LINE)
-    assert complex_to_json(E) == CX_LINE
+    ring = CX_LINE["ring"]
+    assert (E.ring.field, list(E.ring.names), E.ring.order) == \
+        (QQ(), ring["vars"], ring["order"])
+    assert (E.lo, list(E.ranks)) == (CX_LINE["lo"], CX_LINE["ranks"])
+    assert [[[format_poly(e) for e in row] for row in E.diff(i)]
+            for i in range(E.lo, E.hi)] == CX_LINE["diffs"]
     with pytest.raises(ValidationError):
         complex_from_json(dict(CX_LINE, diffs=[]))
 

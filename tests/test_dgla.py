@@ -2,19 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from cjl.dgla import (Dgla, DglaPair, DglaPairMap, GradedVectorSpace,
-                      check_dgla, check_pair, cohomology_pair, module_betti,
-                      pair_from_json, pair_map_equivalence, pair_to_json)
+from cjl.dgla import (Dgla, DglaPair, GradedVectorSpace, check_dgla,
+                      check_pair, cohomology_pair, pair_from_json, pair_to_json)
 from cjl.errors import AxiomError, ValidationError
 from cjl.field import QQ
 
 F = QQ()
 ZERO = F.zero
 ONE = F.one
-
-
-def unit_vec(n, k):
-    return tuple(ONE if i == k else ZERO for i in range(n))
 
 
 def zero_mat(rows, cols):
@@ -174,15 +169,15 @@ def test_cohomology_zero_differential_is_copy():
     assert H.lie.dim(0) == 4 and H.m_dim(0) == 4
     for a in range(4):
         for b in range(4):
-            assert H.lie.bracket_vec(0, a, 0, b) == C.bracket_vec(0, a, 0, b)
+            assert H.lie.bracket.get(0, a, 0, b, 4) == C.bracket.get(0, a, 0, b, 4)
             assert H.action.get(0, a, 0, b, 4) == P.action.get(0, a, 0, b, 4)
 
 
 def test_cohomology_betti_match_rank_nullity():
     P = contractible_pair()
-    assert module_betti(P) == (1, 0)
+    assert cohomology_pair(P).m_gvs.dims == (1, 0)
     Q = abelian_pair((1,), (1, 2, 1))
-    assert module_betti(Q) == (1, 2, 1)
+    assert cohomology_pair(Q).m_gvs.dims == (1, 2, 1)
 
 
 def test_cohomology_output_passes_checks():
@@ -191,90 +186,6 @@ def test_cohomology_output_passes_checks():
     assert check_pair(H) == []
     # zero differential everywhere means H is its own cohomology
     assert H.has_zero_differentials()
-
-
-# ---------------------------------------------------------------------------
-# pair maps
-# ---------------------------------------------------------------------------
-
-def test_identity_map_is_equivalence():
-    P = heisenberg_pair()
-    eye = {i: tuple(unit_vec(P.lie.dim(i), r) for r in range(P.lie.dim(i)))
-           for i in (0, 1, 2)}
-    eye_m = {i: tuple(unit_vec(P.m_dim(i), r) for r in range(P.m_dim(i)))
-             for i in (0, 1, 2)}
-    g = DglaPairMap(P, P, eye, eye_m)
-    assert pair_map_equivalence(g, 2)
-    assert pair_map_equivalence(g, None)
-
-
-def test_inclusion_into_padded_module_is_equivalence():
-    P = abelian_pair((1,), (1, 1))
-    # target: same lie algebra, module padded by an acyclic two-term piece
-    m = GradedVectorSpace(0, 1, (2, 2))
-    md = [((ZERO, ZERO), (ZERO, ONE))]
-    T = DglaPair(P.lie, m, md, {})
-    inc = {0: ((ONE,), (ZERO,)), 1: ((ONE,), (ZERO,))}
-    g = DglaPairMap(P, T, {0: ((ONE,),)}, inc)
-    assert pair_map_equivalence(g, 1)
-
-
-def test_map_killing_h1_class_fails():
-    P = abelian_pair((1,), (1, 1))
-    g = DglaPairMap(P, P, {0: ((ONE,),)}, {0: ((ONE,),), 1: ((ZERO,),)})
-    assert not pair_map_equivalence(g, 1)
-    assert pair_map_equivalence(g, 0) is False  # injection at 1 fails too
-
-
-def test_pair_map_truncation_window():
-    # M = k in degrees 0..2 with d = 0; N has basis a0, b0 | a1, b1 | c2
-    # with d b0 = b1, so H(N) is spanned by a0, a1 and c2.  g sends the
-    # degree-1 class to a1 + b1 and kills degree 2: an isomorphism on
-    # H^0 and H^1 but not on H^2.
-    P = abelian_pair((1,), (1, 1, 1))
-    n = GradedVectorSpace(0, 2, (2, 2, 1))
-    N = DglaPair(P.lie, n, [((ZERO, ZERO), (ZERO, ONE)), zero_mat(1, 2)], {})
-    lie = {0: ((ONE,),)}
-    g = DglaPairMap(P, N, lie, {0: ((ONE,), (ZERO,)), 1: ((ONE,), (ONE,)),
-                                2: ((ZERO,),)})
-    assert pair_map_equivalence(g, 0)      # iso through 0, injective at 1
-    assert not pair_map_equivalence(g, 1)  # not injective at 2
-    assert not pair_map_equivalence(g, None)
-    # b1 is a boundary: sending the degree-1 class there kills it
-    b = DglaPairMap(P, N, lie, {0: ((ONE,), (ZERO,)), 1: ((ZERO,), (ONE,))})
-    assert not pair_map_equivalence(b, 0)
-
-
-def test_non_chain_map_rejected():
-    P = contractible_pair()
-    eye0 = ((ONE, ZERO), (ZERO, ONE))
-    with pytest.raises(ValidationError):
-        DglaPairMap(P, P, {0: eye0, 1: ((ZERO,),)},
-                    {0: eye0, 1: ((ONE,),)})
-
-
-def test_bracket_preservation_checked():
-    C = gl2_dgla()
-    P = adjoint_pair(C)
-    half = tuple(tuple(F.div(x, F.from_int(2)) for x in unit_vec(4, r))
-                 for r in range(4))
-    with pytest.raises(ValidationError):
-        DglaPairMap(P, P, {0: half},
-                    {0: tuple(unit_vec(4, r) for r in range(4))})
-
-
-def test_identity_between_abelian_and_gl2_is_no_pair_map():
-    """The identity of the spaces of gl_2 (+) adjoint and of the abelian
-    pair on them preserves no bracket: each way, the failing products sit
-    on one side only (the source, or the target)."""
-    P = adjoint_pair(gl2_dgla())
-    A = abelian_pair((4,), (4,))
-    eye = {0: tuple(unit_vec(4, r) for r in range(4))}
-    for source, target in ((P, A), (A, P)):
-        with pytest.raises(ValidationError, match="bracket preservation"):
-            DglaPairMap(source, target, eye, eye)
-    with pytest.raises(ValidationError, match="action equivariance"):
-        DglaPairMap(P, DglaPair(P.lie, A.m_gvs, [], {}), eye, eye)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +198,7 @@ def test_json_round_trip():
     Q = pair_from_json(obj)
     assert Q.lie.gvs.dims == P.lie.gvs.dims
     for key, vec in P.lie.bracket.entries.items():
-        assert Q.lie.bracket_vec(*key) == vec
+        assert Q.lie.bracket.get(*key, Q.lie.dim(key[0] + key[2])) == vec
     for key, vec in P.action.entries.items():
         assert Q.action.find(*key) == vec
 

@@ -1,9 +1,11 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from cjl import complexes
 from cjl.dgla import Dgla, DglaPair, GradedVectorSpace
 from cjl.errors import InternalCheckError, ValidationError
 from cjl.field import QQ
@@ -12,7 +14,8 @@ from cjl.geometry import (ChernSeries, _Geometry, _locus_inside,
                           analyze, binomial_bound, chern_exponent,
                           chern_series, exactness_threshold,
                           schur_nonnegativity, tor_crosscheck)
-from cjl.models import Arrangement, exterior_pair, os_pair, surface_pair
+from cjl.models import (Arrangement, cdga_to_pair, exterior, exterior_pair, os_pair,
+                        surface_pair)
 from cjl.poly import RingContext
 from cjl.resonance import pointwise_resonance
 from cjl.rng import Rng
@@ -127,6 +130,27 @@ def test_fitting_locus_torus():
 def test_fitting_locus_deep_drop_is_unit():
     g = _Geometry(exterior_pair(2))
     assert g.fit(1, g.beta[1] - 1).is_unit()
+
+
+def test_minor_ideals_are_enumerated_once(monkeypatch):
+    """Over a quotient ring the generic rank and the Fitting loci read the
+    same minor ideals: on glr (n = 2, r = 2) each (size, shape) is
+    enumerated once, the beta x beta minors included."""
+    calls = Counter()
+    enumerate_minors = complexes.matrix_minors
+
+    def counting(ring, mat, r, nrows, ncols):
+        calls[(r, nrows, ncols)] += 1
+        return enumerate_minors(ring, mat, r, nrows, ncols)
+
+    monkeypatch.setattr(complexes, "matrix_minors", counting)
+    g = _Geometry(cdga_to_pair(exterior(2), 2, 2))
+    assert g.ctx.has_quotient() and g.beta == (4, 4, 0)
+    g.threshold_pos()
+    for pos in range(g.npos):
+        if g.beta[pos]:
+            g.fit(pos, g.beta[pos])
+    assert calls == {(4, 4, 8): 1, (4, 8, 4): 1}
 
 
 def test_inclusion_claims_torus3():

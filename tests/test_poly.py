@@ -18,9 +18,10 @@ def test_parse_format_roundtrip_examples():
     s = "3/2*x0^2*x1 - x2 + 1"
     f = parse_poly(ctx, s)
     assert format_poly(f) == s
-    assert f.coeff((2, 1, 0)) == Fraction(3, 2)
-    assert f.coeff((0, 0, 1)) == Fraction(-1)
-    assert f.coeff((0, 0, 0)) == 1
+    coeffs = dict(f.terms)
+    assert coeffs[(2, 1, 0)] == Fraction(3, 2)
+    assert coeffs[(0, 0, 1)] == Fraction(-1)
+    assert coeffs[(0, 0, 0)] == 1
 
 
 def test_parse_rejects_garbage():

@@ -24,7 +24,10 @@ CX_LINE = {
 }
 ARR = {"normals": [[1, 0], [0, 1], [1, 1]]}
 T3 = {"ring": {"field": "Q", "vars": ["t"], "order": "degrevlex", "quotient": ["t^3"]}}
-T3_TABLE = artin_from_json(T3).to_json()
+T3_TABLE = {"field": "Q", "dim": 3, "labels": ["1", "t", "t^2"],
+            "mult": [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                     [["0", "1", "0"], ["0", "0", "1"], ["0", "0", "0"]],
+                     [["0", "0", "1"], ["0", "0", "0"], ["0", "0", "0"]]]}
 EXTERIOR_2 = pair_to_json(exterior_pair(2))
 GL2 = pair_to_json(cdga_to_pair(exterior(1), 2))  # gl_2 brackets in degree 0
 OMEGA = [["1", "0"], ["0", "1"]]  # on the maximal-ideal basis of Q[t]/(t^3)

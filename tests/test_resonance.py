@@ -6,9 +6,8 @@ from cjl.dgla import Dgla, DglaPair, GradedVectorSpace, check_dgla, check_pair
 from cjl.errors import ValidationError
 from cjl.field import QQ
 from cjl.models import exterior_pair
-from cjl.resonance import (flat_connection_ideal, pointwise_resonance,
-                           quadratic_cone_ideal, resonance_ideal,
-                           universal_aomoto)
+from cjl.resonance import (pointwise_resonance, quadratic_cone_ideal,
+                           resonance_ideal, universal_aomoto)
 
 F = QQ()
 ONE = F.one
@@ -83,24 +82,6 @@ def test_cone_computed_on_cohomology():
     assert S.nvars == 2
     x0, x1 = S.gens()
     assert IQ.equals(S.ideal([x0 * x1]))
-
-
-def test_flat_connection_linear_part():
-    Z = F.zero
-    gvs = GradedVectorSpace(1, 2, (2, 2))
-    d = (((ONE, Z), (Z, ONE)),)
-    C = Dgla(F, gvs, d, {})
-    S, I = flat_connection_ideal(C)
-    assert I.equals(S.ideal(list(S.gens())))
-
-
-def test_flat_connection_on_zero_d_matches_cone():
-    C = heis_dgla()
-    S1, flat = flat_connection_ideal(C)
-    S2, cone = quadratic_cone_ideal(C)
-    assert flat.equals(S1.ideal([g.cast(S1) for g in cone.gens]))
-    # the flat equation carries the 1/2: single generator x0*x1
-    assert flat.gens[0].terms == (S1.gens()[0] * S1.gens()[1]).terms
 
 
 def test_universal_aomoto_torus():

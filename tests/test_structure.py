@@ -1,7 +1,8 @@
-"""Differential tests of the structure equation and the twisted complex.
+"""Differential tests of the quadratic cone and the twisted complex.
 
-``mc`` builds both once, over any coefficient ring; ``resonance`` applies
-them to the tautological element over a polynomial ring.  The references
+``mc`` builds the bracket and the twisted complex once, over any
+coefficient ring; ``resonance`` applies them to the tautological element
+over a polynomial ring.  The references
 below are written in the test from the literal formulas, with the structure
 constants read straight from the stored table entries:
 
@@ -9,9 +10,7 @@ constants read straight from the stored table entries:
   d_M[c][b] + sum_a omega_a * action(1, a, j, b)[c];
 * quadratic cone: for H^1 representatives u_a, u_b, the class of
   [u_a, u_b] on H^2 representatives adds its coordinate c to the
-  coefficient of x_a x_b in generator c;
-* flat connections: generator c has d^1[c][a] on x_a and
-  (1/2) [e_a, e_b]_c on x_a x_b, summed over ordered pairs (a, b).
+  coefficient of x_a x_b in generator c.
 
 Every comparison is term for term: the same generators (or entries), in
 the same order, with the same terms.
@@ -27,14 +26,13 @@ from cjl.artin import make_artin
 from cjl.dgla import (Dgla, GradedVectorSpace, _DegreeHomology, check_dgla,
                       cohomology_pair, pair_from_json)
 from cjl.field import QQ
-from cjl.linalg import solve
+from cjl.linalg import mat_vec, solve
 from cjl.mc import aomoto_complex
 from cjl.models import (Arrangement, cdga_to_pair, exterior, exterior_pair,
                         os_pair, surface_pair)
 from cjl.parse import parse_poly
 from cjl.poly import RingContext
-from cjl.resonance import (coefficient_ring, flat_connection_ideal,
-                           quadratic_cone_ideal, universal_aomoto)
+from cjl.resonance import coefficient_ring, quadratic_cone_ideal, universal_aomoto
 from test_dgla import heisenberg_pair
 from test_golden import ACYCLIC_ARM
 
@@ -105,27 +103,6 @@ def reference_cone(C):
     return S, [g.terms for g in gens if g.terms]
 
 
-def reference_flat(C):
-    n = C.dim(1)
-    S = coefficient_ring(F, n)
-    d1 = C.d_mat(1)
-    coeffs = {c: {} for c in range(C.dim(2))}
-    for c in range(C.dim(2)):
-        for a in range(n):
-            if d1[c][a]:
-                m = _mono(n, a)
-                coeffs[c][m] = coeffs[c].get(m, F.zero) + d1[c][a]
-    for a in range(n):
-        for b in range(n):
-            for c in range(C.dim(2)):
-                t = C.bracket_vec(1, a, 1, b)[c]
-                if t:
-                    m = _mono(n, a, b)
-                    coeffs[c][m] = coeffs[c].get(m, F.zero) + t / 2
-    gens = [S.from_dict(coeffs[c]) for c in range(C.dim(2))]
-    return S, [g.terms for g in gens if g.terms]
-
-
 # -- seeded non-formal algebras ---------------------------------------------
 
 def _rows(cols, nrows):
@@ -162,7 +139,7 @@ def with_arm(C):
             for a in range(C.dim(src)):
                 col = [F.zero] * dim(i + 1)
                 # d(x p) = dx p + (-1)^{|x|} x dp, with da = b
-                for k, t in enumerate(C.d_apply(src, _unit(C.dim(src), a))):
+                for k, t in enumerate(mat_vec(F, C.d_mat(src), _unit(C.dim(src), a))):
                     col[pos(i + 1, part, k)] = t
                 if part == 1:
                     col[pos(i + 1, 2, a)] = F.one if i % 2 == 0 else -F.one
@@ -179,7 +156,7 @@ def with_arm(C):
                 sgn = -F.one if p == 2 and cj % 2 else F.one
                 for a in range(C.dim(ci)):
                     for b in range(C.dim(cj)):
-                        w = C.bracket_vec(ci, a, cj, b)
+                        w = C.bracket.get(ci, a, cj, b, C.dim(ci + cj))
                         if not any(w):
                             continue
                         out = [F.zero] * dim(i + j)
@@ -205,7 +182,7 @@ def rebase(C, rng):
     def col(i, a):
         return [U[i][r][a] for r in range(C.dim(i))]
 
-    d = [_rows([back(i + 1, C.d_apply(i, col(i, a))) for a in range(C.dim(i))],
+    d = [_rows([back(i + 1, mat_vec(F, C.d_mat(i), col(i, a))) for a in range(C.dim(i))],
                C.dim(i + 1))
          for i in range(g.lo, g.hi)]
     bracket = {}
@@ -262,17 +239,6 @@ def test_cone_matches_classification_loop(algebras):
     assert nonzero >= 5
 
 
-def test_flat_ideal_matches_monomial_loop(algebras):
-    linear = 0
-    for name, C in algebras.items():
-        S, I = flat_connection_ideal(C)
-        R, ref = reference_flat(C)
-        assert S.names == R.names, name
-        assert [g.terms for g in I.gens] == ref, name
-        linear += any(sum(m) == 1 for terms in ref for m, _ in terms)
-    assert linear >= 6
-
-
 def test_universal_aomoto_matches_action_formula():
     for name, P in corpus().items():
         Pc = cohomology_pair(P)
@@ -323,7 +289,7 @@ def flat_connections(P, A, rng, count):
         eta = [F.zero] * n
         for a in rng.sample(range(n), min(n, rng.randint(1, 2))):
             eta[a] = F.from_int(rng.choice((-2, -1, 1, 3)))
-        if any(C.d_apply(1, eta)):
+        if any(mat_vec(F, C.d_mat(1), eta)):
             continue
         if square_zero or not any(C.bracket_elem(1, eta, 1, eta)):
             etas.append(eta)
