@@ -270,9 +270,6 @@ class ArtinIdeal:
     def is_zero(self) -> bool:
         return not self.basis
 
-    def is_unit(self) -> bool:
-        return self.contains(self.algebra.one())
-
     def contained_in_max_ideal(self) -> bool:
         return all(self.algebra.field.is_zero(v[0]) for v in self.basis)
 
@@ -280,9 +277,6 @@ class ArtinIdeal:
         self.algebra.check_same(other.algebra)
         prods = [self.algebra.mul(a, b) for a in self.basis for b in other.basis]
         return ArtinIdeal(self.algebra, prods)
-
-    def dim(self) -> int:
-        return len(self.basis)
 
     def __repr__(self):
         gens = ", ".join(self.algebra.format_element(v) for v in self.basis)

@@ -1,10 +1,13 @@
 """Ground fields: the rationals and prime fields.
 
-Field elements are plain Python values (``fractions.Fraction`` for Q,
-``int`` in ``[0, p)`` for F_p); a field object bundles the operations so
-that linear algebra and polynomial code can stay generic.  Rationals are
-kept in lowest terms with positive denominator — ``Fraction`` maintains
-exactly that invariant, which is why it is used directly.
+Field elements are plain Python values; a field object bundles the
+operations so that linear algebra and polynomial code can stay generic.
+Over F_p an element is an ``int`` in ``[0, p)``.  Over Q each element has
+one canonical form: an ``int`` exactly when the value is an integer, else
+a ``fractions.Fraction`` in lowest terms.  Nearly every rational met here
+is an integer, and ``int`` arithmetic needs no gcd and no new object.  The
+operations also accept integers given as ``Fraction(n, 1)``: ``int`` and
+``Fraction`` agree on ``==``, ``hash``, ordering and ``QQ.format``.
 
 The readers at the end (``read_scalar``, ``read_int``, ``read_nested``)
 decide for every JSON document what counts as a scalar, an integer or a
@@ -19,43 +22,52 @@ from fractions import Fraction
 from .errors import ValidationError
 
 
+def _rational(r):
+    """The canonical form of the rational ``r``: ``r`` itself if it is an
+    ``int``, its numerator if it is an integral ``Fraction``."""
+    if type(r) is int or r.denominator != 1:
+        return r
+    return r.numerator
+
+
 class QQ:
-    """The field of rational numbers, elements are ``Fraction``."""
+    """The field of rational numbers.  Elements are ``int`` when integral
+    and ``Fraction`` otherwise; ``Fraction(n, 1)`` is accepted as input."""
 
     name = "Q"
     char = 0
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     @staticmethod
     def add(a, b):
-        return a + b
+        return _rational(a + b)
 
     @staticmethod
     def sub(a, b):
-        return a - b
+        return _rational(a - b)
 
     @staticmethod
     def mul(a, b):
-        return a * b
+        return _rational(a * b)
 
     scale = mul     # by a field scalar: the coefficient-ring protocol
 
     @staticmethod
     def neg(a):
-        return -a
+        return _rational(-a)
 
     @staticmethod
     def inv(a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        return _rational(1 / Fraction(a))
 
     @staticmethod
     def div(a, b):
         if b == 0:
             raise ZeroDivisionError("division by zero")
-        return Fraction(a) / b
+        return _rational(Fraction(a) / b)
 
     @staticmethod
     def is_zero(a) -> bool:
@@ -67,7 +79,7 @@ class QQ:
 
     @staticmethod
     def from_int(n: int):
-        return Fraction(n)
+        return n
 
     @staticmethod
     def parse(s: str):
@@ -80,11 +92,10 @@ class QQ:
             raise ValidationError(f"bad rational literal {s!r}: {e}")
         if den == 0:
             raise ValidationError(f"bad rational literal {s!r}: zero denominator")
-        return Fraction(num, den)
+        return num if den == 1 else _rational(Fraction(num, den))
 
     @staticmethod
     def format(a) -> str:
-        a = Fraction(a)
         if a.denominator == 1:
             return str(a.numerator)
         return f"{a.numerator}/{a.denominator}"

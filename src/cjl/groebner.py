@@ -248,10 +248,6 @@ class Ideal:
         theirs = tuple(g.terms for g in other.groebner())
         return mine == theirs
 
-    def is_unit(self) -> bool:
-        gb = self.groebner()
-        return len(gb) == 1 and gb[0].lm() == (0,) * self.ctx.nvars
-
     def is_zero(self) -> bool:
         """Zero as an ideal of the context ring (for a quotient context:
         the preimage equals the quotient ideal itself)."""

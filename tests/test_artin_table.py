@@ -13,6 +13,7 @@ dense loop that multiplies by every factor.
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -242,9 +243,14 @@ def reference_contract(R, zero, table, i, u, j, v, out_dim):
 
 
 def ones(F):
-    """Objects equal to 1: the field's ``one`` and, over Q, a reduced
-    Fraction(2, 2) and a literal read from JSON text (distinct objects)."""
-    return [F.one, F.div(F.from_int(2), F.from_int(2)), F.parse(json.loads('"1"'))]
+    """Objects equal to 1: the field's ``one`` and, over Q, objects apart
+    from it: ``Fraction(1)``, ``Fraction(2, 2)`` and a literal read from
+    JSON text through ``Fraction``.  Over Q the field's own arithmetic
+    returns ``QQ.one`` itself for every 1, so these are built directly."""
+    literal = json.loads('"1"')
+    if F.char == 0:
+        return [F.one, Fraction(1), Fraction(2, 2), Fraction(literal)]
+    return [F.one, F.div(F.from_int(2), F.from_int(2)), F.parse(literal)]
 
 
 def random_table(F, rng, space, skew):
@@ -276,6 +282,8 @@ def test_contract_matches_dense_loop(F, skew, seed):
     rng = random.Random(seed)
     space = GradedVectorSpace(0, 2, (3, 2, 2))
     table = random_table(F, rng, space, skew)
+    assert all(t is F.one for key in table.entries for _, t in table.terms(*key)
+               if F.eq(t, F.one))
     ctx = RingContext(F, ("t", "s"))
     t, s = ctx.gens()
     A = make_artin(ctx, [t**2, s**2])
