@@ -4,31 +4,20 @@
 the value is an integer and a ``Fraction`` otherwise.  Its operations are
 checked against plain ``Fraction`` arithmetic on operands of every form
 the package meets, including integral values given as ``Fraction(n, 1)``.
-
-The F_p route is checked against the Q route: on models whose reduced
-bases have integer coefficients, the basis over F_p is the Q basis with
-its coefficients reduced mod p.
 """
 
-import contextlib
-import io
-import json
-import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cjl.cli import run
-from cjl.field import QQ, GFp
-from cjl.parse import parse_poly
-from cjl.poly import RingContext
+from cjl.field import QQ
 
 ints = st.integers(-10**6, 10**6)
 operands = st.one_of(
-    ints,                                                      # the canonical form
-    st.fractions(max_denominator=10**4),                       # reduced, any value
-    ints.map(Fraction),                                        # Fraction(n, 1)
+    ints,                                   # the canonical form
+    st.fractions(max_denominator=10**4),    # reduced, any value
+    ints.map(Fraction),                     # Fraction(n, 1)
 )
 
 
@@ -84,48 +73,3 @@ def test_zero_has_no_inverse():
         with pytest.raises(ZeroDivisionError):
             QQ.div(1, zero)
     assert QQ.zero == 0 and QQ.one == 1 and canonical(QQ.zero) and canonical(QQ.one)
-
-
-# ---------------------------------------------------------------------------
-# F_p against Q
-# ---------------------------------------------------------------------------
-
-P = 32003
-MODELS = {
-    "exterior-3": (["model", "exterior", "--n", "3"], ""),
-    "3-line": (["model", "os", "--normals", "-"], '{"normals":[[1,0],[0,1],[1,1]]}'),
-    "glr": (["model", "glr", "--n", "2", "--r", "2"], ""),
-}
-CASES = ([(m, ["resonance", "--i", "1", "--k", str(k)])
-          for m in ("exterior-3", "3-line") for k in (1, 2)]
-         + [(m, ["cone"]) for m in MODELS])
-
-
-def _stdout(argv, stdin_text):
-    out = io.StringIO()
-    old = sys.stdin
-    sys.stdin = io.StringIO(stdin_text)
-    try:
-        with contextlib.redirect_stdout(out):
-            code = run(argv)
-    finally:
-        sys.stdin = old
-    assert code == 0, argv
-    return out.getvalue()
-
-
-@pytest.fixture(scope="module")
-def pairs():
-    return {m: json.loads(_stdout(*MODELS[m])) for m in MODELS}
-
-
-@pytest.mark.parametrize("model, argv", CASES, ids=[f"{m}-{'-'.join(a)}" for m, a in CASES])
-def test_fp_basis_is_q_basis_mod_p(pairs, model, argv):
-    over_q = json.loads(_stdout(argv, json.dumps(pairs[model])))["generators"]
-    over_p = json.loads(_stdout(argv, json.dumps({**pairs[model], "field": "Fp", "p": P})))
-    over_p = over_p["generators"]
-    assert not any("/" in g for g in over_q)      # integer coefficients: reduction is valid
-    assert not any("-" in g for g in over_p)      # printed over F_p, in [0, p)
-    ctx = RingContext(GFp(P), [f"x{i}" for i in range(8)])
-    reduced = [parse_poly(ctx, g).terms for g in over_q]
-    assert [parse_poly(ctx, g).terms for g in over_p] == reduced

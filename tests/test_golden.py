@@ -4,16 +4,24 @@ Each case feeds a built-in model (or a literal JSON input) to one verb and
 compares stdout with ``tests/golden/<name>.out``.  To refreeze after a
 deliberate output change, run ``PYTHONPATH=src python tests/test_golden.py``
 and review the diff.
+
+The F_p route is checked against the Q route on the same models: where the
+reduced bases have integer coefficients, the basis over F_p is the Q basis
+with its coefficients reduced mod p.
 """
 
 import contextlib
 import io
+import json
 import pathlib
 import sys
 
 import pytest
 
 from cjl.cli import run
+from cjl.field import GFp
+from cjl.parse import parse_poly
+from cjl.poly import RingContext
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -90,6 +98,24 @@ def outputs():
 @pytest.mark.parametrize("name", [c[0] for c in CASES])
 def test_golden_stdout(outputs, name):
     assert outputs[name] == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+P = 32003
+FP_CASES = ([(m, ["resonance", "--i", "1", "--k", str(k)])
+             for m in ("exterior-3", "3-line") for k in (1, 2)]
+            + [(m, ["cone"]) for m in ("exterior-3", "3-line", "glr")])
+
+
+@pytest.mark.parametrize("model, argv", FP_CASES,
+                         ids=[f"{m}-{'-'.join(a)}" for m, a in FP_CASES])
+def test_fp_basis_is_q_basis_mod_p(model, argv):
+    pair = json.loads(_stdout(*MODELS[model]))
+    over_q = json.loads(_stdout(argv, json.dumps(pair)))["generators"]
+    over_p = json.loads(_stdout(argv, json.dumps({**pair, "field": "Fp", "p": P})))["generators"]
+    assert not any("/" in g for g in over_q)      # integer coefficients: reduction is valid
+    assert not any("-" in g for g in over_p)      # printed over F_p, in [0, p)
+    ctx = RingContext(GFp(P), [f"x{i}" for i in range(8)])
+    assert [parse_poly(ctx, g).terms for g in over_p] == [parse_poly(ctx, g).terms for g in over_q]
 
 
 if __name__ == "__main__":
