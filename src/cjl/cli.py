@@ -13,6 +13,7 @@ failed (a bug in the package, reported as a JSON error object).
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -204,7 +205,10 @@ def _cmd_selftest(args):
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it
+    (``parse_args`` keeps no state between calls)."""
     ap = argparse.ArgumentParser(
         prog="cjl",
         description="cohomology jump loci: jump ideals, resonance varieties, deformation tests",

@@ -105,10 +105,6 @@ class _GradedTable:
                 return tuple(self.field.neg(c) for c in v)
         return v
 
-    def get(self, i: int, a: int, j: int, b: int, out_dim: int):
-        v = self.find(i, a, j, b)
-        return (self.field.zero,) * out_dim if v is None else v
-
     def terms(self, i: int, a: int, j: int, b: int) -> tuple:
         """The nonzero coordinates (k, t) of the vector at (i,a,j,b); a
         coordinate equal to 1 is the field's ``one`` object itself."""

@@ -1,19 +1,29 @@
 """Groebner bases, ideal arithmetic, radical membership, Krull dimension.
 
 The basis computation is Buchberger's algorithm with normal-strategy pair
-selection (smallest lcm in the monomial order), sugar-degree tie-breaking,
-and the product and chain criteria.  Before any S-pair is formed the
-generators are interreduced as sparse vectors over monomials (the first
-step of Faugere's F4): the basis starts from monic rows with distinct
-leading monomials that span the same vector space, so zero, repeated and
-linearly dependent generators never enter a pair.  Every run is
-deterministic: pairs are totally ordered by ``(lcm key, sugar, i, j)`` and
-reducers are scanned in basis order, so the reduced basis (and hence every
-downstream ideal computation) is reproducible byte for byte.
+selection (smallest lcm in the monomial order) and sugar-degree
+tie-breaking.  Pairs are pruned when an element enters the basis, by the
+criteria of Gebauer and Moeller (J. Symb. Comp. 6, 1988): a queued pair
+whose lcm the new leading monomial divides, strictly on both sides, is
+dropped (B); of the new pairs only one per minimal lcm is kept (M), none
+if that lcm is a product of coprime leading monomials (F and the product
+criterion); an element whose leading monomial the new one divides pairs
+no more.  The queue therefore holds only pairs that will be reduced.
+Before any S-pair is formed the generators are interreduced as sparse
+vectors over monomials (the first step of Faugere's F4): the basis starts
+from monic rows with distinct leading monomials that span the same vector
+space, so zero, repeated and linearly dependent generators never enter a
+pair.  Normal forms keep the remainder as a dictionary and a heap of its
+monomials (Monagan and Pearce, ISSAC 2007) and reject a reducer by a bit
+mask of the variables in its leading monomial before comparing exponents.
+Every run is deterministic: pairs are totally ordered by ``(lcm key,
+sugar, i, j)``, the first reducer in basis order whose leading monomial
+divides a term is taken, and the reduced basis is unique, so it (and
+hence every downstream ideal computation) is reproducible byte for byte.
 
-Step budget: each S-pair taken from the queue, among the interreduced rows
-and the elements added to them, counts as one step.  When the count would
-exceed the budget — the ``CJL_STEP_BUDGET`` environment variable (a
+Step budget: each S-pair taken from the queue, that is each pair that
+survived the criteria and is reduced, counts as one step.  When the count
+would exceed the budget — the ``CJL_STEP_BUDGET`` environment variable (a
 positive integer, else :class:`ValidationError`), or 200000 by default —
 :class:`ResourceLimitError` is raised rather than grinding on.  The same
 budget bounds minor enumeration in :mod:`cjl.complexes`: a block whose
@@ -32,14 +42,14 @@ Example:
 from __future__ import annotations
 
 import heapq
-import itertools
 import os
+from operator import add, le, sub
 from typing import Sequence
 
 from .errors import ResourceLimitError, ValidationError
 from .field import QQ
-from .poly import (Polynomial, RingContext, format_poly, mono_deg, mono_div,
-                   mono_divides, mono_lcm, mono_mul)
+from .poly import (REVERSED_KEYS, Polynomial, RingContext, format_poly, mono_deg,
+                   mono_div, mono_divides, mono_lcm)
 
 DEFAULT_BUDGET = 200_000
 
@@ -58,29 +68,59 @@ def step_budget() -> int:
         f"CJL_STEP_BUDGET must be a positive integer, got {raw!r}")
 
 
+_SUPPORT = bytes([0] + [1] * 255)
+
+
+def _mask(m) -> int:
+    """Bit 8i set when variable i occurs in the monomial: if a divides b,
+    then the mask of a is a subset of the mask of b."""
+    try:
+        return int.from_bytes(bytes(m).translate(_SUPPORT), "little")
+    except ValueError:  # an exponent above 255
+        return int.from_bytes(bytes(map(bool, m)), "little")
+
+
 def reduce_full(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Full normal form of ``f``: no term of the result is divisible by the
-    leading monomial of any basis element."""
+    leading monomial of any basis element.
+
+    The remainder is a dictionary of terms plus a heap of order-reversed
+    monomial keys, so each step pops the largest term left and adds one
+    multiple of a reducer's tail; terms that reach the result are already
+    in order.
+    """
+    if not basis or not f.terms:
+        return f
     ctx = f.ctx
     F = ctx.field
-    if not basis:
-        return f
-    done: dict = {}
-    work = f
-    while work.terms:
-        m, c = work.terms[0]
-        reducer = None
-        for g in basis:
-            if mono_divides(g.lm(), m):
-                reducer = g
+    rkey = REVERSED_KEYS[ctx.order]
+    reducers = [(_mask(g.lm()), g.lm(), g) for g in basis]
+    work = dict(f.terms)
+    heap = [(rkey(m), m) for m in work]  # terms descend, so keys ascend: a heap
+    out = []
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.pop(m)
+        if F.is_zero(c):
+            continue
+        miss = ~_mask(m)
+        for bits, lm, g in reducers:
+            if not bits & miss and all(map(le, lm, m)):
                 break
-        if reducer is None:
-            done[m] = c
-            work = Polynomial(ctx, work.terms[1:])
         else:
-            coef = F.div(c, reducer.lc())
-            work = work - reducer.mul_mono(mono_div(m, reducer.lm()), coef)
-    return ctx.from_dict(done)
+            out.append((m, c))
+            continue
+        q = tuple(map(sub, m, lm))
+        coef = F.div(c, g.terms[0][1])
+        for gm, gc in g.terms[1:]:
+            mm = tuple(map(add, gm, q))
+            v = F.mul(gc, coef)
+            if mm in work:
+                work[mm] = F.sub(work[mm], v)
+            else:
+                work[mm] = F.neg(v)
+                heapq.heappush(heap, (rkey(mm), mm))
+    return Polynomial(ctx, tuple(out))
 
 
 def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -133,73 +173,91 @@ def _interreduce(gens: Sequence[Polynomial], ctx: RingContext) -> list:
     return list(rows.values())
 
 
-def buchberger(gens: Sequence[Polynomial], ctx: RingContext) -> tuple:
+def buchberger(gens: Sequence[Polynomial], ctx: RingContext, *,
+               _settled: Sequence[Polynomial] = ()) -> tuple:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
-    The generators are interreduced linearly first (:func:`_interreduce`);
-    the pair queue starts from those rows only.
+    The generators are interreduced linearly first (:func:`_interreduce`)
+    and enter the basis one by one, each pruning the pair queue.
 
     Args:
         gens: generators (context must match ``ctx``; zeros are fine).
         ctx: a quotient-free ring context.
+        _settled: internal; monic elements of ``ctx`` that already form a
+            Groebner basis.  They enter first with their mutual pairs
+            taken as settled, so only pairs with the rows of ``gens`` are
+            formed.
 
     Returns:
-        The reduced basis as a tuple of monic polynomials sorted by
-        leading monomial (empty tuple for the zero ideal).
+        The reduced basis of the ideal generated by ``gens`` (and
+        ``_settled``) as a tuple of monic polynomials sorted by leading
+        monomial (empty tuple for the zero ideal).
     """
     if ctx.has_quotient():
         raise ValidationError("Groebner engine works upstairs; pass the base ring")
     limit = step_budget()
-    G = _interreduce(gens, ctx)
-    if not G:
-        return ()
+    G = list(_settled)
+    lms = [g.lm() for g in G]
+    masks = [_mask(m) for m in lms]
     sugar = [g.degree() for g in G]
+    active = list(range(len(G)))  # elements that still pair and reduce
+    pairs: list = []  # heap of (lcm order key, sugar, i, j, lcm, lcm mask)
 
-    pairs: list = []  # heap of (lcm order key, sugar, i, j)
-    done: set = set()
+    def insert(h: Polynomial, s: int):
+        """Gebauer-Moeller update: prune the queue by the new leading
+        monomial, then queue the new pairs that survive."""
+        new = len(G)
+        lh, mh = h.lm(), _mask(h.lm())
+        G.append(h)
+        lms.append(lh)
+        masks.append(mh)
+        sugar.append(s)
+        # B: drop (i, j) when lh divides its lcm L and lcm(l_i, lh) != L != lcm(l_j, lh)
+        kept = [p for p in pairs
+                if mh & ~p[5] or not mono_divides(lh, p[4])
+                or mono_lcm(lms[p[2]], lh) == p[4] or mono_lcm(lms[p[3]], lh) == p[4]]
+        if len(kept) < len(pairs):
+            heapq.heapify(kept)
+            pairs[:] = kept
+        # M and F: of the new pairs keep one per minimal lcm, none when a
+        # pair with that lcm has coprime leading monomials; sorting by the
+        # order key puts every proper divisor of an lcm before it
+        cands = []
+        for k in active:
+            L = mono_lcm(lms[k], lh)
+            dL = mono_deg(L)
+            ps = max(sugar[k] + dL - mono_deg(lms[k]), s + dL - mono_deg(lh))
+            cands.append((ctx.key(L), bool(masks[k] & mh), ps, k, L))
+        cands.sort()
+        minimal: list = []
+        for key, shared, ps, k, L in cands:
+            mL = _mask(L)
+            if any(not mM & ~mL and mono_divides(M, L) for mM, M in minimal):
+                continue
+            minimal.append((mL, L))
+            if shared:
+                heapq.heappush(pairs, (key, ps, k, new, L, mL))
+        active[:] = [k for k in active
+                     if masks[k] & ~mh or not mono_divides(lh, lms[k])] + [new]
 
-    def push_pair(i: int, j: int):
-        L = mono_lcm(G[i].lm(), G[j].lm())
-        s = max(sugar[i] + mono_deg(mono_div(L, G[i].lm())),
-                sugar[j] + mono_deg(mono_div(L, G[j].lm())))
-        heapq.heappush(pairs, (ctx.key(L), s, i, j))
-
-    for i, j in itertools.combinations(range(len(G)), 2):
-        push_pair(i, j)
+    for row in _interreduce(gens, ctx):
+        if not any(row.lm()):
+            return (row,)
+        insert(row, row.degree())
 
     steps = 0
     while pairs:
         steps += 1
         if steps > limit:
             raise ResourceLimitError("Groebner basis computation", limit)
-        _, s, i, j = heapq.heappop(pairs)
-        done.add((i, j))
-        li, lj = G[i].lm(), G[j].lm()
-        L = mono_lcm(li, lj)
-        # product criterion: coprime leading monomials reduce to zero
-        if L == mono_mul(li, lj):
-            continue
-        # chain criterion: some k with lm_k | lcm and both side pairs settled
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j):
-                continue
-            if mono_divides(G[k].lm(), L):
-                p1 = (min(i, k), max(i, k))
-                p2 = (min(j, k), max(j, k))
-                if p1 in done and p2 in done:
-                    skip = True
-                    break
-        if skip:
-            continue
-        h = reduce_full(_spoly(G[i], G[j]), G)
+        _, s, i, j, _, _ = heapq.heappop(pairs)
+        h = reduce_full(_spoly(G[i], G[j]), [G[k] for k in active])
         if h.terms:
-            G.append(h.monic())
-            sugar.append(max(s, h.degree()))
-            new = len(G) - 1
-            for k in range(new):
-                push_pair(k, new)
-    return _reduced_basis(G)
+            h = h.monic()
+            if not any(h.lm()):
+                return (h,)
+            insert(h, max(s, h.degree()))
+    return _reduced_basis([G[k] for k in active])
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +318,9 @@ class Ideal:
     def radical_contains(self, f: Polynomial) -> bool:
         """Membership in the radical, by the extra-variable trick: f lies
         in rad(I) iff 1 lies in I + (1 - t f) in one more variable.  The
-        run starts from the cached reduced basis of I."""
+        run starts from the cached reduced basis of I with its pairs
+        settled: it is a Groebner basis and t does not occur in it, so
+        only the pairs with 1 - t f are formed."""
         if self.ctx.has_quotient():
             raise ValidationError("radical membership is for quotient-free contexts")
         self.ctx.check_same(f.ctx)
@@ -271,8 +331,7 @@ class Ideal:
         keep = list(range(self.ctx.nvars))
         lifted = [g.embed(big, keep) for g in self.groebner()]
         t = big.var(big.nvars - 1)
-        lifted.append(big.one() - t * f.embed(big, keep))
-        gb = buchberger(lifted, big)
+        gb = buchberger([big.one() - t * f.embed(big, keep)], big, _settled=lifted)
         return len(gb) == 1 and gb[0].lm() == (0,) * big.nvars
 
     def leading_supports(self) -> list:

@@ -10,6 +10,7 @@ polynomial carries its context and refuses mixed-context arithmetic.
 
 from __future__ import annotations
 
+from operator import add, le, neg, sub
 from typing import Sequence
 
 from .errors import RingMismatchError, ValidationError
@@ -23,7 +24,7 @@ Mono = tuple  # tuple[int, ...]
 # ---------------------------------------------------------------------------
 
 def _degrevlex_key(m: Mono):
-    return (sum(m), tuple(-e for e in reversed(m)))
+    return (sum(m), tuple(map(neg, reversed(m))))
 
 
 def _lex_key(m: Mono):
@@ -40,23 +41,31 @@ ORDER_KEYS = {
     "deglex": _deglex_key,
 }
 
+# order-reversed keys: the larger monomial gets the smaller key, so a
+# min-heap of them pops the leading monomial first
+REVERSED_KEYS = {
+    "degrevlex": lambda m: (-sum(m), m[::-1]),
+    "lex": lambda m: tuple(map(neg, m)),
+    "deglex": lambda m: (-sum(m), tuple(map(neg, m))),
+}
+
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Mono, b: Mono) -> bool:
     """True when monomial ``a`` divides ``b``."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Mono, b: Mono) -> Mono:
     """``a / b``; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple([x if x >= y else y for x, y in zip(a, b)])
 
 
 def mono_deg(a: Mono) -> int:

@@ -26,13 +26,14 @@ from cjl.field import QQ, GFp
 from cjl.linalg import solve
 from cjl.models import exterior_pair
 from cjl.poly import Polynomial, RingContext
+from test_dgla import dense
 
 FIELDS = [QQ(), GFp(2), GFp(3), GFp(7)]
 
 
 def dense_table(A):
     n = A.dim
-    return [[A.table.get(0, i, 0, j, n) for j in range(n)] for i in range(n)]
+    return [[dense(A.table, 0, i, 0, j, n) for j in range(n)] for i in range(n)]
 
 
 def reference_mul(F, table, a, b):

@@ -447,3 +447,35 @@ def test_subprocess_pipe_end_to_end():
         input=model.stdout, capture_output=True, text=True, env=env)
     assert res.returncode == 0
     assert res.stdout == '{"generators":["x0^2","x0*x1","x1^2"]}\n'
+
+
+def test_repeated_runs_match_fresh_processes(capsys, monkeypatch):
+    """The parser is built once per process; runs that follow one another
+    in one process, mixing verbs and a usage error, print and exit as
+    fresh processes do."""
+    env = _child_env()
+    ext2 = subprocess.run([sys.executable, "-m", "cjl.cli", "model", "exterior", "--n", "2"],
+                          capture_output=True, text=True, env=env).stdout
+    requests = [
+        (["model", "surface", "--g", "2"], ""),
+        (["resonance", "--i", "1", "--k", "1"], ext2),
+        (["resonance", "--k", "1"], ext2),          # --i missing: usage error
+        (["cone"], ext2),
+        (["model", "glr", "--n", "2"], ""),         # --r missing: usage error
+        (["analyze"], ext2),
+        (["resonance", "--i", "1", "--k", "1"], ext2),
+    ]
+    here = []
+    for argv, stdin_text in requests:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+        code = run(argv)
+        cap = capsys.readouterr()
+        here.append((code, cap.out, cap.err))
+    fresh = []
+    for argv, stdin_text in requests:
+        res = subprocess.run([sys.executable, "-m", "cjl.cli", *argv], input=stdin_text,
+                             capture_output=True, text=True, env=env)
+        fresh.append((res.returncode, res.stdout, res.stderr))
+    assert [c for c, _, _ in here] == [0, 0, 2, 0, 2, 0, 0]
+    assert here == fresh
+    assert cli.build_parser() is cli.build_parser()

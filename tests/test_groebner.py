@@ -7,11 +7,51 @@ from hypothesis import given, settings, strategies as st
 
 from cjl.errors import ResourceLimitError, ValidationError
 from cjl.field import GFp, QQ
-from cjl.groebner import (Ideal, _reduced_basis, _spoly, buchberger, krull_dimension,
+from cjl.groebner import (Ideal, _spoly, buchberger, krull_dimension,
                           krull_dimension_by_enumeration, reduce_full, step_budget)
 from cjl.parse import parse_poly
-from cjl.poly import (RingContext, format_poly, mono_deg, mono_div, mono_divides,
-                      mono_lcm, mono_mul)
+from cjl.poly import (ORDER_KEYS, Polynomial, RingContext, format_poly, mono_deg, mono_div,
+                      mono_divides, mono_lcm, mono_mul)
+
+
+def reference_reduce_full(f, basis):
+    """Normal form by the textbook loop: cancel the leading term of the
+    remainder with the first basis element, in basis order, whose leading
+    monomial divides it, else move that term to the result."""
+    ctx = f.ctx
+    F = ctx.field
+    if not basis:
+        return f
+    done = {}
+    work = f
+    while work.terms:
+        m, c = work.terms[0]
+        reducer = None
+        for g in basis:
+            if mono_divides(g.lm(), m):
+                reducer = g
+                break
+        if reducer is None:
+            done[m] = c
+            work = Polynomial(ctx, work.terms[1:])
+        else:
+            coef = F.div(c, reducer.lc())
+            work = work - reducer.mul_mono(mono_div(m, reducer.lm()), coef)
+    return ctx.from_dict(done)
+
+
+def reference_reduced_basis(G, ctx):
+    """Minimalize and autoreduce with the reference normal form, smallest
+    leading monomial first."""
+    G = sorted(G, key=lambda p: ctx.key(p.lm()))
+    minimal = []
+    for p in G:
+        if not any(mono_divides(q.lm(), p.lm()) for q in minimal):
+            minimal.append(p)
+    out = [reference_reduce_full(p, [q for q in minimal if q is not p]).monic()
+           for p in minimal]
+    out.sort(key=lambda p: ctx.key(p.lm()))
+    return tuple(out)
 
 
 def naive_buchberger(gens, ctx):
@@ -24,25 +64,19 @@ def naive_buchberger(gens, ctx):
         f, g = G[i], G[j]
         L = mono_lcm(f.lm(), g.lm())
         s = f.mul_mono(mono_div(L, f.lm())) - g.mul_mono(mono_div(L, g.lm()))
-        h = reduce_full(s, G)
+        h = reference_reduce_full(s, G)
         if h.terms:
             G.append(h.monic())
             pairs.extend((k, len(G) - 1) for k in range(len(G) - 1))
-    # minimalize + autoreduce, smallest leading monomial first
-    G.sort(key=lambda p: ctx.key(p.lm()))
-    minimal = []
-    for p in G:
-        if not any(mono_divides(q.lm(), p.lm()) for q in minimal):
-            minimal.append(p)
-    out = [reduce_full(p, [q for q in minimal if q is not p]).monic() for p in minimal]
-    out.sort(key=lambda p: ctx.key(p.lm()))
-    return out
+    return list(reference_reduced_basis(G, ctx))
 
 
 def reference_buchberger(gens, ctx, budget=None):
-    """Buchberger as the engine ran it before the linear interreduction:
-    every nonzero raw generator enters the basis and is paired with every
-    other, under the same selection strategy, criteria and budget."""
+    """Buchberger as the engine ran it before the linear interreduction and
+    the Gebauer-Moeller criteria: every nonzero raw generator enters the
+    basis and is paired with every other, under the same selection
+    strategy, with the product criterion and the chain criterion tested
+    when a pair is popped; each popped pair is one step of the budget."""
     limit = step_budget() if budget is None else budget
     G = [g.monic() for g in gens if g.terms]
     sugar = [g.degree() for g in G]
@@ -74,13 +108,13 @@ def reference_buchberger(gens, ctx, budget=None):
                and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
                for k in range(len(G))):
             continue
-        h = reduce_full(_spoly(G[i], G[j]), G)
+        h = reference_reduce_full(_spoly(G[i], G[j]), G)
         if h.terms:
             G.append(h.monic())
             sugar.append(max(s, h.degree()))
             for k in range(len(G) - 1):
                 push_pair(k, len(G) - 1)
-    return _reduced_basis(G)
+    return reference_reduced_basis(G, ctx)
 
 
 @st.composite
@@ -166,6 +200,66 @@ def test_budget_counts_pairs_among_interreduced_rows(monkeypatch):
     assert [t.terms for t in buchberger(gens, ctx)] == want
     with pytest.raises(ResourceLimitError):
         reference_buchberger(gens, ctx, budget=100)
+
+
+@st.composite
+def polys(draw, ctx, max_terms=5, max_exp=3):
+    """A nonzero polynomial with small coefficients and exponents."""
+    coeff = st.integers(-3, 3).filter(bool).map(ctx.field.from_int)
+    mono = st.tuples(*[st.integers(0, max_exp)] * ctx.nvars)
+    f = ctx.from_dict(draw(st.dictionaries(mono, coeff, min_size=1, max_size=max_terms)))
+    return f if f.terms else ctx.one()
+
+
+@pytest.mark.parametrize("order", sorted(ORDER_KEYS))
+@pytest.mark.parametrize("field", [QQ(), GFp(5)], ids=["QQ", "F5"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_reduce_full_matches_reference(field, order, data):
+    """The heap-based normal form against the textbook loop, on arbitrary
+    (not monic, not Groebner) bases and on reduced bases, in every order:
+    each order has its own reversed heap key."""
+    ctx = RingContext(field, data.draw(st.sampled_from([("x", "y"), ("x", "y", "z")])),
+                      order)
+    f = data.draw(polys(ctx, max_terms=8))
+    basis = data.draw(st.lists(polys(ctx, max_exp=2), max_size=4))
+    if data.draw(st.booleans()):
+        basis = list(buchberger(basis, ctx))
+    got = reduce_full(f, basis)
+    assert got.terms == reference_reduce_full(f, basis).terms
+    assert list(got.terms) == sorted(got.terms, key=lambda t: ctx.key(t[0]), reverse=True)
+
+
+@pytest.mark.parametrize("field", [QQ(), GFp(5)], ids=["QQ", "F5"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_settled_start_matches_buchberger_on_the_union(field, data):
+    """Extending a reduced basis G by new generators gives the basis that
+    ``buchberger`` computes from G and those generators together."""
+    order = data.draw(st.sampled_from(sorted(ORDER_KEYS)))
+    ctx = RingContext(field, data.draw(st.sampled_from([("x", "y"), ("x", "y", "z")])),
+                      order)
+    G = buchberger(data.draw(generator_lists(ctx)), ctx)
+    new = data.draw(generator_lists(ctx))
+    got = buchberger(new, ctx, _settled=G)
+    assert [g.terms for g in got] == [g.terms for g in buchberger(list(G) + new, ctx)]
+    assert [g.terms for g in got] == [g.terms for g in reference_buchberger(list(G) + new, ctx)]
+
+
+def test_budget_counts_pairs_with_the_settled_basis_only(monkeypatch):
+    """The 28 squarefree quadrics in x0..x7 form a reduced basis whose
+    mutual pairs all survive to be reduced in a run on the union; started
+    as settled, only the pairs with the new element are formed."""
+    ctx = RingContext(QQ(), tuple(f"x{i}" for i in range(8)) + ("t",))
+    X = ctx.gens()
+    t = X[-1]
+    G = buchberger([X[i] * X[j] for i in range(8) for j in range(i + 1, 8)], ctx)
+    f = t**3 * X[0] - ctx.one()
+    want = [g.terms for g in buchberger(list(G) + [f], ctx)]
+    monkeypatch.setenv("CJL_STEP_BUDGET", "40")
+    assert [g.terms for g in buchberger([f], ctx, _settled=G)] == want
+    with pytest.raises(ResourceLimitError):
+        buchberger(list(G) + [f], ctx)
 
 
 def test_groebner_matches_naive_oracle_on_fixture():

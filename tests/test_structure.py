@@ -33,7 +33,7 @@ from cjl.models import (Arrangement, cdga_to_pair, exterior, exterior_pair,
 from cjl.parse import parse_poly
 from cjl.poly import RingContext
 from cjl.resonance import coefficient_ring, quadratic_cone_ideal, universal_aomoto
-from test_dgla import heisenberg_pair
+from test_dgla import dense, heisenberg_pair
 from test_golden import ACYCLIC_ARM
 
 F = QQ()
@@ -156,7 +156,7 @@ def with_arm(C):
                 sgn = -F.one if p == 2 and cj % 2 else F.one
                 for a in range(C.dim(ci)):
                     for b in range(C.dim(cj)):
-                        w = C.bracket.get(ci, a, cj, b, C.dim(ci + cj))
+                        w = dense(C.bracket, ci, a, cj, b, C.dim(ci + cj))
                         if not any(w):
                             continue
                         out = [F.zero] * dim(i + j)
