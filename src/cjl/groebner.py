@@ -7,13 +7,13 @@ criteria of Gebauer and Moeller (J. Symb. Comp. 6, 1988): a queued pair
 whose lcm the new leading monomial divides, strictly on both sides, is
 dropped (B); of the new pairs only one per minimal lcm is kept (M), none
 if that lcm is a product of coprime leading monomials (F and the product
-criterion); an element whose leading monomial the new one divides pairs
-no more.  The queue therefore holds only pairs that will be reduced.
-Before any S-pair is formed the generators are interreduced as sparse
-vectors over monomials (the first step of Faugere's F4): the basis starts
-from monic rows with distinct leading monomials that span the same vector
-space, so zero, repeated and linearly dependent generators never enter a
-pair.  Normal forms keep the remainder as a dictionary and a heap of its
+criterion); an element whose leading monomial the new one divides
+neither pairs nor reduces again.  The queue therefore holds only pairs
+that will be reduced.  Before any S-pair is formed the generators are
+interreduced as sparse vectors over monomials (the first step of
+Faugere's F4): the basis starts from monic rows with distinct leading
+monomials that span the same vector space, so zero, repeated and
+linearly dependent generators never enter a pair.  Normal forms keep the remainder as a dictionary and a heap of its
 monomials (Monagan and Pearce, ISSAC 2007) and reject a reducer by a bit
 mask of the variables in its leading monomial before comparing exponents.
 Every run is deterministic: pairs are totally ordered by ``(lcm key,
