@@ -115,7 +115,8 @@ class FreeComplex:
 
 def _minor(ring, mat, rows: tuple, cols: tuple, cache: dict):
     """Determinant of the submatrix, by Laplace expansion along the first
-    listed row with memoized sub-minors (division-free, any ring)."""
+    listed row with memoized sub-minors (division-free, any ring); a zero
+    entry of ``mat`` is None."""
     if not rows:
         return ring.one()
     key = (rows, cols)
@@ -127,7 +128,7 @@ def _minor(ring, mat, rows: tuple, cols: tuple, cache: dict):
     total = ring.zero()
     for pos, c in enumerate(cols):
         a = mat[r0][c]
-        if ring.is_zero(a):
+        if a is None:
             continue
         sub = _minor(ring, mat, rest, cols[:pos] + cols[pos + 1:], cache)
         term = ring.mul(a, sub)
@@ -150,6 +151,9 @@ def matrix_minors(ring, mat, r: int, nrows: int, ncols: int) -> list:
     step budget (:func:`cjl.groebner.step_budget`)."""
     _within_budget(math.comb(nrows, r) * math.comb(ncols, r),
                    f"index pairs of {r} x {r} minors")
+    if r > 0:  # each entry is zero-tested once, not once per expansion
+        mat = [[None if ring.is_zero(a) else a for a in row[:ncols]]
+               for row in mat[:nrows]]
     cache: dict = {}
     out = []
     for rows in itertools.combinations(range(nrows), r):

@@ -18,11 +18,31 @@ symmetry, so inputs need not duplicate symmetric data.  The checkers
 visit only the basis tuples where some term of an identity can be
 nonzero, so their cost follows the nonzero entries of the tables and
 the differentials, not the cube of the dimension.
+
+Each product-rule identity is checked once per orbit of its symmetries
+(Goldman-Millson: a graded Lie algebra is skew plus cyclic Jacobi).
+Write J(x,y,v) for (xy).v - x.(y.v) + (-1)^{|x||y|} y.(x.v).  When the
+bracket is graded skew, J(y,x,v) = -(-1)^{|x||y|} J(x,y,v) by skew
+symmetry of the first term alone, for the module rule as for Jacobi;
+for Jacobi also J(x,y,v) = -(-1)^{|x||v|} S(x,y,v), where S is the
+cyclic sum (-1)^{|x||v|}[x,[y,v]] + (-1)^{|y||x|}[y,[v,x]] +
+(-1)^{|v||y|}[v,[x,y]], invariant under (x,y,v) -> (y,v,x).  So J
+vanishes on a whole S_3-orbit (Jacobi) or x <-> y orbit (the module
+rule) or on none of it: the factors are signs, no division, and this
+holds in every characteristic.  Likewise, for a graded-commutative
+product, (xy)z - x(yz) at (z,y,x) is a sign times its value at
+(x,y,z).  The walker checks one representative per orbit and reports
+every triple of a failing orbit, so the witness lists are those of the
+full walk.  It takes the full walk when the skew check fails
+(:func:`check_algebra` checks commutativity before associativity).
+The d^2 and Leibniz identities are not walked when the differentials
+are zero: every term of them is zero.  Every built-in model is so.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from itertools import permutations
 from typing import Sequence
 
 from .errors import AxiomError, ValidationError
@@ -225,7 +245,8 @@ class DglaPair:
 
     def validate(self):
         """Raise AxiomError on the first violated identity."""
-        bad = check_dgla(self.lie) + check_pair(self)
+        lie = check_dgla(self.lie)
+        bad = lie + check_pair(self, all(w["axiom"] != "skew" for w in lie))
         if bad:
             raise AxiomError(f"{len(bad)} axiom violations; first: "
                              f"{bad[0]['axiom']} at {bad[0].get('at')}", bad[0])
@@ -317,36 +338,64 @@ def _symmetry(table: _GradedTable, sign: int, axiom: str) -> list:
                       _sign(F, i * j + sign), dict(table.terms(j, b, i, a)))])
 
 
+# The symmetry groups of a product-rule identity (module docstring): for
+# each, the representative of the orbit of a triple (x, y, v) of basis
+# keys, and that orbit; None is the trivial group of the full walk.
+_ORBITS = {
+    None: (lambda *t: t, lambda *t: (t,)),
+    "swap": (lambda x, y, v: (x, y, v) if x <= y else (y, x, v),
+             lambda x, y, v: {(x, y, v), (y, x, v)}),
+    "all": (lambda *t: tuple(sorted(t)), lambda *t: set(permutations(t))),
+    "reversal": (lambda x, y, v: (x, y, v) if x <= v else (v, y, x),
+                 lambda x, y, v: {(x, y, v), (v, y, x)}),
+}
+
+
 def _product_rule(inner: _GradedTable, outer: _GradedTable, twist: bool,
-                  axiom: str) -> list:
+                  axiom: str, symmetric: bool = False) -> list:
     """Violations of (xy).v = x.(y.v) - (-1)^{|x||y|} y.(x.v), or with
     ``twist`` off of (xy).v = x.(y.v), for basis vectors x, y multiplied
     by ``inner`` and v acted on by ``outer``, witness (i, a, j, b, k, c).
     A triple fails only where a term is nonzero, so only triples where x
     acts on a term of y.v, y (with ``twist``) on a term of x.v, or a term
-    of xy on v are visited."""
+    of xy on v are visited.
+
+    With ``symmetric`` (``inner`` is graded skew, or with ``twist`` off
+    graded commutative) one triple is checked per orbit (module
+    docstring), and a failing one stands for its orbit.  When ``inner``
+    is ``outer``, every term of an orbit is a term of xy on v at one of
+    its triples, so only those are followed."""
     F = outer.field
     one = F.one
     support, left, right = _support(outer)
+    group = (None if not symmetric else "swap" if inner is not outer
+             else "all" if twist else "reversal")
+    rep, orbit = _ORBITS[group]
     visit = set()
-    for j, b, k, c in support:
-        for w, _ in outer.terms(j, b, k, c):
-            for x in right.get((j + k, w), ()):
-                visit.add(x + (j, b, k, c))
-                if twist:
-                    visit.add((j, b) + x + (k, c))
-    for i, a, j, b in _support(inner)[0]:
-        for e, _ in inner.terms(i, a, j, b):
-            visit.update((i, a, j, b) + v for v in left.get((i + j, e), ()))
+    if group in (None, "swap"):
+        for key in support:
+            y, v = key[:2], key[2:]
+            for w, _ in outer.terms(*key):
+                for x in right.get((key[0] + key[2], w), ()):
+                    visit.add(rep(x, y, v))
+                    if twist and group is None:
+                        visit.add((y, x, v))
+    for key in support if inner is outer else _support(inner)[0]:
+        x, y = key[:2], key[2:]
+        if symmetric and twist and y < x:
+            continue  # the orbit of (x, y, v) holds (y, x, v)
+        for e, _ in inner.terms(*key):
+            visit.update(rep(x, y, v) for v in left.get((key[0] + key[2], e), ()))
     bad = []
-    for i, a, j, b, k, c in visit:
+    for t in visit:
+        (i, a), (j, b), (k, c) = t
         lhs = outer.product(F, i + j, inner.terms(i, a, j, b), k, ((c, one),))
         t1 = outer.product(F, i, ((a, one),), j + k, outer.terms(j, b, k, c))
         t2 = outer.product(F, j, ((b, one),), i + k,
                            outer.terms(i, a, k, c)) if twist else {}
         if not _holds(F, lhs, t1, _sign(F, i * j + 1), t2):
-            bad.append((i, a, j, b, k, c))
-    return _witnesses(axiom, bad)
+            bad.extend(orbit(*t))
+    return _witnesses(axiom, [x + y + v for x, y, v in bad])
 
 
 def _leibniz(table: _GradedTable, d_c, d_v, axiom: str) -> list:
@@ -378,21 +427,31 @@ def _leibniz(table: _GradedTable, d_c, d_v, axiom: str) -> list:
 
 def check_dgla(C: Dgla) -> list:
     """All violations of the graded-Lie axioms, as witness dicts.  Jacobi
-    is the product rule of C acting on itself by ad."""
+    is the product rule of C acting on itself by ad, checked once per
+    orbit when the bracket is skew."""
+    skew = _symmetry(C.bracket, 1, "skew")
+    jacobi = _product_rule(C.bracket, C.bracket, True, "jacobi", not skew)
+    if C.has_zero_differential():
+        return skew + jacobi
     F = C.field
     d_c = _d_images(F, C.gvs, C.d_mat)
-    return (_d_squared(F, C.gvs, d_c, "d_squared")
-            + _symmetry(C.bracket, 1, "skew")
-            + _product_rule(C.bracket, C.bracket, True, "jacobi")
+    return (_d_squared(F, C.gvs, d_c, "d_squared") + skew + jacobi
             + _leibniz(C.bracket, d_c, d_c, "leibniz"))
 
 
-def check_pair(P: DglaPair) -> list:
-    """Violations of the module axioms over the (already checked) algebra."""
+def check_pair(P: DglaPair, skew: bool | None = None) -> list:
+    """Violations of the module axioms over the (already checked) algebra.
+    ``skew`` says whether the bracket is graded skew, which lets the
+    module rule be checked once per swap of x and y; it is found here
+    when not given."""
+    if skew is None:
+        skew = not _symmetry(P.lie.bracket, 1, "skew")
+    action = _product_rule(P.lie.bracket, P.action, True, "lie_action", skew)
+    if P.has_zero_differentials():
+        return action
     F = P.field
     d_m = _d_images(F, P.m_gvs, P.m_d_mat)
-    return (_d_squared(F, P.m_gvs, d_m, "module_d_squared")
-            + _product_rule(P.lie.bracket, P.action, True, "lie_action")
+    return (_d_squared(F, P.m_gvs, d_m, "module_d_squared") + action
             + _leibniz(P.action, _d_images(F, P.lie.gvs, P.lie.d_mat), d_m,
                        "action_leibniz"))
 
@@ -416,7 +475,7 @@ def check_algebra(table: _GradedTable, space: GradedVectorSpace):
     bad = _symmetry(table, 0, "commutativity")
     if bad:
         raise AxiomError("graded commutativity fails", bad[0])
-    bad = _product_rule(table, table, False, "associativity")
+    bad = _product_rule(table, table, False, "associativity", True)
     if bad:
         raise AxiomError("associativity fails", bad[0])
 

@@ -89,12 +89,22 @@ def reduce_full(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     multiple of a reducer's tail; terms that reach the result are already
     in order.
     """
-    if not basis or not f.terms:
+    return _reduce(f, [_reducer(g) for g in basis])
+
+
+def _reducer(g: Polynomial) -> tuple:
+    """The (support mask, leading monomial, element) triple that
+    :func:`_reduce` reads a reducer from."""
+    return (_mask(g.lm()), g.lm(), g)
+
+
+def _reduce(f: Polynomial, reducers: Sequence[tuple]) -> Polynomial:
+    """:func:`reduce_full` by the :func:`_reducer` triples of the basis."""
+    if not reducers or not f.terms:
         return f
     ctx = f.ctx
     F = ctx.field
     rkey = REVERSED_KEYS[ctx.order]
-    reducers = [(_mask(g.lm()), g.lm(), g) for g in basis]
     work = dict(f.terms)
     heap = [(rkey(m), m) for m in work]  # terms descend, so keys ascend: a heap
     out = []
@@ -147,11 +157,13 @@ def _reduced_basis(G: list) -> tuple:
     # never changes a leading monomial (nor the order of ``kept``), and
     # whether an element is reduced depends only on the others' leading
     # monomials; one pass suffices
+    reducers = [_reducer(g) for g in kept]
     for i in range(len(kept)):
-        r = reduce_full(kept[i], kept[:i] + kept[i + 1:]).monic()
+        r = _reduce(kept[i], reducers[:i] + reducers[i + 1:]).monic()
         if not r.terms:
             raise AssertionError("minimal basis element reduced to zero")
         kept[i] = r
+        reducers[i] = _reducer(r)
     return tuple(kept)
 
 
@@ -200,7 +212,9 @@ def buchberger(gens: Sequence[Polynomial], ctx: RingContext, *,
     lms = [g.lm() for g in G]
     masks = [_mask(m) for m in lms]
     sugar = [g.degree() for g in G]
+    triples = [(masks[k], lms[k], g) for k, g in enumerate(G)]  # _reducer
     active = list(range(len(G)))  # elements that still pair and reduce
+    reducers = list(triples)  # the triples of ``active``, in its order
     pairs: list = []  # heap of (lcm order key, sugar, i, j, lcm, lcm mask)
 
     def insert(h: Polynomial, s: int):
@@ -212,6 +226,7 @@ def buchberger(gens: Sequence[Polynomial], ctx: RingContext, *,
         lms.append(lh)
         masks.append(mh)
         sugar.append(s)
+        triples.append((mh, lh, h))
         # B: drop (i, j) when lh divides its lcm L and lcm(l_i, lh) != L != lcm(l_j, lh)
         kept = [p for p in pairs
                 if mh & ~p[5] or not mono_divides(lh, p[4])
@@ -239,6 +254,7 @@ def buchberger(gens: Sequence[Polynomial], ctx: RingContext, *,
                 heapq.heappush(pairs, (key, ps, k, new, L, mL))
         active[:] = [k for k in active
                      if masks[k] & ~mh or not mono_divides(lh, lms[k])] + [new]
+        reducers[:] = [triples[k] for k in active]
 
     for row in _interreduce(gens, ctx):
         if not any(row.lm()):
@@ -251,7 +267,7 @@ def buchberger(gens: Sequence[Polynomial], ctx: RingContext, *,
         if steps > limit:
             raise ResourceLimitError("Groebner basis computation", limit)
         _, s, i, j, _, _ = heapq.heappop(pairs)
-        h = reduce_full(_spoly(G[i], G[j]), [G[k] for k in active])
+        h = _reduce(_spoly(G[i], G[j]), reducers)
         if h.terms:
             h = h.monic()
             if not any(h.lm()):

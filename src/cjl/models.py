@@ -11,8 +11,7 @@ from __future__ import annotations
 from functools import cache, partial
 from itertools import combinations, product
 
-from .dgla import (Dgla, DglaPair, GradedVectorSpace, _GradedTable, _zero_d,
-                   check_algebra)
+from .dgla import Dgla, DglaPair, GradedVectorSpace, _GradedTable, _zero_d
 from .errors import ValidationError
 from .field import QQ, located, read_nested, read_scalar
 from .linalg import rank, vec_is_zero
@@ -24,8 +23,9 @@ class Cdga:
     Basis element (0,0) is the unit.  ``mult`` maps (i,a,j,b) to the
     coordinate vector of the product in degree i+j; missing entries are
     zero, and products landing outside the window are zero.  Construction
-    checks only the indices and shapes; :meth:`validate` checks the unit,
-    graded commutativity and associativity.
+    checks only the indices and shapes; ``check_algebra(A.table, A.gvs)``
+    (:func:`cjl.dgla.check_algebra`) checks the unit, graded commutativity
+    and associativity.
     """
 
     def __init__(self, field, gvs: GradedVectorSpace, mult: dict):
@@ -44,9 +44,6 @@ class Cdga:
 
     def dim(self, i: int) -> int:
         return self.gvs.dim(i)
-
-    def validate(self):
-        check_algebra(self.table, self.gvs)
 
 
 def _shuffle_sign(S, T):

@@ -1,11 +1,19 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from cjl.dgla import (Dgla, DglaPair, GradedVectorSpace, check_dgla,
-                      check_pair, cohomology_pair, pair_from_json, pair_to_json)
+from cjl import dgla
+from cjl.artin import make_artin
+from cjl.dgla import (Dgla, DglaPair, GradedVectorSpace, _d_images, _d_squared,
+                      _GradedTable, _holds, _leibniz, _product_rule, _sign,
+                      _support, _symmetry, _witnesses, check_algebra,
+                      check_dgla, check_pair, cohomology_pair, pair_from_json,
+                      pair_to_json)
 from cjl.errors import AxiomError, ValidationError
-from cjl.field import QQ
+from cjl.field import QQ, GFp
+from cjl.models import cdga_to_pair, exterior, exterior_pair
+from cjl.poly import RingContext
 
 F = QQ()
 ZERO = F.zero
@@ -230,3 +238,203 @@ def test_json_validates_axioms():
     obj = pair_to_json(P)
     with pytest.raises(AxiomError):
         pair_from_json(obj)
+
+
+# ---------------------------------------------------------------------------
+# one identity per symmetry orbit, against the walk of every triple
+# ---------------------------------------------------------------------------
+
+def reference_product_rule(inner, outer, twist, axiom):
+    """The product-rule walker that checks every triple it visits: those
+    where x acts on a term of y.v, y (with ``twist``) on a term of x.v, or
+    a term of xy on v."""
+    F = outer.field
+    one = F.one
+    support, left, right = _support(outer)
+    visit = set()
+    for j, b, k, c in support:
+        for w, _ in outer.terms(j, b, k, c):
+            for x in right.get((j + k, w), ()):
+                visit.add(x + (j, b, k, c))
+                if twist:
+                    visit.add((j, b) + x + (k, c))
+    for i, a, j, b in _support(inner)[0]:
+        for e, _ in inner.terms(i, a, j, b):
+            visit.update((i, a, j, b) + v for v in left.get((i + j, e), ()))
+    bad = []
+    for i, a, j, b, k, c in visit:
+        lhs = outer.product(F, i + j, inner.terms(i, a, j, b), k, ((c, one),))
+        t1 = outer.product(F, i, ((a, one),), j + k, outer.terms(j, b, k, c))
+        t2 = outer.product(F, j, ((b, one),), i + k,
+                           outer.terms(i, a, k, c)) if twist else {}
+        if not _holds(F, lhs, t1, _sign(F, i * j + 1), t2):
+            bad.append((i, a, j, b, k, c))
+    return _witnesses(axiom, bad)
+
+
+def reference_violations(P):
+    """check_dgla + check_pair with every identity walked in full, the
+    differentials' identities included when the differentials are zero."""
+    F, C = P.field, P.lie
+    d_c = _d_images(F, C.gvs, C.d_mat)
+    d_m = _d_images(F, P.m_gvs, P.m_d_mat)
+    return (_d_squared(F, C.gvs, d_c, "d_squared")
+            + _symmetry(C.bracket, 1, "skew")
+            + reference_product_rule(C.bracket, C.bracket, True, "jacobi")
+            + _leibniz(C.bracket, d_c, d_c, "leibniz")
+            + _d_squared(F, P.m_gvs, d_m, "module_d_squared")
+            + reference_product_rule(C.bracket, P.action, True, "lie_action")
+            + _leibniz(P.action, d_c, d_m, "action_leibniz"))
+
+
+def _over(F, P, bracket, action):
+    """P with the given tables, every structure constant read into F."""
+    def conv(table):
+        return {key: tuple(F.from_int(int(t)) for t in v)
+                for key, v in table.items()}
+
+    def mats(ms):
+        return [tuple(tuple(F.from_int(int(t)) for t in row) for row in m)
+                for m in ms]
+
+    C = P.lie
+    return DglaPair(Dgla(F, C.gvs, mats(C.d), conv(bracket)), P.m_gvs,
+                    mats(P.m_d), conv(action))
+
+
+def _bump(table, key, n, k, delta):
+    vec = list(table.get(key, (0,) * n))
+    vec[k] += delta
+    table[key] = tuple(vec)
+
+
+def perturb_pair(P, rng, keep_skew):
+    """Add a small integer to one coordinate of one bracket or action
+    vector, stored or new.  A bracket change is mirrored so that graded
+    skew symmetry holds with ``keep_skew``, and made on one stored
+    orientation only, so that skew fails, without it."""
+    C = P.lie
+    bracket, action = dict(C.bracket.entries), dict(P.action.entries)
+    degrees = list(C.gvs.degrees())
+    on_lie = not keep_skew or rng.random() < 0.5
+    while True:
+        i = rng.choice(degrees)
+        j = rng.choice(degrees if on_lie else list(P.m_gvs.degrees()))
+        dim = C.dim if on_lie else P.m_dim
+        if C.dim(i) and dim(j) and dim(i + j):
+            key = (i, rng.randrange(C.dim(i)), j, rng.randrange(dim(j)))
+            if not on_lie or key[:2] != key[2:]:
+                break
+    n, k = dim(i + j), rng.randrange(dim(i + j))
+    delta = rng.choice([-2, -1, 1, 2])
+    if not on_lie:
+        _bump(action, key, n, k, delta)
+    else:
+        mirror = key[2:] + key[:2]
+        if keep_skew:
+            if mirror in bracket:
+                _bump(bracket, mirror, n, k, -_sign_int(i * j) * delta)
+        elif mirror not in bracket:
+            bracket[mirror] = dense(C.bracket, *mirror, n)
+        _bump(bracket, key, n, k, delta)
+    return bracket, action
+
+
+def _sign_int(n):
+    return 1 if n % 2 == 0 else -1
+
+
+def _message(bad):
+    return (f"{len(bad)} axiom violations; first: "
+            f"{bad[0]['axiom']} at {bad[0].get('at')}")
+
+
+@pytest.mark.parametrize("field", [QQ(), GFp(2), GFp(3)], ids=str)
+def test_orbit_walk_matches_full_walk_on_perturbed_pairs(field):
+    """Witness lists of the orbit route (skew kept) and of the full route
+    (skew broken) against the full walk, and the AxiomError of
+    ``validate`` against the message the full walk gives."""
+    rng = random.Random(20261019)
+    pairs = {"glr-2-2": cdga_to_pair(exterior(2), 2),
+             "exterior-3": exterior_pair(3),
+             "contractible": contractible_pair()}
+    seen = set()
+    for name, P in pairs.items():
+        for t in range(24):
+            keep = t % 3 != 0
+            Q = _over(field, P, *perturb_pair(P, rng, keep))
+            skew = not _symmetry(Q.lie.bracket, 1, "skew")
+            assert skew == keep or field.char == 2, (name, t)
+            br = Q.lie.bracket
+            for outer, axiom in ((br, "jacobi"), (Q.action, "lie_action")):
+                got = _product_rule(br, outer, True, axiom, skew)
+                assert got == reference_product_rule(br, outer, True, axiom), \
+                    (name, t, axiom)
+                if got:
+                    seen.add((skew, axiom))
+            want = reference_violations(Q)
+            assert check_dgla(Q.lie) + check_pair(Q) == want, (name, t)
+            if want:
+                with pytest.raises(AxiomError) as exc:
+                    Q.validate()
+                assert str(exc.value) == _message(want)
+                assert exc.value.witness == want[0]
+            else:
+                Q.validate()
+    assert {(True, "jacobi"), (True, "lie_action"),
+            (False, "jacobi"), (False, "lie_action")} <= seen
+
+
+def test_orbit_walk_matches_full_walk_on_perturbed_algebras():
+    """Associativity once per reversal (x, y, z) <-> (z, y, x), against the
+    full walk, on commutative edits of a graded algebra and an Artin
+    table; ``check_algebra`` raises at the first witness of the full walk."""
+    rng = random.Random(20261020)
+    ctx = RingContext(QQ(), ("t", "s"))
+    t_, s_ = ctx.gens()
+    algebras = {"exterior-3": (exterior(3).table, exterior(3).gvs)}
+    A = make_artin(ctx, [t_**3, s_**2])
+    algebras["artin-t3-s2"] = (A.table, GradedVectorSpace(0, 0, (A.dim,)))
+    seen = 0
+    for name, (table, gvs) in algebras.items():
+        for t in range(30):
+            mult = dict(table.entries)
+            degrees = [i for i in gvs.degrees() if gvs.dim(i)]
+            while True:
+                i, j = rng.choice(degrees), rng.choice(degrees)
+                key = (i, rng.randrange(gvs.dim(i)), j, rng.randrange(gvs.dim(j)))
+                if (gvs.dim(i + j) and (0, 0) not in (key[:2], key[2:])
+                        and (i % 2 == 0 or key[:2] != key[2:])):
+                    break
+            n, k = gvs.dim(i + j), rng.randrange(gvs.dim(i + j))
+            delta = rng.choice([-2, -1, 1, 2])
+            _bump(mult, key, n, k, delta)
+            if key[2:] != key[:2]:
+                _bump(mult, key[2:] + key[:2], n, k, _sign_int(i * j) * delta)
+            T = _GradedTable(F, mult, skew=False)
+            assert _symmetry(T, 0, "commutativity") == [], (name, t)
+            want = reference_product_rule(T, T, False, "associativity")
+            assert _product_rule(T, T, False, "associativity", True) == want
+            if want:
+                seen += 1
+                with pytest.raises(AxiomError) as exc:
+                    check_algebra(T, gvs)
+                assert exc.value.witness == want[0]
+            else:
+                check_algebra(T, gvs)
+    assert seen >= 20
+
+
+def test_pair_read_checks_one_identity_per_orbit(monkeypatch):
+    """Work pin: reading glr n = 2, r = 2 evaluates 446 identities (1 372
+    with every visited triple checked and the Leibniz walks taken)."""
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return holds(*args)
+
+    holds = dgla._holds
+    monkeypatch.setattr(dgla, "_holds", counting)
+    pair_from_json(pair_to_json(cdga_to_pair(exterior(2), 2, 2)))
+    assert len(calls) == 446

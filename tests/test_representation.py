@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from cjl.acceptance import _solvable_pair
 from cjl.dgla import (Dgla, DglaPair, GradedVectorSpace, _GradedTable,
-                      check_dgla, check_pair)
+                      check_algebra, check_dgla, check_pair)
 from cjl.errors import AxiomError
 from cjl.field import QQ
 from cjl.models import (Arrangement, Cdga, cdga_to_pair, exterior, exterior_pair,
@@ -273,7 +273,7 @@ def perturb_algebra(A, rng, fresh):
 
 def _algebra_witness(A):
     try:
-        A.validate()
+        check_algebra(A.table, A.gvs)
     except AxiomError as exc:
         return exc.witness
     return None
