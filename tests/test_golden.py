@@ -28,6 +28,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 MODELS = {
     "exterior-2": (["model", "exterior", "--n", "2"], ""),
     "exterior-3": (["model", "exterior", "--n", "3"], ""),
+    "exterior-4": (["model", "exterior", "--n", "4"], ""),
     "surface-2": (["model", "surface", "--g", "2"], ""),
     "surface-3": (["model", "surface", "--g", "3"], ""),
     "3-line": (["model", "os", "--normals", "-"], '{"normals":[[1,0],[0,1],[1,1]]}'),
@@ -53,7 +54,8 @@ LINE_COMPLEX = '{"ring":{"field":"Q","vars":["x0"]},"lo":0,"ranks":[1,1],"diffs"
 
 # (golden name, model or literal input fed on stdin, or None for LINE_COMPLEX, verb argv)
 CASES = (
-    [(f"analyze-{m}", m, ["analyze"]) for m in ("exterior-2", "surface-2", "surface-3", "3-line")]
+    [(f"analyze-{m}", m, ["analyze"])
+     for m in ("exterior-2", "exterior-3", "exterior-4", "surface-2", "surface-3", "3-line")]
     + [(f"resonance-exterior-3-i{i}-k{k}", "exterior-3", ["resonance", "--i", str(i), "--k", str(k)])
        for i in (1, 2) for k in (1, 2)]
     + [("resonance-3-line-i1", "3-line", ["resonance", "--i", "1"]),
