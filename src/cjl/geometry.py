@@ -35,7 +35,8 @@ class _Geometry:
         self.npos = len(self.b)
         self._minors: dict = {}
         self.beta = tuple(self._generic_rank(p) for p in range(self.npos))
-        self.dim_cone = krull_dimension(self.S.ideal(self.iq))
+        self.dim_cone = krull_dimension(self.ctx.zero_ideal())
+        self._upstairs: dict = {}
         self._res: dict = {}
         self._fit: dict = {}
         self._a: int | None = None
@@ -60,8 +61,13 @@ class _Geometry:
     # -- ideals --------------------------------------------------------
 
     def preimage(self, ideal) -> "object":
-        """The same locus presented upstairs, quotient relations included."""
-        return self.S.ideal(ideal.all_gens())
+        """The same locus presented upstairs, quotient relations included;
+        one ideal, hence one basis, per distinct list of generators."""
+        gens = ideal.all_gens()
+        key = tuple(g.terms for g in gens)
+        if key not in self._upstairs:
+            self._upstairs[key] = self.S.ideal(gens)
+        return self._upstairs[key]
 
     def res(self, pos: int, k: int):
         key = (pos, k)
@@ -330,7 +336,11 @@ def binomial_bound(b, beta, a: int, free_coefficients: bool,
 
 def _locus_inside(outer_ideal, inner_ideal) -> bool:
     """V(inner_ideal) subset of V(outer_ideal), via radical membership
-    of every element of the outer ideal's reduced basis in the inner one."""
+    of every element of the outer ideal's reduced basis in the inner one.
+    Each test is settled by membership in the inner ideal itself or, when
+    the inner ideal is homogeneous of dimension 0, by the constant term;
+    only the rest take an extra-variable basis run
+    (:meth:`~cjl.groebner.Ideal.radical_contains`)."""
     return all(inner_ideal.radical_contains(g)
                for g in outer_ideal.groebner())
 

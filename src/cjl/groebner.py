@@ -13,13 +13,22 @@ that will be reduced.  Before any S-pair is formed the generators are
 interreduced as sparse vectors over monomials (the first step of
 Faugere's F4): the basis starts from monic rows with distinct leading
 monomials that span the same vector space, so zero, repeated and
-linearly dependent generators never enter a pair.  Normal forms keep the remainder as a dictionary and a heap of its
-monomials (Monagan and Pearce, ISSAC 2007) and reject a reducer by a bit
-mask of the variables in its leading monomial before comparing exponents.
-Every run is deterministic: pairs are totally ordered by ``(lcm key,
-sugar, i, j)``, the first reducer in basis order whose leading monomial
-divides a term is taken, and the reduced basis is unique, so it (and
-hence every downstream ideal computation) is reproducible byte for byte.
+linearly dependent generators never enter a pair.  Normal forms keep the
+remainder as a dictionary and a heap of its monomials (Monagan and Pearce,
+ISSAC 2007) and reject a reducer by a bit mask of the variables in its
+leading monomial before comparing exponents.  Every run is deterministic:
+pairs are totally ordered by ``(lcm key, sugar, i, j)``, the first reducer
+in basis order whose leading monomial divides a term is taken, and the
+reduced basis is unique, so it (and hence every downstream ideal
+computation) is reproducible byte for byte.
+
+Radical membership (:meth:`Ideal.radical_contains`) takes the first of
+three routes that applies: (a) f reduces to zero modulo the reduced basis,
+so f lies in I; (b) the reduced basis is homogeneous and I has Krull
+dimension 0, so the graded quotient is finite-dimensional, m^N lies in I
+and I in m, rad(I) = m, and f lies in it exactly when it has no constant
+term; (c) otherwise a Rabinowitsch run, 1 in I + (1 - t f), in one more
+variable.  Only (c) runs Buchberger beyond the cached basis of I.
 
 Step budget: each S-pair taken from the queue, that is each pair that
 survived the criteria and is reduced, counts as one step.  When the count
@@ -295,6 +304,8 @@ class Ideal:
             ctx.check_same(g.ctx)
         self.gens = tuple(g for g in gens)
         self._gb: tuple | None = None
+        self._reducers: list = []  # the _reducer triples of _gb
+        self._origin: bool | None = None  # homogeneous with V(I) = {0}
 
     def all_gens(self) -> tuple:
         """User generators plus the context's quotient generators, as
@@ -306,14 +317,19 @@ class Ideal:
 
     def groebner(self) -> tuple:
         if self._gb is None:
-            self._gb = buchberger(self.all_gens(), self.ctx.base())
+            # the zero ideal's preimage is the quotient ideal, whose basis
+            # the context caches
+            self._gb = (buchberger(self.all_gens(), self.ctx.base()) if self.gens
+                        else self.ctx.quotient_gb())
+            self._reducers = [_reducer(g) for g in self._gb]
         return self._gb
 
     # membership / comparison -----------------------------------------
 
     def contains(self, f: Polynomial) -> bool:
         self.ctx.check_same(f.ctx)
-        return not reduce_full(f.cast(self.ctx.base()), self.groebner()).terms
+        self.groebner()
+        return not _reduce(f.cast(self.ctx.base()), self._reducers).terms
 
     def equals(self, other: "Ideal") -> bool:
         """Equality via uniqueness of the reduced basis."""
@@ -332,14 +348,35 @@ class Ideal:
         return tuple(g.terms for g in gb) == qgb
 
     def radical_contains(self, f: Polynomial) -> bool:
-        """Membership in the radical, by the extra-variable trick: f lies
-        in rad(I) iff 1 lies in I + (1 - t f) in one more variable.  The
-        run starts from the cached reduced basis of I with its pairs
-        settled: it is a Groebner basis and t does not occur in it, so
-        only the pairs with 1 - t f are formed."""
+        """Membership of ``f`` in the radical of the ideal, by the first of
+        three routes that applies:
+
+        (a) ``f`` reduces to zero modulo the reduced basis: f lies in I,
+            hence in rad(I).  The unit ideal always ends here.
+        (b) every basis element is homogeneous and the Krull dimension is
+            0: the graded quotient is then finite-dimensional, so
+            m^N lies in I, and I lies in m; rad(I) = m, which holds f
+            exactly when f has no constant term.  This is exact over
+            every field.  A non-homogeneous ideal of dimension 0, such
+            as (x - 1), takes route (c).
+        (c) the extra-variable trick: f lies in rad(I) iff 1 lies in
+            I + (1 - t f) in one more variable.  The run starts from the
+            cached reduced basis of I with its pairs settled: it is a
+            Groebner basis and t does not occur in it, so only the pairs
+            with 1 - t f are formed.
+
+        Routes (a) and (b) form no S-pair and take no budget step."""
         if self.ctx.has_quotient():
             raise ValidationError("radical membership is for quotient-free contexts")
         self.ctx.check_same(f.ctx)
+        if self.contains(f):
+            return True
+        if self._origin is None:
+            self._origin = (all(len({mono_deg(m) for m, _ in g.terms}) == 1
+                                for g in self.groebner())
+                            and krull_dimension(self) == 0)
+        if self._origin:
+            return any(f.terms[-1][0])
         fresh = "t_"
         while fresh in self.ctx.names:
             fresh += "_"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cjl.errors import ResourceLimitError, ValidationError
+from cjl import groebner
 from cjl.field import GFp, QQ
 from cjl.groebner import (Ideal, _spoly, buchberger, krull_dimension,
                           krull_dimension_by_enumeration, reduce_full, step_budget)
@@ -378,6 +379,58 @@ def test_radical_contains_matches_raw_rabinowitsch(field):
             assert got == raw_rabinowitsch(gens, f, ctx), (gens, f)
             seen.add((got, I.contains(f)))
     assert {(True, True), (True, False), (False, False)} <= seen
+
+
+@pytest.mark.parametrize("field", [QQ(), GFp(5)], ids=["QQ", "F5"])
+def test_radical_contains_routes_match_raw_rabinowitsch(field, monkeypatch):
+    """Seeded homogeneous ideals against Rabinowitsch on the raw generators:
+    zero-dimensional ones (a power of m plus forms), positive-dimensional
+    ones (the square of a linear form plus a form) and the unit ideal, at
+    forms, forms plus a constant and 0.  Each route of radical_contains is
+    taken: (a) f in I, (b) a homogeneous ideal of dimension 0, and (c) an
+    extra-variable run (a buchberger call with settled rows)."""
+    rng = random.Random(19)
+    ctx = RingContext(field, ("x", "y", "z"))
+    runs = []
+
+    def counting(gens, ring, **kw):
+        runs.append(bool(kw.get("_settled")))
+        return plain(gens, ring, **kw)
+
+    plain = groebner.buchberger
+    monkeypatch.setattr(groebner, "buchberger", counting)
+
+    def monomials(d):
+        return [m for m in itertools.product(range(d + 1), repeat=3) if sum(m) == d]
+
+    def form(d):
+        picked = rng.sample(monomials(d), min(3, len(monomials(d))))
+        f = ctx.from_dict({m: field.from_int(rng.randint(-2, 2)) for m in picked})
+        return f if f.terms else ctx.var(rng.randrange(3)) ** d
+
+    seen = set()
+    for case in range(36):
+        kind = case % 3
+        if kind == 0:
+            gens = [Polynomial(ctx, ((m, field.one),)) for m in monomials(rng.randint(2, 3))]
+            gens += [form(rng.randint(1, 2)) for _ in range(rng.randint(0, 2))]
+        elif kind == 1:
+            lead = form(1)
+            gens = [lead ** 2, form(rng.randint(1, 2))]
+        else:
+            gens = [ctx.one(), form(1)]
+        I = Ideal(ctx, gens)
+        tests = [gens[0], gens[-1] * form(1), form(1), form(1) * form(1),
+                 form(1) + ctx.one(), ctx.zero()]
+        if kind == 1:
+            tests += [lead, lead * form(1)]
+        for f in tests:
+            before = runs.count(True)
+            got = I.radical_contains(f)
+            route = "c" if runs.count(True) > before else "a" if I.contains(f) else "b"
+            assert got == raw_rabinowitsch(gens, f, ctx), (gens, f)
+            seen.add((route, got))
+    assert {("a", True), ("b", True), ("b", False), ("c", True), ("c", False)} <= seen
 
 
 def test_krull_dimension_fixtures():
