@@ -32,6 +32,7 @@ MODELS = {
     "surface-2": (["model", "surface", "--g", "2"], ""),
     "surface-3": (["model", "surface", "--g", "3"], ""),
     "3-line": (["model", "os", "--normals", "-"], '{"normals":[[1,0],[0,1],[1,1]]}'),
+    "4-line": (["model", "os", "--normals", "-"], '{"normals":[[1,0],[0,1],[1,1],[1,-1]]}'),
     "glr": (["model", "glr", "--n", "2", "--r", "2"], ""),
 }
 
@@ -59,6 +60,9 @@ CASES = (
     + [(f"resonance-exterior-3-i{i}-k{k}", "exterior-3", ["resonance", "--i", str(i), "--k", str(k)])
        for i in (1, 2) for k in (1, 2)]
     + [("resonance-3-line-i1", "3-line", ["resonance", "--i", "1"]),
+       ("resonance-exterior-4-i3-k2", "exterior-4", ["resonance", "--i", "3", "--k", "2"]),
+       ("resonance-4-line-i1-k2", "4-line", ["resonance", "--i", "1", "--k", "2"]),
+       ("resonance-surface-3-i1-k5", "surface-3", ["resonance", "--i", "1", "--k", "5"]),
        ("resonance-glr-i0", "glr", ["resonance", "--i", "0"]),
        ("resonance-glr-i2", "glr", ["resonance", "--i", "2"]),
        ("cone-glr", "glr", ["cone"]),
