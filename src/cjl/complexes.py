@@ -12,21 +12,33 @@ dimension at least ``k``; the conventions for out-of-range sizes (unit
 ideal at size <= 0, zero ideal past the shape) make that statement true
 verbatim at the edges of the window.  It is computed block by block, as
 sum_a I_a(d(i-1)) * I_{r-a}(d(i)) (Bruns-Vetter, *Determinantal Rings*,
-LNM 1327), never from the assembled matrix.  Minor enumeration is held to
-the step budget of :mod:`cjl.groebner` (``CJL_STEP_BUDGET``).
+LNM 1327), never from the assembled matrix.
+
+Each block's s x s minors are enumerated once per complex and kept only
+as a basis of their k-span (:meth:`FreeComplex.minor_span`): the reduced
+echelon basis over an Artin ring, the interreduced nonzero normal forms
+over a polynomial context.  Every jump ideal and Fitting ideal of the
+complex reads those spans, and a split I_a * I_b is generated by the
+products of two span bases.  That is exact: a set and its k-span generate
+the same ideal, and the products of spanning sets of two k-spaces span
+the k-space of their products, so every I_a * I_b, and hence every
+reduced basis and echelon basis printed from it, is unchanged.  Minor
+enumeration and the products of a split are held to the step budget of
+:mod:`cjl.groebner` (``CJL_STEP_BUDGET``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import partial
 from typing import Sequence
 
 from .artin import ArtinLocalAlgebra
 from .errors import (InternalCheckError, ResourceLimitError, RingMismatchError,
                      ValidationError)
-from .groebner import step_budget
-from .linalg import rank as field_rank
+from .groebner import _interreduce, step_budget
+from .linalg import Echelon, rank as field_rank
 
 
 def ring_same(r1, r2) -> bool:
@@ -37,7 +49,8 @@ class FreeComplex:
     """Bounded cochain complex of free modules with explicit matrices.
 
     Immutable once built (``ranks`` and ``diffs`` are tuples that nothing
-    reassigns), so it can keep its minimal model (:attr:`minimal`).
+    reassigns), so it can keep its minimal model (:attr:`minimal`) and the
+    span of each differential's minors (:meth:`minor_span`).
     """
 
     def __init__(self, ring, lo: int, hi: int, ranks: Sequence[int],
@@ -63,6 +76,7 @@ class FreeComplex:
                     f"{self.ranks[j + 1]}x{self.ranks[j]}", at=("diffs", j))
         self._check_dd()
         self._minimal = None
+        self._spans: dict = {}  # (degree, size) -> span_of_minors basis
 
     def _check_dd(self):
         R = self.ring
@@ -85,6 +99,16 @@ class FreeComplex:
         if self._minimal is None:
             self._minimal = minimize_complex(self)
         return self._minimal
+
+    def minor_span(self, i: int, s: int) -> tuple:
+        """Basis of the k-span of the s x s minors of d out of degree ``i``
+        (:func:`span_of_minors`), enumerated on first use and kept."""
+        key = (i, s)
+        span = self._spans.get(key)
+        if span is None:
+            span = self._spans[key] = span_of_minors(
+                self.ring, self.diff(i), s, self.rank(i + 1), self.rank(i))
+        return span
 
     # -- window access -------------------------------------------------
 
@@ -162,19 +186,32 @@ def matrix_minors(ring, mat, r: int, nrows: int, ncols: int) -> list:
     return out
 
 
-def determinantal_ideal(ring, mat, r: int, nrows: int | None = None,
-                        ncols: int | None = None):
-    """Ideal of r x r minors with the boundary conventions: size <= 0
-    gives the unit ideal, size beyond the shape gives the zero ideal."""
-    if nrows is None:
-        nrows = len(mat)
-    if ncols is None:
-        ncols = len(mat[0]) if mat else 0
+def span_of_minors(ring, mat, s: int, nrows: int, ncols: int) -> tuple:
+    """A basis of the k-span of the s x s minors (:func:`matrix_minors`);
+    it generates the same ideal as the minors.
+
+    Over an Artin ring it is the reduced echelon basis of the minors, at
+    most ``dim A`` vectors.  Over a polynomial context it is the
+    interreduced rows (:func:`cjl.groebner._interreduce`) of the minors'
+    nonzero normal forms modulo the quotient, so it is empty exactly when
+    every minor vanishes in the ring."""
+    minors = matrix_minors(ring, mat, s, nrows, ncols)
+    if isinstance(ring, ArtinLocalAlgebra):
+        ech = Echelon(ring.field, ring.dim)
+        for m in minors:
+            ech.add(m)
+        return ech.basis()
+    forms = [f for f in map(ring.normal_form, minors) if f.terms]
+    return tuple(_interreduce(forms, ring))
+
+
+def determinantal_ideal(E: FreeComplex, i: int, r: int):
+    """Ideal of the r x r minors of d out of degree ``i``, generated by
+    their kept span (:meth:`FreeComplex.minor_span`).  Size <= 0 gives the
+    unit ideal, size beyond the shape the zero ideal."""
     if r <= 0:
-        return ring.unit_ideal()
-    if r > min(nrows, ncols):
-        return ring.zero_ideal()
-    return ring.ideal(matrix_minors(ring, mat, r, nrows, ncols))
+        return E.ring.unit_ideal()
+    return E.ring.ideal(E.minor_span(i, r))
 
 
 def _in_max_ideal(ring, mat) -> bool:
@@ -182,20 +219,31 @@ def _in_max_ideal(ring, mat) -> bool:
 
 
 def block_diag_determinantal(ring, A, B, r: int, ra: int, ca: int,
-                             rb: int, cb: int):
+                             rb: int, cb: int, spans=None):
     """Ideal of the r x r minors of the block-diagonal matrix A (+) B.
 
     A minor of A (+) B that takes a rows from A is zero unless it takes a
     columns from A too, and then it is the a x a minor of A times the
-    (r-a) x (r-a) minor of B: the generators are those products over the
-    nonzero minors of each block, split by split (a = 0, 1, ...).  Over an
-    Artin ring the s x s minors of a block with every entry in the maximal
-    ideal m lie in m^s, so a split whose products lie in m^s = 0 is skipped
-    unexpanded.  A split's count of products is held to the step budget
-    like a block's count of index pairs (:func:`matrix_minors`).
+    (r-a) x (r-a) minor of B, so the ideal is sum_a I_a(A) * I_{r-a}(B).
+    Each split is generated by the products of a basis of the k-span of
+    A's a x a minors with one of B's (r-a) x (r-a) minors, which is exact
+    (module docstring).  ``spans`` is a pair of functions from a size to
+    such a basis, for A and for B; :func:`jump_ideal` passes a complex's
+    kept spans, and by default they are computed from the matrices
+    (:func:`span_of_minors`).
+
+    Over an Artin ring the s x s minors of a block with every entry in the
+    maximal ideal m lie in m^s, so a split whose products lie in m^s = 0
+    is skipped before any minor is expanded.  A split's count of span
+    products is held to the step budget like a block's count of index
+    pairs (:func:`matrix_minors`).
     """
     if r <= 0:
         return ring.unit_ideal()
+    if spans is None:
+        spans = (partial(span_of_minors, ring, A, nrows=ra, ncols=ca),
+                 partial(span_of_minors, ring, B, nrows=rb, ncols=cb))
+    span_a, span_b = spans
     nilp = None
     if isinstance(ring, ArtinLocalAlgebra):
         nilp = ring.nilpotency_index
@@ -205,12 +253,12 @@ def block_diag_determinantal(ring, A, B, r: int, ra: int, ca: int,
         b = r - a
         if nilp is not None and a_in_m * a + b_in_m * b >= nilp:
             continue
-        ma = [m for m in matrix_minors(ring, A, a, ra, ca) if not ring.is_zero(m)]
-        if not ma:
+        sa = span_a(a)
+        if not sa:
             continue
-        mb = [m for m in matrix_minors(ring, B, b, rb, cb) if not ring.is_zero(m)]
-        _within_budget(len(ma) * len(mb), "products of block minors")
-        gens.extend(ring.mul(x, y) for x in ma for y in mb)
+        sb = span_b(b)
+        _within_budget(len(sa) * len(sb), "products of block-minor spans")
+        gens.extend(ring.mul(x, y) for x in sa for y in sb)
     return ring.ideal(gens)
 
 
@@ -221,25 +269,27 @@ def block_diag_determinantal(ring, A, B, r: int, ra: int, ca: int,
 def jump_ideal(E: FreeComplex, i: int, k: int):
     """Jump ideal in degree ``i`` at level ``k >= 1``.
 
-    Over an Artin ring it is read from the minimal model (the ideal is
-    invariant under minimization, and the matrices shrink), built once per
-    complex for all ``i`` and ``k`` (:attr:`FreeComplex.minimal`).  Every
-    entry of that model lies in the maximal ideal m, so at a size ``r`` at
-    or above the nilpotency index the ideal is zero and no minor is expanded.
-    Over a polynomial context the minors are taken as-is and the ideal is
-    represented by its full preimage upstairs when the context is a
-    quotient.
+    Each split is the products of two kept span bases of the complex it
+    reads (:meth:`FreeComplex.minor_span`), so every (i, k) of one complex
+    shares one enumeration per (degree, size); the ideal is the same as
+    from the raw minors (module docstring).  Over an Artin ring that
+    complex is the minimal model (the ideal is invariant under
+    minimization, and the matrices shrink), built once per complex
+    (:attr:`FreeComplex.minimal`).  Every entry of that model lies in the
+    maximal ideal m, so at a size ``r`` at or above the nilpotency index
+    the ideal is zero and no minor is expanded.  Over a polynomial context
+    the ideal is represented by its full preimage upstairs when the
+    context is a quotient.
     """
     if k < 1:
         raise ValidationError(f"jump level must be >= 1, got {k}")
     if isinstance(E.ring, ArtinLocalAlgebra):
         E = E.minimal
     r = E.rank(i) - k + 1
-    dp = E.diff(i - 1)
-    di = E.diff(i)
     return block_diag_determinantal(
-        E.ring, dp, di, r,
-        E.rank(i), E.rank(i - 1), E.rank(i + 1), E.rank(i))
+        E.ring, E.diff(i - 1), E.diff(i), r,
+        E.rank(i), E.rank(i - 1), E.rank(i + 1), E.rank(i),
+        spans=(partial(E.minor_span, i - 1), partial(E.minor_span, i)))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ class _Geometry:
         self.lo = self.E.lo
         self.b = tuple(self.E.ranks)
         self.npos = len(self.b)
-        self._minors: dict = {}
         self.beta = tuple(self._generic_rank(p) for p in range(self.npos))
         self.dim_cone = krull_dimension(self.ctx.zero_ideal())
         self._upstairs: dict = {}
@@ -49,12 +48,13 @@ class _Geometry:
 
         Over a free coefficient ring this is fraction-free elimination
         with symbolic pivots; over a quotient, where cross-multiplying
-        by a zero divisor would lose information, the minor ideals are
-        enumerated directly."""
+        by a zero divisor would lose information, it is the largest size
+        whose minor span (:meth:`~cjl.complexes.FreeComplex.minor_span`,
+        nonzero normal forms only) is not empty."""
         if not self.ctx.has_quotient():
             return generic_rank_bareiss(self.ctx, self.E.diff(self.lo + pos))
         for r in range(min(self.E.rank(self.lo + pos + 1), self.b[pos]), 0, -1):
-            if any(not self.ctx.is_zero(m) for m in self.minors(pos, r).gens):
+            if self.E.minor_span(self.lo + pos, r):
                 return r
         return 0
 
@@ -76,22 +76,15 @@ class _Geometry:
             self._res[key] = self.preimage(J)
         return self._res[key]
 
-    def minors(self, pos: int, r: int):
-        """Ideal of the coefficient ring generated by the r x r minors of d
-        out of position ``pos``, enumerated once per (pos, r)."""
-        key = (pos, r)
-        if key not in self._minors:
-            self._minors[key] = determinantal_ideal(
-                self.ctx, self.E.diff(self.lo + pos), r,
-                self.E.rank(self.lo + pos + 1), self.b[pos])
-        return self._minors[key]
-
     def fit(self, pos: int, r: int):
         """Ideal of the r x r minors of d out of position ``pos``: where
-        that map drops below rank r, presented upstairs."""
+        that map drops below rank r, presented upstairs.  It is generated
+        by the same kept minor span that the generic rank and the jump
+        ideals of the complex read."""
         key = (pos, r)
         if key not in self._fit:
-            self._fit[key] = self.preimage(self.minors(pos, r))
+            self._fit[key] = self.preimage(
+                determinantal_ideal(self.E, self.lo + pos, r))
         return self._fit[key]
 
     def codim(self, ideal_upstairs) -> tuple:

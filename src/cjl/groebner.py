@@ -306,6 +306,7 @@ class Ideal:
         self._gb: tuple | None = None
         self._reducers: list = []  # the _reducer triples of _gb
         self._origin: bool | None = None  # homogeneous with V(I) = {0}
+        self._dim: int | None = None  # krull_dimension, from the basis
 
     def all_gens(self) -> tuple:
         """User generators plus the context's quotient generators, as
@@ -434,15 +435,19 @@ def krull_dimension(I: Ideal) -> int:
     The dimension equals ``n`` minus the smallest number of variables
     meeting the support of every leading monomial of the basis: a set of
     variables is independent exactly when no leading monomial lives
-    entirely inside it.
+    entirely inside it.  It is computed once per ideal, from its cached
+    basis, and kept.
     """
-    sups = I.leading_supports()
-    n = I.ctx.nvars
-    if any(not s for s in sups):
-        return -1
-    if not sups:
-        return n
-    return n - _min_hitting_set(sups, n)
+    if I._dim is None:
+        sups = I.leading_supports()
+        n = I.ctx.nvars
+        if any(not s for s in sups):
+            I._dim = -1
+        elif not sups:
+            I._dim = n
+        else:
+            I._dim = n - _min_hitting_set(sups, n)
+    return I._dim
 
 
 def krull_dimension_by_enumeration(I: Ideal) -> int:

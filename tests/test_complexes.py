@@ -1,6 +1,7 @@
 import functools
 import json
 import time
+from collections import Counter
 
 import pytest
 
@@ -27,27 +28,32 @@ def ctx_xyzw():
     return RingContext(QQ(), ("x", "y", "z", "w"))
 
 
+def one_map(ring, M):
+    """The two-term complex whose one differential is the matrix ``M``."""
+    return FreeComplex(ring, 0, 1, (len(M[0]), len(M)), (M,))
+
+
 def test_determinantal_ideal_2x2():
     ctx = ctx_xyzw()
     x, y, z, w = ctx.gens()
-    M = ((x, y), (z, w))
-    I = determinantal_ideal(ctx, M, 2)
+    E = one_map(ctx, ((x, y), (z, w)))
+    I = determinantal_ideal(E, 0, 2)
     assert I.equals(Ideal(ctx, [x * w - y * z]))
-    assert is_whole(determinantal_ideal(ctx, M, 0))
-    assert is_whole(determinantal_ideal(ctx, M, -3))
-    assert determinantal_ideal(ctx, M, 3).is_zero()
+    assert is_whole(determinantal_ideal(E, 0, 0))
+    assert is_whole(determinantal_ideal(E, 0, -3))
+    assert determinantal_ideal(E, 0, 3).is_zero()
 
 
 def test_determinantal_ideal_2x3_vs_bruteforce():
     ctx = RingContext(QQ(), ("a", "b", "c", "d", "e", "f"))
     a, b, c, d, e, f = ctx.gens()
-    M = ((a, b, c), (d, e, f))
-    I = determinantal_ideal(ctx, M, 2)
+    E = one_map(ctx, ((a, b, c), (d, e, f)))
+    I = determinantal_ideal(E, 0, 2)
     # oracle: the three 2x2 determinants written out by hand
     expected = Ideal(ctx, [a * e - b * d, a * f - c * d, b * f - c * e])
     assert I.equals(expected)
     # Laplace monotonicity: I_2 inside I_1
-    I1 = determinantal_ideal(ctx, M, 1)
+    I1 = determinantal_ideal(E, 0, 1)
     assert all(I1.contains(g) for g in I.gens)
 
 
@@ -71,22 +77,30 @@ def test_block_diag_torus_shape():
     assert I.equals(Ideal(ctx, [x1 ** 2, x1 * x2, x2 ** 2]))
 
 
+def raw_minors(ring, mat, r, nrows, ncols):
+    """The r x r minors as enumerated, zeros included, with no span taken:
+    the one empty minor at size 0, none past the shape."""
+    return complexes.matrix_minors(ring, mat, r, nrows, ncols)
+
+
 def convolution_ideal(ring, A, B, r, ra, ca, rb, cb):
     """Oracle: the minor ideal of A (+) B as sum_j I_j(A) * I_{r-j}(B),
-    generated by the products of the generators of the two factors."""
+    generated by the products of the raw minors of the two factors."""
     if r <= 0:
         return ring.unit_ideal()
     return ring.ideal([ring.mul(f, g) for j in range(r + 1)
-                       for f in determinantal_ideal(ring, A, j, ra, ca).gens
-                       for g in determinantal_ideal(ring, B, r - j, rb, cb).gens])
+                       for f in raw_minors(ring, A, j, ra, ca)
+                       for g in raw_minors(ring, B, r - j, rb, cb)])
 
 
 def assembled_ideal(ring, A, B, r, ra, ca, rb, cb):
-    """Oracle: the r x r minors of the assembled matrix [[A, 0], [0, B]]."""
+    """Oracle: the raw r x r minors of the assembled matrix [[A, 0], [0, B]]."""
+    if r <= 0:
+        return ring.unit_ideal()
     z = ring.zero()
     top = tuple(tuple(A[i]) + (z,) * cb for i in range(ra))
     bot = tuple((z,) * ca + tuple(B[i]) for i in range(rb))
-    return determinantal_ideal(ring, top + bot, r, ra + rb, ca + cb)
+    return ring.ideal(raw_minors(ring, top + bot, r, ra + rb, ca + cb))
 
 
 def _linear_entry(ring, rng):
@@ -232,6 +246,129 @@ def test_minor_budget_counts_products_of_block_minors(monkeypatch):
     monkeypatch.setenv("CJL_STEP_BUDGET", "3")
     with pytest.raises(ResourceLimitError, match="4 products"):
         block_diag_determinantal(ctx, A, B, 2, 1, 2, 2, 1)
+
+
+# ---------------------------------------------------------------------------
+# kept minor spans against the raw minors
+# ---------------------------------------------------------------------------
+
+def _poly_entry(ring, rng, unit):
+    """A seeded linear form in the first two variables, plus a nonzero
+    constant when ``unit``."""
+    out = _linear_entry(ring, rng)
+    return ring.add(out, ring.one()) if unit else out
+
+
+def _local_entry(A, rng, unit):
+    """A seeded element of the maximal ideal, plus the unit when ``unit``."""
+    out = _max_ideal_entry(A, rng)
+    return A.add(out, A.one()) if unit else out
+
+
+def _unit_upper(ring, rng, entry, n):
+    """A seeded unit upper triangular n x n matrix and its inverse
+    (I + N)^-1 = I - N + N^2 - ..."""
+    z, one = ring.zero(), ring.one()
+    N = tuple(tuple(entry(ring, rng, (r + c) % 2 == 1) if c > r else z for c in range(n))
+              for r in range(n))
+    inv = power = tuple(tuple(one if r == c else z for c in range(n)) for r in range(n))
+    for j in range(1, n):
+        power = _mat_mul(ring, power, N)
+        inv = tuple(tuple(ring.add(x, y) if j % 2 == 0 else ring.sub(x, y)
+                          for x, y in zip(ri, rp)) for ri, rp in zip(inv, power))
+    G = tuple(tuple(ring.add(N[r][c], one) if r == c else N[r][c] for c in range(n))
+              for r in range(n))
+    return G, inv
+
+
+# two-term pieces (position, unit entry?) and extra free slots per position
+SPAN_PIECES = [(0, False), (1, False), (1, True), (2, False), (0, True), (2, False)]
+SPAN_FREE = [1, 0, 1, 1]
+
+
+def seeded_complex(ring, entry, seed):
+    """A direct sum of two-term pieces R -f-> R and free slots, seen
+    through seeded unit upper triangular changes of basis, so that no
+    entry is zero by construction; the pieces with a unit entry are split
+    off by minimization over an Artin ring."""
+    rng = Rng(seed)
+    ranks = list(SPAN_FREE)
+    entries = {}
+    for p, unit in SPAN_PIECES:
+        entries[(p, ranks[p + 1], ranks[p])] = entry(ring, rng, unit)
+        ranks[p] += 1
+        ranks[p + 1] += 1
+    z = ring.zero()
+    D = [tuple(tuple(entries.get((p, r, c), z) for c in range(ranks[p]))
+               for r in range(ranks[p + 1])) for p in range(len(ranks) - 1)]
+    G = [_unit_upper(ring, rng, entry, n) for n in ranks]
+    mats = [_mat_mul(ring, _mat_mul(ring, G[p + 1][0], D[p]), G[p][1])
+            for p in range(len(D))]
+    return FreeComplex(ring, 0, len(ranks) - 1, ranks, mats)
+
+
+def _span_cases():
+    ctx = RingContext(QQ(), ("x", "y"))
+    x, y = ctx.gens()
+    return [pytest.param(_artin(("t",), ["t^3"]), _local_entry, id="t3"),
+            pytest.param(_artin(("t", "s"), ["t^3", "s^2"]), _local_entry, id="t3s2"),
+            pytest.param(_artin(("x", "y"), ["x^2", "x*y", "y^2"]), _local_entry, id="xy2"),
+            pytest.param(ctx, _poly_entry, id="poly"),
+            pytest.param(RingContext(QQ(), ("x", "y"), quotient=[x * y, y ** 3]),
+                         _poly_entry, id="quotient")]
+
+
+def _levels(E):
+    return [(i, k) for i in range(E.lo - 1, E.hi + 2) for k in range(1, E.rank(i) + 2)]
+
+
+@pytest.mark.parametrize("ring,entry", _span_cases())
+@pytest.mark.parametrize("seed", range(2))
+def test_kept_spans_match_raw_minors(ring, entry, seed):
+    """Every jump ideal of a complex, read from its kept spans (over an
+    Artin ring, those of its minimal model), equals both raw-minor oracles
+    on the complex's own matrices, and every Fitting ideal equals the
+    ideal of the raw minors."""
+    E = seeded_complex(ring, entry, seed)
+    if not isinstance(ring, RingContext):
+        assert E.minimal.ranks != E.ranks  # units were split off
+    for i, k in _levels(E):
+        r = E.rank(i) - k + 1
+        shape = (E.rank(i), E.rank(i - 1), E.rank(i + 1), E.rank(i))
+        J = jump_ideal(E, i, k)
+        case = (i, k)
+        assert J.equals(convolution_ideal(ring, E.diff(i - 1), E.diff(i), r, *shape)), case
+        assert J.equals(assembled_ideal(ring, E.diff(i - 1), E.diff(i), r, *shape)), case
+    for i in range(E.lo, E.hi):
+        for s in range(min(E.rank(i), E.rank(i + 1)) + 2):
+            raw = ring.ideal(raw_minors(ring, E.diff(i), s, E.rank(i + 1), E.rank(i)))
+            assert determinantal_ideal(E, i, s).equals(raw), (i, s)
+
+
+@pytest.mark.parametrize("ring,entry", _span_cases())
+def test_each_block_is_enumerated_once_per_complex(ring, entry, monkeypatch):
+    """Work pin: across every (i, k), asked twice in opposite orders, each
+    (degree, size) of the complex that the jump ideals read is enumerated
+    once, and the Fitting ideals read the same spans."""
+    E = seeded_complex(ring, entry, 5)
+    M = E if isinstance(ring, RingContext) else E.minimal
+    calls = Counter()
+    real = complexes.matrix_minors
+
+    def counted(ring, mat, r, nrows, ncols):
+        deg = next((M.lo + j for j, m in enumerate(M.diffs) if m is mat), (nrows, ncols))
+        calls[(deg, r)] += 1
+        return real(ring, mat, r, nrows, ncols)
+
+    monkeypatch.setattr(complexes, "matrix_minors", counted)
+    levels = _levels(E)
+    first = [jump_ideal(E, i, k) for i, k in levels]
+    second = [jump_ideal(E, i, k) for i, k in reversed(levels)]
+    assert all(a.equals(b) for a, b in zip(first, reversed(second)))
+    for i in range(M.lo, M.hi):
+        for s in range(1, min(M.rank(i), M.rank(i + 1)) + 1):
+            determinantal_ideal(M, i, s)
+    assert calls and set(calls.values()) == {1}, calls
 
 
 def two_term(ctx, f):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from cjl import complexes, groebner
+from cjl import complexes, geometry, groebner
 from cjl.dgla import Dgla, DglaPair, GradedVectorSpace
 from cjl.errors import InternalCheckError, ValidationError
 from cjl.field import QQ
@@ -134,9 +134,10 @@ def test_fitting_locus_deep_drop_is_unit():
 
 
 def test_minor_ideals_are_enumerated_once(monkeypatch):
-    """Over a quotient ring the generic rank and the Fitting loci read the
-    same minor ideals: on glr (n = 2, r = 2) each (size, shape) is
-    enumerated once, the beta x beta minors included."""
+    """Over a quotient ring the generic rank, the Fitting loci and the jump
+    ideals read the same minor spans: on glr (n = 2, r = 2) each (size,
+    shape) is enumerated once, the beta x beta minors included, and the
+    res ideals at every level enumerate no block the Fitting loci did."""
     calls = Counter()
     enumerate_minors = complexes.matrix_minors
 
@@ -152,6 +153,11 @@ def test_minor_ideals_are_enumerated_once(monkeypatch):
         if g.beta[pos]:
             g.fit(pos, g.beta[pos])
     assert calls == {(4, 4, 8): 1, (4, 8, 4): 1}
+    for pos in range(g.npos):
+        for k in range(1, g.b[pos] + 2):
+            g.res(pos, k)
+    # d out of each degree has its own shape (4 x 0, 8 x 4, 4 x 8, 0 x 4)
+    assert len(calls) > 2 and set(calls.values()) == {1}, calls
 
 
 def test_inclusion_claims_torus3():
@@ -253,6 +259,30 @@ def test_analyze_settles_radical_tests_by_shortcuts(monkeypatch, make, most):
     assert sum(settled for _, _, settled in runs) <= most
     plain = [run[:2] for run in runs if not run[2]]
     assert len(set(plain)) == len(plain)
+
+
+def test_analyze_computes_each_dimension_once(monkeypatch):
+    """Work pin: an exterior-4 report asks for Krull dimensions more often
+    than it has ideals (the threshold scan, the codimensions and route (b)
+    of the radical tests reach the same ideals), but each ideal runs one
+    hitting-set search, from its cached basis."""
+    asked, searched = [], []
+    real_dim, real_supports = groebner.krull_dimension, groebner.Ideal.leading_supports
+
+    def dimension(I):
+        asked.append(I)
+        return real_dim(I)
+
+    def supports(I):
+        searched.append(I)
+        return real_supports(I)
+
+    monkeypatch.setattr(geometry, "krull_dimension", dimension)
+    monkeypatch.setattr(groebner, "krull_dimension", dimension)
+    monkeypatch.setattr(groebner.Ideal, "leading_supports", supports)
+    analyze(exterior_pair(4))
+    ideals = {id(I) for I in asked}
+    assert len(asked) > len(ideals) and len(searched) == len(ideals)
 
 
 def codim_report(P):
