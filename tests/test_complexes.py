@@ -77,20 +77,15 @@ def test_block_diag_torus_shape():
     assert I.equals(Ideal(ctx, [x1 ** 2, x1 * x2, x2 ** 2]))
 
 
-def raw_minors(ring, mat, r, nrows, ncols):
-    """The r x r minors as enumerated, zeros included, with no span taken:
-    the one empty minor at size 0, none past the shape."""
-    return complexes.matrix_minors(ring, mat, r, nrows, ncols)
-
-
 def convolution_ideal(ring, A, B, r, ra, ca, rb, cb):
     """Oracle: the minor ideal of A (+) B as sum_j I_j(A) * I_{r-j}(B),
-    generated by the products of the raw minors of the two factors."""
+    generated by the products of the raw minors of the two factors (zeros
+    included, no span taken)."""
     if r <= 0:
         return ring.unit_ideal()
     return ring.ideal([ring.mul(f, g) for j in range(r + 1)
-                       for f in raw_minors(ring, A, j, ra, ca)
-                       for g in raw_minors(ring, B, r - j, rb, cb)])
+                       for f in complexes.matrix_minors(ring, A, j, ra, ca)
+                       for g in complexes.matrix_minors(ring, B, r - j, rb, cb)])
 
 
 def assembled_ideal(ring, A, B, r, ra, ca, rb, cb):
@@ -100,7 +95,7 @@ def assembled_ideal(ring, A, B, r, ra, ca, rb, cb):
     z = ring.zero()
     top = tuple(tuple(A[i]) + (z,) * cb for i in range(ra))
     bot = tuple((z,) * ca + tuple(B[i]) for i in range(rb))
-    return ring.ideal(raw_minors(ring, top + bot, r, ra + rb, ca + cb))
+    return ring.ideal(complexes.matrix_minors(ring, top + bot, r, ra + rb, ca + cb))
 
 
 def _linear_entry(ring, rng):
@@ -288,9 +283,9 @@ SPAN_FREE = [1, 0, 1, 1]
 
 def seeded_complex(ring, entry, seed):
     """A direct sum of two-term pieces R -f-> R and free slots, seen
-    through seeded unit upper triangular changes of basis, so that no
-    entry is zero by construction; the pieces with a unit entry are split
-    off by minimization over an Artin ring."""
+    through seeded unit upper triangular changes of basis, so that most
+    entries are nonzero; the pieces with a unit entry are split off by
+    minimization over an Artin ring."""
     rng = Rng(seed)
     ranks = list(SPAN_FREE)
     entries = {}
@@ -341,7 +336,7 @@ def test_kept_spans_match_raw_minors(ring, entry, seed):
         assert J.equals(assembled_ideal(ring, E.diff(i - 1), E.diff(i), r, *shape)), case
     for i in range(E.lo, E.hi):
         for s in range(min(E.rank(i), E.rank(i + 1)) + 2):
-            raw = ring.ideal(raw_minors(ring, E.diff(i), s, E.rank(i + 1), E.rank(i)))
+            raw = ring.ideal(complexes.matrix_minors(ring, E.diff(i), s, E.rank(i + 1), E.rank(i)))
             assert determinantal_ideal(E, i, s).equals(raw), (i, s)
 
 
