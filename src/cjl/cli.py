@@ -162,9 +162,10 @@ def _cmd_gauge(args):
 
 
 def _cmd_analyze(args):
-    P = _load_pair(args)
-    claims = args.claims.split(",") if args.claims else None
-    return analyze(P, claims=claims)
+    claims = None if args.claims is None else args.claims.split(",")
+    if claims is not None and "" in claims:  # it would match every claim id
+        raise ValidationError("--claims has an empty prefix", path="--claims")
+    return analyze(_load_pair(args), claims=claims)
 
 
 def _in_range(flag: str, value: int, cap: int):
@@ -243,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full numeric/ideal-theoretic report for a pair")
     p.add_argument("--pair", default="-")
-    p.add_argument("--claims", default=None, help="comma-separated claim-id prefixes to keep")
+    p.add_argument("--claims", default=None,
+                   help="comma-separated claim-id prefixes to keep, none empty")
     p.add_argument("--seed", type=int, default=0,
                    help="accepted for compatibility; the report does not depend on it")
 

@@ -17,14 +17,15 @@ LNM 1327), never from the assembled matrix.
 Each block's s x s minors are enumerated once per complex and kept only
 as a basis of their k-span (:meth:`FreeComplex.minor_span`): the reduced
 echelon basis over an Artin ring, the interreduced nonzero normal forms
-over a polynomial context.  Every jump ideal and Fitting ideal of the
-complex reads those spans, and a split I_a * I_b is generated by the
-products of two span bases.  That is exact: a set and its k-span generate
-the same ideal, and the products of spanning sets of two k-spaces span
-the k-space of their products, so every I_a * I_b, and hence every
-reduced basis and echelon basis printed from it, is unchanged.  Minor
-enumeration and the products of a split are held to the step budget of
-:mod:`cjl.groebner` (``CJL_STEP_BUDGET``).
+over a polynomial context.  Every jump ideal, Fitting ideal and generic
+rank (:mod:`cjl.geometry`) of the complex reads those spans, and a split
+I_a * I_b is generated by the products of two span bases.  That is exact:
+a set and its k-span generate the same ideal, and the products of
+spanning sets of two k-spaces span the k-space of their products, so
+every I_a * I_b, and hence every reduced basis and echelon basis printed
+from it, is unchanged.  Minor enumeration and the products of a split
+are held to the step budget of :mod:`cjl.groebner` (``CJL_STEP_BUDGET``).
+Over an Artin ring :func:`jump_ideal` alone takes the nilpotency shortcut.
 """
 
 from __future__ import annotations
@@ -125,10 +126,6 @@ class FreeComplex:
         return tuple(() for _ in range(rows)) if self.rank(i) == 0 \
             else tuple((self.ring.zero(),) * self.rank(i) for _ in range(rows))
 
-    @staticmethod
-    def zero(ring) -> "FreeComplex":
-        return FreeComplex(ring, 0, 0, (0,), ())
-
     def __repr__(self):
         return f"FreeComplex([{self.lo},{self.hi}], ranks={self.ranks})"
 
@@ -214,49 +211,29 @@ def determinantal_ideal(E: FreeComplex, i: int, r: int):
     return E.ring.ideal(E.minor_span(i, r))
 
 
-def _in_max_ideal(ring, mat) -> bool:
-    return all(ring.in_max_ideal(a) for row in mat for a in row)
-
-
-def block_diag_determinantal(ring, A, B, r: int, ra: int, ca: int,
-                             rb: int, cb: int, spans=None):
-    """Ideal of the r x r minors of the block-diagonal matrix A (+) B.
+def block_diag_determinantal(ring, r: int, ra: int, ca: int, rb: int, cb: int,
+                             span_a, span_b):
+    """Ideal of the r x r minors of the block-diagonal matrix A (+) B, for
+    an ``ra`` x ``ca`` block A and an ``rb`` x ``cb`` block B.
 
     A minor of A (+) B that takes a rows from A is zero unless it takes a
     columns from A too, and then it is the a x a minor of A times the
     (r-a) x (r-a) minor of B, so the ideal is sum_a I_a(A) * I_{r-a}(B).
-    Each split is generated by the products of a basis of the k-span of
-    A's a x a minors with one of B's (r-a) x (r-a) minors, which is exact
-    (module docstring).  ``spans`` is a pair of functions from a size to
-    such a basis, for A and for B; :func:`jump_ideal` passes a complex's
-    kept spans, and by default they are computed from the matrices
-    (:func:`span_of_minors`).
-
-    Over an Artin ring the s x s minors of a block with every entry in the
-    maximal ideal m lie in m^s, so a split whose products lie in m^s = 0
-    is skipped before any minor is expanded.  A split's count of span
-    products is held to the step budget like a block's count of index
-    pairs (:func:`matrix_minors`).
+    ``span_a`` and ``span_b`` map a size s to a basis of the k-span of the
+    s x s minors of A and of B (:meth:`FreeComplex.minor_span`), and each
+    split is generated by the products of the two bases, which is exact
+    (module docstring).  A split whose A-span is empty asks for no B-span,
+    and a split's count of products is held to the step budget like a
+    block's count of index pairs (:func:`matrix_minors`).
     """
     if r <= 0:
         return ring.unit_ideal()
-    if spans is None:
-        spans = (partial(span_of_minors, ring, A, nrows=ra, ncols=ca),
-                 partial(span_of_minors, ring, B, nrows=rb, ncols=cb))
-    span_a, span_b = spans
-    nilp = None
-    if isinstance(ring, ArtinLocalAlgebra):
-        nilp = ring.nilpotency_index
-        a_in_m, b_in_m = _in_max_ideal(ring, A), _in_max_ideal(ring, B)
     gens = []
     for a in range(max(0, r - min(rb, cb)), min(r, ra, ca) + 1):
-        b = r - a
-        if nilp is not None and a_in_m * a + b_in_m * b >= nilp:
-            continue
         sa = span_a(a)
         if not sa:
             continue
-        sb = span_b(b)
+        sb = span_b(r - a)
         _within_budget(len(sa) * len(sb), "products of block-minor spans")
         gens.extend(ring.mul(x, y) for x in sa for y in sb)
     return ring.ideal(gens)
@@ -276,20 +253,23 @@ def jump_ideal(E: FreeComplex, i: int, k: int):
     complex is the minimal model (the ideal is invariant under
     minimization, and the matrices shrink), built once per complex
     (:attr:`FreeComplex.minimal`).  Every entry of that model lies in the
-    maximal ideal m, so at a size ``r`` at or above the nilpotency index
-    the ideal is zero and no minor is expanded.  Over a polynomial context
-    the ideal is represented by its full preimage upstairs when the
-    context is a quotient.
+    maximal ideal m, so each r x r minor of d(i-1) (+) d(i) lies in m^r,
+    and at a size ``r`` at or above the nilpotency index the ideal is zero
+    and no minor is expanded.  Over a polynomial context the ideal is
+    represented by its full preimage upstairs when the context is a
+    quotient.
     """
     if k < 1:
         raise ValidationError(f"jump level must be >= 1, got {k}")
-    if isinstance(E.ring, ArtinLocalAlgebra):
+    artin = isinstance(E.ring, ArtinLocalAlgebra)
+    if artin:
         E = E.minimal
     r = E.rank(i) - k + 1
+    if artin and r >= E.ring.nilpotency_index:
+        return E.ring.zero_ideal()
     return block_diag_determinantal(
-        E.ring, E.diff(i - 1), E.diff(i), r,
-        E.rank(i), E.rank(i - 1), E.rank(i + 1), E.rank(i),
-        spans=(partial(E.minor_span, i - 1), partial(E.minor_span, i)))
+        E.ring, r, E.rank(i), E.rank(i - 1), E.rank(i + 1), E.rank(i),
+        partial(E.minor_span, i - 1), partial(E.minor_span, i))
 
 
 # ---------------------------------------------------------------------------

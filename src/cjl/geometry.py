@@ -17,7 +17,7 @@ from .complexes import determinantal_ideal, jump_ideal
 from .dgla import cohomology_pair
 from .errors import InternalCheckError, ValidationError
 from .groebner import krull_dimension
-from .linalg import bareiss_rank, generic_rank_bareiss
+from .linalg import bareiss_rank
 from .resonance import contraction_rank, pointwise_resonance, universal_aomoto
 
 
@@ -33,7 +33,7 @@ class _Geometry:
         self.lo = self.E.lo
         self.b = tuple(self.E.ranks)
         self.npos = len(self.b)
-        self.beta = tuple(self._generic_rank(p) for p in range(self.npos))
+        self.beta = self._generic_ranks()
         self.dim_cone = krull_dimension(self.ctx.zero_ideal())
         self._upstairs: dict = {}
         self._res: dict = {}
@@ -42,21 +42,22 @@ class _Geometry:
 
     # -- generic ranks -------------------------------------------------
 
-    def _generic_rank(self, pos: int) -> int:
-        """Largest minor size of d out of position ``pos`` that survives
-        reduction modulo the coefficient quotient.
-
-        Over a free coefficient ring this is fraction-free elimination
-        with symbolic pivots; over a quotient, where cross-multiplying
-        by a zero divisor would lose information, it is the largest size
-        whose minor span (:meth:`~cjl.complexes.FreeComplex.minor_span`,
-        nonzero normal forms only) is not empty."""
-        if not self.ctx.has_quotient():
-            return generic_rank_bareiss(self.ctx, self.E.diff(self.lo + pos))
-        for r in range(min(self.E.rank(self.lo + pos + 1), self.b[pos]), 0, -1):
-            if self.E.minor_span(self.lo + pos, r):
-                return r
-        return 0
+    def _generic_ranks(self) -> tuple:
+        """beta: per position, the largest size whose kept minor span of d
+        (:meth:`~cjl.complexes.FreeComplex.minor_span`, nonzero normal
+        forms only) is not empty, searched down from the shape of d.  Over
+        a free coefficient ring, a domain, d . d = 0 gives beta_p <= b_p -
+        beta_{p-1}, and the search starts there; zero divisors break that
+        (R -x-> R -y-> R over k[x, y]/(xy): beta = (1, 1), b_1 = 1)."""
+        beta = []
+        for pos, b in enumerate(self.b):
+            i = self.lo + pos
+            top = min(self.E.rank(i + 1), b)
+            if beta and not self.ctx.has_quotient():
+                top = min(top, b - beta[-1])
+            beta.append(next((r for r in range(top, 0, -1)
+                              if self.E.minor_span(i, r)), 0))
+        return tuple(beta)
 
     # -- ideals --------------------------------------------------------
 

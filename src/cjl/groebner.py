@@ -339,15 +339,6 @@ class Ideal:
         theirs = tuple(g.terms for g in other.groebner())
         return mine == theirs
 
-    def is_zero(self) -> bool:
-        """Zero as an ideal of the context ring (for a quotient context:
-        the preimage equals the quotient ideal itself)."""
-        gb = self.groebner()
-        if not self.ctx.has_quotient():
-            return not gb
-        qgb = tuple(g.terms for g in self.ctx.quotient_gb())
-        return tuple(g.terms for g in gb) == qgb
-
     def radical_contains(self, f: Polynomial) -> bool:
         """Membership of ``f`` in the radical of the ideal, by the first of
         three routes that applies:

@@ -190,7 +190,9 @@ def generic_rank_bareiss(ctx: RingContext, rows: Sequence) -> int:
     """Rank of a polynomial matrix at the generic point of the (integral)
     coefficient ring: fraction-free Bareiss with symbolic pivots.  Only
     valid when the context has no quotient — over a quotient with zero
-    divisors, cross-multiplication loses information."""
+    divisors, cross-multiplication loses information.  The test oracle for
+    the generic ranks that :mod:`cjl.geometry` reads off the kept minor
+    spans; it stays while the benchmark's tracer wraps it by name."""
     if ctx.has_quotient():
         raise InternalCheckError("Bareiss generic rank needs a domain; "
                                  "use minor enumeration for quotient contexts")

@@ -189,14 +189,8 @@ class RingContext:
     def scale(self, a, c):
         return a.scale(c)
 
-    def neg(self, a):
-        return -a
-
     def is_zero(self, a) -> bool:
         return not self.normal_form(a).terms
-
-    def eq(self, a, b) -> bool:
-        return self.is_zero(a - b)
 
     def element_from_json(self, s, path: str = "", *keys):
         from .parse import parse_poly

@@ -193,6 +193,15 @@ def test_analyze_matches_library_and_filters(tmp_path, capsys, monkeypatch):
     assert out == canonical(expected) + "\n"
 
 
+@pytest.mark.parametrize("claims", ["", "9.1d,", ",9.1d", "9.1d,,9.1e"])
+def test_analyze_refuses_an_empty_claim_prefix(capsys, monkeypatch, claims):
+    # an empty prefix would match every claim id and print the whole report
+    _, pair_text, _ = _run(capsys, ["model", "exterior", "--n", "2"])
+    code, out, err = _run(capsys, ["analyze", "--claims", claims],
+                          stdin_text=pair_text, monkeypatch=monkeypatch)
+    assert code == 2 and out == "" and json.loads(err)["path"] == "--claims"
+
+
 def test_analyze_stdout_ignores_seed(capsys, monkeypatch):
     _, pair_text, _ = _run(capsys, ["model", "exterior", "--n", "2"])
     outs = set()

@@ -41,7 +41,7 @@ def test_determinantal_ideal_2x2():
     assert I.equals(Ideal(ctx, [x * w - y * z]))
     assert is_whole(determinantal_ideal(E, 0, 0))
     assert is_whole(determinantal_ideal(E, 0, -3))
-    assert determinantal_ideal(E, 0, 3).is_zero()
+    assert determinantal_ideal(E, 0, 3).groebner() == ()
 
 
 def test_determinantal_ideal_2x3_vs_bruteforce():
@@ -57,13 +57,22 @@ def test_determinantal_ideal_2x3_vs_bruteforce():
     assert all(I1.contains(g) for g in I.gens)
 
 
+def block_diag(ring, A, B, r, ra, ca, rb, cb):
+    """:func:`block_diag_determinantal` of two raw blocks, each read through
+    the span of its minors (:func:`complexes.span_of_minors`)."""
+    return block_diag_determinantal(
+        ring, r, ra, ca, rb, cb,
+        functools.partial(complexes.span_of_minors, ring, A, nrows=ra, ncols=ca),
+        functools.partial(complexes.span_of_minors, ring, B, nrows=rb, ncols=cb))
+
+
 def test_block_diag_determinantal():
     ctx = RingContext(QQ(), ("x", "y"))
     x, y = ctx.gens()
     A = ((x,),)
     B = ((y,),)
-    assert block_diag_determinantal(ctx, A, B, 2, 1, 1, 1, 1).equals(Ideal(ctx, [x * y]))
-    assert block_diag_determinantal(ctx, A, B, 1, 1, 1, 1, 1).equals(Ideal(ctx, [x, y]))
+    assert block_diag(ctx, A, B, 2, 1, 1, 1, 1).equals(Ideal(ctx, [x * y]))
+    assert block_diag(ctx, A, B, 1, 1, 1, 1, 1).equals(Ideal(ctx, [x, y]))
 
 
 def test_block_diag_torus_shape():
@@ -73,7 +82,7 @@ def test_block_diag_torus_shape():
     x1, x2 = ctx.gens()
     A = ((x1,), (x2,))
     B = ((-x2, x1),)
-    I = block_diag_determinantal(ctx, A, B, 2, 2, 1, 1, 2)
+    I = block_diag(ctx, A, B, 2, 2, 1, 1, 2)
     assert I.equals(Ideal(ctx, [x1 ** 2, x1 * x2, x2 ** 2]))
 
 
@@ -152,7 +161,7 @@ def test_block_diag_matches_convolution(ring, entry_a, entry_b, seed):
         A = tuple(tuple(entry_a(ring, rng) for _ in range(ca)) for _ in range(ra))
         B = tuple(tuple(entry_b(ring, rng) for _ in range(cb)) for _ in range(rb))
         for r in range(min(ra + rb, ca + cb) + 2):
-            direct = block_diag_determinantal(ring, A, B, r, ra, ca, rb, cb)
+            direct = block_diag(ring, A, B, r, ra, ca, rb, cb)
             case = ((ra, ca, rb, cb), r)
             assert direct.equals(convolution_ideal(ring, A, B, r, ra, ca, rb, cb)), case
             assert direct.equals(assembled_ideal(ring, A, B, r, ra, ca, rb, cb)), case
@@ -193,14 +202,20 @@ def test_jump_at_nilpotency_index_expands_no_minor(monkeypatch):
                                        M.rank(i - 1), M.rank(i + 1), M.rank(i)).is_zero()
 
 
-def test_nilpotency_shortcut_needs_every_entry_in_m(monkeypatch):
-    """A block holding a unit is expanded at every size: 1_2 (+) (t) over
-    k[t]/(t^3) has the nonzero 3 x 3 minor t, and 3 is the nilpotency index."""
+def test_nilpotency_shortcut_reads_the_minimal_model(monkeypatch):
+    """The nilpotency shortcut compares the size on the minimal model:
+    1_2 (+) (t) over k[t]/(t^3) asks at i = 0, k = 1 for size 3, the
+    nilpotency index, and has the nonzero 3 x 3 minor t; its minimal model
+    (t) asks for size 1, so minors are expanded and the ideal is (t)."""
     A = _artin(("t",), ["t^3"])
     one, z, t = A.one(), A.zero(), A.basis(1)
+    E = one_map(A, ((one, z, z), (z, one, z), (z, z, t)))
+    M = E.minimal
+    assert E.rank(0) == A.nilpotency_index == 3 and M.ranks == (1, 1)
     calls = _count_minor_calls(monkeypatch)
-    J = block_diag_determinantal(A, ((one, z), (z, one)), ((t,),), 3, 2, 2, 1, 1)
+    J = jump_ideal(E, 0, 1)
     assert calls and J.equals(A.ideal([t]))
+    assert J.equals(assembled_ideal(A, M.diff(-1), M.diff(0), 1, 1, 0, 1, 1))
 
 
 def test_minor_budget_refuses_before_expanding(tmp_path, capsys, monkeypatch):
@@ -236,11 +251,11 @@ def test_minor_budget_counts_products_of_block_minors(monkeypatch):
     x, y, z, w = ctx.gens()
     A, B = ((x, y),), ((z,), (w,))
     monkeypatch.setenv("CJL_STEP_BUDGET", "4")
-    I = block_diag_determinantal(ctx, A, B, 2, 1, 2, 2, 1)
+    I = block_diag(ctx, A, B, 2, 1, 2, 2, 1)
     assert [format_poly(g) for g in I.gens] == ["x*z", "x*w", "y*z", "y*w"]
     monkeypatch.setenv("CJL_STEP_BUDGET", "3")
     with pytest.raises(ResourceLimitError, match="4 products"):
-        block_diag_determinantal(ctx, A, B, 2, 1, 2, 2, 1)
+        block_diag(ctx, A, B, 2, 1, 2, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +402,7 @@ def test_jump_ideal_identity_and_zero_complex():
     E = two_term(ctx, ctx.one())
     assert is_whole(jump_ideal(E, 0, 1))
     assert is_whole(jump_ideal(E, 1, 1))
-    Z = FreeComplex.zero(ctx)
+    Z = FreeComplex(ctx, 0, 0, (0,), ())
     assert is_whole(jump_ideal(Z, 0, 1))
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -7,13 +8,14 @@ from hypothesis import given, strategies as st
 
 from cjl import complexes, geometry, groebner
 from cjl.dgla import Dgla, DglaPair, GradedVectorSpace
-from cjl.errors import InternalCheckError, ValidationError
+from cjl.errors import InternalCheckError, ResourceLimitError, ValidationError
 from cjl.field import QQ
 from cjl.geometry import (ChernSeries, _Geometry, _locus_inside,
                           _series_product, _support_claims, alternating_sum,
                           analyze, binomial_bound, chern_exponent,
                           chern_series, exactness_threshold,
                           schur_nonnegativity, tor_crosscheck)
+from cjl.linalg import generic_rank_bareiss
 from cjl.models import (Arrangement, cdga_to_pair, exterior, exterior_pair, os_pair,
                         surface_pair)
 from cjl.poly import RingContext
@@ -71,6 +73,67 @@ def test_generic_ranks_surface():
 def test_generic_ranks_arrangement():
     g = _Geometry(concurrent())
     assert (g.b, g.beta) == ((1, 3, 2), (1, 2, 0))
+
+
+FREE_MODELS = {
+    "exterior-2": lambda: exterior_pair(2),
+    "exterior-3": lambda: exterior_pair(3),
+    "exterior-4": lambda: exterior_pair(4),
+    "surface-2": lambda: surface_pair(2),
+    "surface-3": lambda: surface_pair(3),
+    "surface-4": lambda: surface_pair(4),
+    "3-line": concurrent,
+    "4-line": lambda: os_pair(Arrangement([[1, 0], [0, 1], [1, 1], [1, -1]]), 1),
+}
+
+
+@pytest.mark.parametrize("make", FREE_MODELS.values(), ids=FREE_MODELS.keys())
+def test_generic_ranks_match_bareiss(make):
+    """Oracle for beta: on each free built-in model the top-down search
+    over the kept minor spans gives the rank of fraction-free elimination
+    with symbolic pivots, differential by differential."""
+    g = _Geometry(make())
+    assert not g.ctx.has_quotient()
+    assert g.beta == tuple(generic_rank_bareiss(g.ctx, g.E.diff(g.lo + p))
+                           for p in range(g.npos))
+
+
+def _enumerations(monkeypatch, most=None) -> list:
+    """(size, rows, columns) of each minor enumeration from now on; a size
+    above ``most`` fails the test before it is expanded."""
+    calls = []
+    enumerate_minors = complexes.matrix_minors
+
+    def counting(ring, mat, r, nrows, ncols):
+        calls.append((r, nrows, ncols))
+        assert most is None or r <= most, calls
+        return enumerate_minors(ring, mat, r, nrows, ncols)
+
+    monkeypatch.setattr(complexes, "matrix_minors", counting)
+    return calls
+
+
+def test_generic_rank_search_starts_within_the_bound(monkeypatch):
+    """Over a free ring the search starts at b_p - beta_{p-1}: on exterior-6
+    the 20 x 15 block d out of degree 2 starts at 15 - 5 = 10, whose index
+    pairs are refused at once, and never expands its 15 x 15 minors (15 504
+    index pairs, within the budget, which take minutes and gigabytes)."""
+    monkeypatch.delenv("CJL_STEP_BUDGET", raising=False)
+    calls = _enumerations(monkeypatch, most=10)
+    with pytest.raises(ResourceLimitError, match="554822268 index pairs of 10 x 10"):
+        _Geometry(exterior_pair(6))
+    assert calls == [(1, 6, 1), (5, 15, 6), (10, 20, 15)]
+
+
+@pytest.mark.parametrize("name, count, pairs", [("exterior-4", 12, 405), ("3-line", 5, 14)])
+def test_analyze_span_enumerations(monkeypatch, name, count, pairs):
+    """Work pin: a whole report makes the same enumerations of minors
+    (calls, index pairs) as when the generic ranks came from symbolic
+    elimination, so reading beta off the kept spans adds none."""
+    calls = _enumerations(monkeypatch)
+    analyze(FREE_MODELS[name]())
+    assert len(calls) == count
+    assert sum(math.comb(n, r) * math.comb(c, r) for r, n, c in calls) == pairs
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -138,26 +201,20 @@ def test_minor_ideals_are_enumerated_once(monkeypatch):
     ideals read the same minor spans: on glr (n = 2, r = 2) each (size,
     shape) is enumerated once, the beta x beta minors included, and the
     res ideals at every level enumerate no block the Fitting loci did."""
-    calls = Counter()
-    enumerate_minors = complexes.matrix_minors
-
-    def counting(ring, mat, r, nrows, ncols):
-        calls[(r, nrows, ncols)] += 1
-        return enumerate_minors(ring, mat, r, nrows, ncols)
-
-    monkeypatch.setattr(complexes, "matrix_minors", counting)
+    calls = _enumerations(monkeypatch)
     g = _Geometry(cdga_to_pair(exterior(2), 2, 2))
     assert g.ctx.has_quotient() and g.beta == (4, 4, 0)
     g.threshold_pos()
     for pos in range(g.npos):
         if g.beta[pos]:
             g.fit(pos, g.beta[pos])
-    assert calls == {(4, 4, 8): 1, (4, 8, 4): 1}
+    assert Counter(calls) == {(4, 4, 8): 1, (4, 8, 4): 1}
     for pos in range(g.npos):
         for k in range(1, g.b[pos] + 2):
             g.res(pos, k)
     # d out of each degree has its own shape (4 x 0, 8 x 4, 4 x 8, 0 x 4)
-    assert len(calls) > 2 and set(calls.values()) == {1}, calls
+    seen = Counter(calls)
+    assert len(seen) > 2 and set(seen.values()) == {1}, seen
 
 
 def test_inclusion_claims_torus3():

@@ -303,7 +303,7 @@ def test_zero_and_unit_ideals():
     gb = buchberger([ctx.from_int(3)], ctx)
     assert [format_poly(g) for g in gb] == ["1"]
     assert Ideal(ctx, [ctx.from_int(3)]).contains(ctx.one())
-    assert Ideal(ctx, []).is_zero()
+    assert Ideal(ctx, []).groebner() == ()
 
 
 def test_ideal_membership():
@@ -473,9 +473,10 @@ def test_quotient_context_ideals_live_upstairs():
     # the preimage contains the quotient ideal automatically
     assert I.contains(yq * yq)
     assert not I.contains(yq)
-    assert not I.is_zero()
-    assert Ideal(qctx, []).is_zero()
-    assert Ideal(qctx, [xq * yq]).is_zero()
+    # the zero ideal's preimage is the quotient ideal
+    assert Ideal(qctx, []).groebner() == qctx.quotient_gb()
+    assert not I.equals(qctx.zero_ideal())
+    assert Ideal(qctx, [xq * yq]).equals(qctx.zero_ideal())
     # dimension of (S/J)/I computed upstairs
     assert krull_dimension(I) == 0
 
