@@ -13,22 +13,27 @@ that will be reduced.  Before any S-pair is formed the generators are
 interreduced as sparse vectors over monomials (the first step of
 Faugere's F4): the basis starts from monic rows with distinct leading
 monomials that span the same vector space, so zero, repeated and
-linearly dependent generators never enter a pair.  Normal forms keep the
-remainder as a dictionary and a heap of its monomials (Monagan and Pearce,
-ISSAC 2007) and reject a reducer by a bit mask of the variables in its
-leading monomial before comparing exponents.  Every run is deterministic:
+linearly dependent generators never enter a pair.  When every
+interreduced row is a single term the ideal is monomial: every
+S-polynomial is zero, and the reduced basis is the set of minimal
+monomials, returned without forming a pair.  Every element that pairs is
+monic, so an S-polynomial is built from the two tails alone.  Normal forms
+keep the remainder as a dictionary and a heap of its monomials (Monagan and
+Pearce, ISSAC 2007) and reject a reducer by a bit mask of the variables in
+its leading monomial before comparing exponents.  Every run is deterministic:
 pairs are totally ordered by ``(lcm key, sugar, i, j)``, the first reducer
 in basis order whose leading monomial divides a term is taken, and the
 reduced basis is unique, so it (and hence every downstream ideal
 computation) is reproducible byte for byte.
 
 Radical membership (:meth:`Ideal.radical_contains`) takes the first of
-three routes that applies: (a) f reduces to zero modulo the reduced basis,
+four routes that applies: (a) f reduces to zero modulo the reduced basis,
 so f lies in I; (b) the reduced basis is homogeneous and I has Krull
 dimension 0, so the graded quotient is finite-dimensional, m^N lies in I
 and I in m, rad(I) = m, and f lies in it exactly when it has no constant
-term; (c) otherwise a Rabinowitsch run, 1 in I + (1 - t f), in one more
-variable.  Only (c) runs Buchberger beyond the cached basis of I.
+term; (p) f^2 reduces to zero, so f lies in rad(I); (c) otherwise a
+Rabinowitsch run, 1 in I + (1 - t f), in one more variable.  Only (c) runs
+Buchberger beyond the cached basis of I.
 
 Step budget: each S-pair taken from the queue, that is each pair that
 survived the criteria and is reduced, counts as one step.  When the count
@@ -58,7 +63,7 @@ from typing import Sequence
 from .errors import ResourceLimitError, ValidationError
 from .field import QQ
 from .poly import (REVERSED_KEYS, Polynomial, RingContext, format_poly, mono_deg,
-                   mono_div, mono_divides, mono_lcm)
+                   mono_divides, mono_lcm)
 
 DEFAULT_BUDGET = 200_000
 
@@ -96,9 +101,9 @@ def reduce_full(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     The remainder is a dictionary of terms plus a heap of order-reversed
     monomial keys, so each step pops the largest term left and adds one
     multiple of a reducer's tail; terms that reach the result are already
-    in order.
+    in order.  The basis need not be monic.
     """
-    return _reduce(f, [_reducer(g) for g in basis])
+    return _reduce(f.ctx, dict(f.terms), [_reducer(g) for g in basis])
 
 
 def _reducer(g: Polynomial) -> tuple:
@@ -107,15 +112,14 @@ def _reducer(g: Polynomial) -> tuple:
     return (_mask(g.lm()), g.lm(), g)
 
 
-def _reduce(f: Polynomial, reducers: Sequence[tuple]) -> Polynomial:
-    """:func:`reduce_full` by the :func:`_reducer` triples of the basis."""
-    if not reducers or not f.terms:
-        return f
-    ctx = f.ctx
+def _reduce(ctx: RingContext, work: dict, reducers: Sequence[tuple]) -> Polynomial:
+    """:func:`reduce_full` of the polynomial whose terms ``work`` maps (it
+    is consumed; zero coefficients are allowed) by the :func:`_reducer`
+    triples of the basis."""
     F = ctx.field
     rkey = REVERSED_KEYS[ctx.order]
-    work = dict(f.terms)
-    heap = [(rkey(m), m) for m in work]  # terms descend, so keys ascend: a heap
+    heap = [(rkey(m), m) for m in work]
+    heapq.heapify(heap)
     out = []
     while heap:
         m = heapq.heappop(heap)[1]
@@ -130,7 +134,8 @@ def _reduce(f: Polynomial, reducers: Sequence[tuple]) -> Polynomial:
             out.append((m, c))
             continue
         q = tuple(map(sub, m, lm))
-        coef = F.div(c, g.terms[0][1])
+        lc = g.terms[0][1]
+        coef = c if lc == 1 else F.div(c, lc)
         for gm, gc in g.terms[1:]:
             mm = tuple(map(add, gm, q))
             v = F.mul(gc, coef)
@@ -142,37 +147,49 @@ def _reduce(f: Polynomial, reducers: Sequence[tuple]) -> Polynomial:
     return Polynomial(ctx, tuple(out))
 
 
-def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
+def _spair(f: Polynomial, g: Polynomial, L) -> dict:
+    """The terms of the S-polynomial of the monic ``f`` and ``g`` whose
+    leading monomials have lcm ``L``, as a work dictionary for
+    :func:`_reduce`.  The leading terms cancel, so only the tails are
+    shifted; a coefficient may cancel to zero."""
     F = f.ctx.field
-    L = mono_lcm(f.lm(), g.lm())
-    a = f.mul_mono(mono_div(L, f.lm()), F.inv(f.lc()))
-    b = g.mul_mono(mono_div(L, g.lm()), F.inv(g.lc()))
-    return a - b
+    qf = tuple(map(sub, L, f.lm()))
+    qg = tuple(map(sub, L, g.lm()))
+    work = {tuple(map(add, m, qf)): c for m, c in f.terms[1:]}
+    for m, c in g.terms[1:]:
+        mm = tuple(map(add, m, qg))
+        work[mm] = F.sub(work[mm], c) if mm in work else F.neg(c)
+    return work
 
 
 def _reduced_basis(G: list) -> tuple:
-    """Minimalize and autoreduce; monic generators sorted by leading
-    monomial, smallest first."""
+    """Minimalize and autoreduce monic elements with distinct leading
+    monomials; the result is sorted by leading monomial, smallest first."""
     if not G:
         return ()
     ctx = G[0].ctx
-    # minimal: drop any element whose lm is divisible by another's
-    by_lm = sorted(G, key=lambda g: ctx.key(g.lm()))
+    # minimal: drop any element whose lm is divisible by another's.  A
+    # divisor precedes its multiples in every monomial order, and the
+    # leading monomials are distinct, so only kept ones of lower degree
+    # can divide
     kept: list = []
-    for g in by_lm:
-        if not any(mono_divides(h.lm(), g.lm()) for h in kept):
+    lower: dict = {}  # degree -> (mask, lm) of the kept elements
+    for g in sorted(G, key=lambda g: ctx.key(g.lm())):
+        m = g.lm()
+        d = mono_deg(m)
+        mask = _mask(m)
+        if not any(not bits & ~mask and mono_divides(lm, m)
+                   for e, below in lower.items() if e < d for bits, lm in below):
             kept.append(g)
-    # autoreduce: no leading monomial divides another, so reducing a tail
-    # never changes a leading monomial (nor the order of ``kept``), and
-    # whether an element is reduced depends only on the others' leading
-    # monomials; one pass suffices
+            lower.setdefault(d, []).append((mask, m))
+    # autoreduce the tails: no leading monomial divides another, nor any
+    # term of its own tail, so the leading terms stay and one pass suffices
     reducers = [_reducer(g) for g in kept]
-    for i in range(len(kept)):
-        r = _reduce(kept[i], reducers[:i] + reducers[i + 1:]).monic()
-        if not r.terms:
-            raise AssertionError("minimal basis element reduced to zero")
-        kept[i] = r
-        reducers[i] = _reducer(r)
+    for i, g in enumerate(kept):
+        if len(g.terms) > 1:
+            tail = _reduce(ctx, dict(g.terms[1:]), reducers)
+            kept[i] = Polynomial(ctx, g.terms[:1] + tail.terms)
+            reducers[i] = _reducer(kept[i])
     return tuple(kept)
 
 
@@ -198,8 +215,12 @@ def buchberger(gens: Sequence[Polynomial], ctx: RingContext, *,
                _settled: Sequence[Polynomial] = ()) -> tuple:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
-    The generators are interreduced linearly first (:func:`_interreduce`)
-    and enter the basis one by one, each pruning the pair queue.
+    The generators are interreduced linearly first (:func:`_interreduce`).
+    If every row is then a single term and nothing is settled, the ideal
+    is monomial and its reduced basis is its minimal monomials: no row is
+    inserted and no pair is formed.  Otherwise the rows enter the basis
+    one by one, each pruning the pair queue, and each S-pair is built
+    from the tails of its two monic elements (:func:`_spair`).
 
     Args:
         gens: generators (context must match ``ctx``; zeros are fine).
@@ -265,7 +286,10 @@ def buchberger(gens: Sequence[Polynomial], ctx: RingContext, *,
                      if masks[k] & ~mh or not mono_divides(lh, lms[k])] + [new]
         reducers[:] = [triples[k] for k in active]
 
-    for row in _interreduce(gens, ctx):
+    rows = _interreduce(gens, ctx)
+    if not _settled and all(len(row.terms) == 1 for row in rows):
+        return _reduced_basis(rows)  # every S-polynomial of monomials is 0
+    for row in rows:
         if not any(row.lm()):
             return (row,)
         insert(row, row.degree())
@@ -275,8 +299,8 @@ def buchberger(gens: Sequence[Polynomial], ctx: RingContext, *,
         steps += 1
         if steps > limit:
             raise ResourceLimitError("Groebner basis computation", limit)
-        _, s, i, j, _, _ = heapq.heappop(pairs)
-        h = _reduce(_spoly(G[i], G[j]), reducers)
+        _, s, i, j, L, _ = heapq.heappop(pairs)
+        h = _reduce(ctx, _spair(G[i], G[j], L), reducers)
         if h.terms:
             h = h.monic()
             if not any(h.lm()):
@@ -330,7 +354,7 @@ class Ideal:
     def contains(self, f: Polynomial) -> bool:
         self.ctx.check_same(f.ctx)
         self.groebner()
-        return not _reduce(f.cast(self.ctx.base()), self._reducers).terms
+        return not _reduce(self.ctx.base(), dict(f.terms), self._reducers).terms
 
     def equals(self, other: "Ideal") -> bool:
         """Equality via uniqueness of the reduced basis."""
@@ -341,7 +365,7 @@ class Ideal:
 
     def radical_contains(self, f: Polynomial) -> bool:
         """Membership of ``f`` in the radical of the ideal, by the first of
-        three routes that applies:
+        four routes that applies:
 
         (a) ``f`` reduces to zero modulo the reduced basis: f lies in I,
             hence in rad(I).  The unit ideal always ends here.
@@ -350,14 +374,17 @@ class Ideal:
             m^N lies in I, and I lies in m; rad(I) = m, which holds f
             exactly when f has no constant term.  This is exact over
             every field.  A non-homogeneous ideal of dimension 0, such
-            as (x - 1), takes route (c).
+            as (x - 1), takes route (p) or (c).
+        (p) f^2 reduces to zero modulo the reduced basis: f lies in
+            rad(I).  This route answers only True; when f^2 is not in I
+            the answer is left to (c).
         (c) the extra-variable trick: f lies in rad(I) iff 1 lies in
             I + (1 - t f) in one more variable.  The run starts from the
             cached reduced basis of I with its pairs settled: it is a
             Groebner basis and t does not occur in it, so only the pairs
             with 1 - t f are formed.
 
-        Routes (a) and (b) form no S-pair and take no budget step."""
+        Routes (a), (b) and (p) form no S-pair and take no budget step."""
         if self.ctx.has_quotient():
             raise ValidationError("radical membership is for quotient-free contexts")
         self.ctx.check_same(f.ctx)
@@ -369,6 +396,8 @@ class Ideal:
                             and krull_dimension(self) == 0)
         if self._origin:
             return any(f.terms[-1][0])
+        if self.contains(f * f):
+            return True
         fresh = "t_"
         while fresh in self.ctx.names:
             fresh += "_"

@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 from cjl import groebner
 from cjl.errors import ResourceLimitError, ValidationError
 from cjl.field import GFp, QQ
-from cjl.groebner import (Ideal, _spoly, buchberger, krull_dimension,
+from cjl.groebner import (Ideal, buchberger, krull_dimension,
                           krull_dimension_by_enumeration, reduce_full, step_budget)
+from cjl.models import exterior_pair
 from cjl.parse import parse_poly
 from cjl.poly import (ORDER_KEYS, Polynomial, RingContext, format_poly, mono_deg, mono_div,
                       mono_divides, mono_lcm, mono_mul)
+from cjl.resonance import resonance_ideal
 
 
 def reference_reduce_full(f, basis):
@@ -70,6 +72,16 @@ def naive_buchberger(gens, ctx):
             G.append(h.monic())
             pairs.extend((k, len(G) - 1) for k in range(len(G) - 1))
     return list(reference_reduced_basis(G, ctx))
+
+
+def _spoly(f, g):
+    """The S-polynomial of f and g, from the whole of both, scaled by the
+    inverses of their leading coefficients."""
+    F = f.ctx.field
+    L = mono_lcm(f.lm(), g.lm())
+    a = f.mul_mono(mono_div(L, f.lm()), F.inv(f.lc()))
+    b = g.mul_mono(mono_div(L, g.lm()), F.inv(g.lc()))
+    return a - b
 
 
 def reference_buchberger(gens, ctx, budget=None):
@@ -231,17 +243,90 @@ def test_reduce_full_matches_reference(field, order, data):
     assert list(got.terms) == sorted(got.terms, key=lambda t: ctx.key(t[0]), reverse=True)
 
 
+@st.composite
+def monomial_lists(draw, ctx):
+    """Lists of scaled monomials: zeros, repeats, scalar multiples, a run of
+    one degree, multiples of drawn entries (rows that are not minimal) and
+    sometimes a constant."""
+    F = ctx.field
+    coeff = st.integers(-3, 3).filter(bool).map(F.from_int)
+    mono = st.tuples(*[st.integers(0, 3)] * ctx.nvars)
+
+    def term(m):
+        return ctx.from_dict({m: draw(coeff)})
+
+    gens = [term(m) for m in draw(st.lists(mono, min_size=1, max_size=5))]
+    d = draw(st.integers(1, 3))
+    level = [m for m in itertools.product(range(d + 1), repeat=ctx.nvars) if sum(m) == d]
+    gens += [term(m) for m in draw(st.lists(st.sampled_from(level), max_size=4))]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["zero", "repeat", "multiple", "above"]))
+        g = draw(st.sampled_from(gens))
+        if kind == "zero":
+            gens.append(ctx.zero())
+        elif kind == "repeat":
+            gens.append(g)
+        elif kind == "multiple":
+            gens.append(g.scale(draw(coeff)))
+        else:
+            gens.append(g.mul_mono(draw(mono)))
+    if draw(st.integers(0, 9)) == 0:
+        gens.append(ctx.constant(draw(coeff)))
+    return draw(st.permutations(gens))
+
+
+def _refuse_pairs(f, g, L):
+    raise AssertionError("an S-pair was formed")
+
+
+@pytest.mark.parametrize("order", sorted(ORDER_KEYS))
+@pytest.mark.parametrize("field", [QQ(), GFp(5)], ids=["QQ", "F5"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_monomial_input_matches_reference_without_pairs(field, order, data):
+    """A monomial ideal's reduced basis is its minimal monomials: the
+    engine returns it without forming an S-pair, and it matches the
+    reference run that pairs every generator."""
+    ctx = RingContext(field, data.draw(st.sampled_from([("x", "y"), ("x", "y", "z")])),
+                      order)
+    gens = data.draw(monomial_lists(ctx))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner, "_spair", _refuse_pairs)
+        fast = buchberger(gens, ctx)
+    assert [g.terms for g in fast] == [g.terms for g in reference_buchberger(gens, ctx)]
+
+
+def test_monomial_resonance_ideal_forms_no_pair(monkeypatch):
+    """Work pin: the exterior-4 resonance ideal in degree 3 at level 2 is
+    generated by 60 monomial minors, 20 distinct ones, and its basis is
+    built without an S-pair."""
+    seen = []
+
+    def counting(gens, ctx, **kw):
+        seen.append(len(gens))
+        return plain(gens, ctx, **kw)
+
+    plain = groebner.buchberger
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    monkeypatch.setattr(groebner, "_spair", _refuse_pairs)
+    I = resonance_ideal(exterior_pair(4), 3, 2)
+    assert len(I.groebner()) == 20 and seen == [60]
+
+
 @pytest.mark.parametrize("field", [QQ(), GFp(5)], ids=["QQ", "F5"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_settled_start_matches_buchberger_on_the_union(field, data):
     """Extending a reduced basis G by new generators gives the basis that
-    ``buchberger`` computes from G and those generators together."""
+    ``buchberger`` computes from G and those generators together, also
+    when G or the new generators are monomials: a settled start takes the
+    pair route."""
     order = data.draw(st.sampled_from(sorted(ORDER_KEYS)))
     ctx = RingContext(field, data.draw(st.sampled_from([("x", "y"), ("x", "y", "z")])),
                       order)
-    G = buchberger(data.draw(generator_lists(ctx)), ctx)
-    new = data.draw(generator_lists(ctx))
+    lists = st.one_of(generator_lists(ctx), monomial_lists(ctx))
+    G = buchberger(data.draw(lists), ctx)
+    new = data.draw(lists)
     got = buchberger(new, ctx, _settled=G)
     assert [g.terms for g in got] == [g.terms for g in buchberger(list(G) + new, ctx)]
     assert [g.terms for g in got] == [g.terms for g in reference_buchberger(list(G) + new, ctx)]
@@ -385,10 +470,12 @@ def test_radical_contains_matches_raw_rabinowitsch(field):
 def test_radical_contains_routes_match_raw_rabinowitsch(field, monkeypatch):
     """Seeded homogeneous ideals against Rabinowitsch on the raw generators:
     zero-dimensional ones (a power of m plus forms), positive-dimensional
-    ones (the square of a linear form plus a form) and the unit ideal, at
-    forms, forms plus a constant and 0.  Each route of radical_contains is
-    taken: (a) f in I, (b) a homogeneous ideal of dimension 0, and (c) an
-    extra-variable run (a buchberger call with settled rows)."""
+    ones (the square or the cube of a linear form plus a form) and the unit
+    ideal, at forms, forms plus a constant and 0.  Each route of
+    radical_contains is taken: (a) f in I, (b) a homogeneous ideal of
+    dimension 0, (p) f^2 in I, and (c) an extra-variable run (a buchberger
+    call with settled rows), which answers both ways: l lies in the radical
+    of (l^3, q) but l^2 does not lie in the ideal."""
     rng = random.Random(19)
     ctx = RingContext(field, ("x", "y", "z"))
     extra = []  # one entry per extra-variable run
@@ -410,28 +497,31 @@ def test_radical_contains_routes_match_raw_rabinowitsch(field, monkeypatch):
         return f if f.terms else ctx.var(rng.randrange(3)) ** d
 
     seen = set()
-    for case in range(36):
-        kind = case % 3
+    for case in range(48):
+        kind = case % 4
         if kind == 0:
             gens = [Polynomial(ctx, ((m, field.one),)) for m in monomials(rng.randint(2, 3))]
             gens += [form(rng.randint(1, 2)) for _ in range(rng.randint(0, 2))]
-        elif kind == 1:
+        elif kind in (1, 3):
             lead = form(1)
-            gens = [lead ** 2, form(rng.randint(1, 2))]
+            gens = [lead ** (2 if kind == 1 else 3), form(rng.randint(1, 2))]
         else:
             gens = [ctx.one(), form(1)]
         I = Ideal(ctx, gens)
         tests = [gens[0], gens[-1] * form(1), form(1), form(1) * form(1),
                  form(1) + ctx.one(), ctx.zero()]
-        if kind == 1:
+        if kind in (1, 3):
             tests += [lead, lead * form(1)]
         for f in tests:
             before = len(extra)
             got = I.radical_contains(f)
-            route = "c" if len(extra) > before else "a" if I.contains(f) else "b"
+            route = ("c" if len(extra) > before else "a" if I.contains(f)
+                     else "b" if I._origin else "p")
+            assert route != "p" or I.contains(f * f)
             assert got == raw_rabinowitsch(gens, f, ctx), (gens, f)
             seen.add((route, got))
-    assert {("a", True), ("b", True), ("b", False), ("c", True), ("c", False)} <= seen
+    assert {("a", True), ("b", True), ("b", False), ("p", True),
+            ("c", True), ("c", False)} <= seen
 
 
 def test_krull_dimension_fixtures():
