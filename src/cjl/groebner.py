@@ -101,9 +101,9 @@ def reduce_full(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     The remainder is a dictionary of terms plus a heap of order-reversed
     monomial keys, so each step pops the largest term left and adds one
     multiple of a reducer's tail; terms that reach the result are already
-    in order.  The basis need not be monic.
+    in order.
     """
-    return _reduce(f.ctx, dict(f.terms), [_reducer(g) for g in basis])
+    return _reduce(f.ctx, dict(f.terms), [_reducer(g.monic()) for g in basis])
 
 
 def _reducer(g: Polynomial) -> tuple:
@@ -115,7 +115,7 @@ def _reducer(g: Polynomial) -> tuple:
 def _reduce(ctx: RingContext, work: dict, reducers: Sequence[tuple]) -> Polynomial:
     """:func:`reduce_full` of the polynomial whose terms ``work`` maps (it
     is consumed; zero coefficients are allowed) by the :func:`_reducer`
-    triples of the basis."""
+    triples of a monic basis."""
     F = ctx.field
     rkey = REVERSED_KEYS[ctx.order]
     heap = [(rkey(m), m) for m in work]
@@ -134,11 +134,9 @@ def _reduce(ctx: RingContext, work: dict, reducers: Sequence[tuple]) -> Polynomi
             out.append((m, c))
             continue
         q = tuple(map(sub, m, lm))
-        lc = g.terms[0][1]
-        coef = c if lc == 1 else F.div(c, lc)
         for gm, gc in g.terms[1:]:
             mm = tuple(map(add, gm, q))
-            v = F.mul(gc, coef)
+            v = F.mul(gc, c)
             if mm in work:
                 work[mm] = F.sub(work[mm], v)
             else:
