@@ -53,6 +53,11 @@ class ArtinLocalAlgebra:
     checker :func:`~cjl.dgla.check_algebra` (in degree 0 every sign is +1),
     which visits only the products the nonzero entries reach, then that
     every basis element but the unit is nilpotent.
+
+    ``power_dims[s]`` is dim_k m^s for s = 0 ... ``nilpotency_index``, the
+    least s with m^s = 0.  A sum of products of s elements of m lies in
+    m^s, so a span of such sums that reaches ``power_dims[s]`` is m^s
+    itself: :func:`cjl.complexes.span_of_minors` stops there.
     """
 
     def __init__(self, field, labels: Sequence[str], table):
@@ -61,6 +66,9 @@ class ArtinLocalAlgebra:
         self.dim = n = len(self.labels)
         if n == 0:
             raise ValidationError("an algebra needs at least the unit")
+        # the unit vectors, built once: basis(i) is on every ideal's path
+        self._basis = tuple(tuple(field.one if j == i else field.zero for j in range(n))
+                            for i in range(n))
         if len(table) != n or any(len(r) != n for r in table) \
                 or any(len(v) != n for r in table for v in r):
             raise ValidationError("multiplication table has wrong shape")
@@ -78,25 +86,27 @@ class ArtinLocalAlgebra:
                 raise NotLocalError(
                     f"basis element {self.labels[i]!r} is not nilpotent, "
                     "so the algebra is not local with this basis")
-        self.nilpotency_index = self._nilpotency_index()
+        self.power_dims = self._power_dims()
+        self.nilpotency_index = len(self.power_dims) - 1
 
-    def _nilpotency_index(self) -> int:
-        """Least s with m^s = 0 (1 for a field)."""
+    def _power_dims(self) -> tuple:
+        """dim_k m^s for s = 0, 1, ... up to the least s with m^s = 0, the
+        nilpotency index (1 for a field)."""
         F = self.field
         cur = Echelon(F, self.dim)
         for i in range(1, self.dim):
             cur.add(self.basis(i))
-        s = 1
+        dims = [self.dim, cur.rank]
         while cur.rank:
             nxt = Echelon(F, self.dim)
             for v in cur.basis():
                 for j in range(1, self.dim):
                     nxt.add(self.mul(v, self.basis(j)))
             cur = nxt
-            s += 1
-            if s > self.dim + 1:
+            dims.append(cur.rank)
+            if len(dims) > self.dim + 2:
                 raise NotLocalError("maximal ideal is not nilpotent")
-        return s
+        return tuple(dims)
 
     # -- element protocol ----------------------------------------------
 
@@ -107,8 +117,7 @@ class ArtinLocalAlgebra:
         return (self.field.one,) + (self.field.zero,) * (self.dim - 1)
 
     def basis(self, i: int):
-        return tuple(self.field.one if j == i else self.field.zero
-                     for j in range(self.dim))
+        return self._basis[i]
 
     def add(self, a, b):
         return tuple(self.field.add(x, y) for x, y in zip(a, b))

@@ -26,6 +26,15 @@ every I_a * I_b, and hence every reduced basis and echelon basis printed
 from it, is unchanged.  Minor enumeration and the products of a split
 are held to the step budget of :mod:`cjl.groebner` (``CJL_STEP_BUDGET``).
 Over an Artin ring :func:`jump_ideal` alone takes the nilpotency shortcut.
+
+Over an Artin ring the minors are read one at a time and the reading stops
+once the span is full: at ``dim A``, and on a minimal model, whose entries
+all lie in the maximal ideal m, at dim m^s
+(:attr:`cjl.artin.ArtinLocalAlgebra.power_dims`).  Each s x s minor there
+is a sum of products of s elements of m, so the span lies in m^s; once it
+has that dimension it is m^s, and its reduced echelon basis is the one the
+full list gives.  :func:`matrix_minors` still lists every minor; it is the
+polynomial route and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -80,15 +89,25 @@ class FreeComplex:
         self._spans: dict = {}  # (degree, size) -> span_of_minors basis
 
     def _check_dd(self):
+        """Sum only the products of nonzero entries: row r of d(j+1)
+        against the nonzero entries of each row of d(j), found once per
+        matrix; the first nonzero entry of d.d is reported in row-major
+        order."""
+        if len(self.diffs) < 2:
+            return
         R = self.ring
+        nonzero = [[[(c, a) for c, a in enumerate(row) if not R.is_zero(a)]
+                    for row in m] for m in self.diffs]
         for j in range(len(self.diffs) - 1):
-            A, B = self.diffs[j + 1], self.diffs[j]
-            for r in range(self.ranks[j + 2]):
-                for c in range(self.ranks[j]):
-                    s = R.zero()
-                    for t in range(self.ranks[j + 1]):
-                        s = R.add(s, R.mul(A[r][t], B[t][c]))
-                    if not R.is_zero(s):
+            B = nonzero[j]
+            for r, row in enumerate(nonzero[j + 1]):
+                acc = {}
+                for t, a in row:
+                    for c, b in B[t]:
+                        p = R.mul(a, b)
+                        acc[c] = R.add(acc[c], p) if c in acc else p
+                for c in sorted(acc):
+                    if not R.is_zero(acc[c]):
                         raise ValidationError(
                             f"d.d != 0 at degrees {self.lo + j} -> {self.lo + j + 2}, "
                             f"entry ({r},{c})")
@@ -108,7 +127,8 @@ class FreeComplex:
         span = self._spans.get(key)
         if span is None:
             span = self._spans[key] = span_of_minors(
-                self.ring, self.diff(i), s, self.rank(i + 1), self.rank(i))
+                self.ring, self.diff(i), s, self.rank(i + 1), self.rank(i),
+                _in_m=self._minimal is self)
         return span
 
     # -- window access -------------------------------------------------
@@ -164,42 +184,59 @@ def _within_budget(count: int, what: str):
         raise ResourceLimitError(f"{count} {what}", limit)
 
 
-def matrix_minors(ring, mat, r: int, nrows: int, ncols: int) -> list:
-    """All r x r minors in row-major lexicographic order of index sets.
+def _iter_minors(ring, mat, r: int, nrows: int, ncols: int):
+    """The r x r minors in row-major lexicographic order of index sets,
+    each expanded only when it is read.
 
-    Refused with :class:`ResourceLimitError` before any minor is expanded
-    when the number of index pairs, C(nrows, r) * C(ncols, r), exceeds the
-    step budget (:func:`cjl.groebner.step_budget`)."""
+    Refused with :class:`ResourceLimitError` on the call, before any minor
+    is expanded, when the number of index pairs, C(nrows, r) * C(ncols, r),
+    exceeds the step budget (:func:`cjl.groebner.step_budget`)."""
     _within_budget(math.comb(nrows, r) * math.comb(ncols, r),
                    f"index pairs of {r} x {r} minors")
     if r > 0:  # each entry is zero-tested once, not once per expansion
         mat = [[None if ring.is_zero(a) else a for a in row[:ncols]]
                for row in mat[:nrows]]
     cache: dict = {}
-    out = []
-    for rows in itertools.combinations(range(nrows), r):
-        for cols in itertools.combinations(range(ncols), r):
-            out.append(_minor(ring, mat, rows, cols, cache))
-    return out
+    return (_minor(ring, mat, rows, cols, cache)
+            for rows in itertools.combinations(range(nrows), r)
+            for cols in itertools.combinations(range(ncols), r))
 
 
-def span_of_minors(ring, mat, s: int, nrows: int, ncols: int) -> tuple:
+def matrix_minors(ring, mat, r: int, nrows: int, ncols: int) -> list:
+    """All r x r minors in row-major lexicographic order of index sets,
+    with the budget check of :func:`_iter_minors`."""
+    return list(_iter_minors(ring, mat, r, nrows, ncols))
+
+
+def span_of_minors(ring, mat, s: int, nrows: int, ncols: int,
+                   _in_m: bool = False) -> tuple:
     """A basis of the k-span of the s x s minors (:func:`matrix_minors`);
     it generates the same ideal as the minors.
 
     Over an Artin ring it is the reduced echelon basis of the minors, at
-    most ``dim A`` vectors.  Over a polynomial context it is the
-    interreduced rows (:func:`cjl.groebner._interreduce`) of the minors'
-    nonzero normal forms modulo the quotient, so it is empty exactly when
-    every minor vanishes in the ring."""
-    minors = matrix_minors(ring, mat, s, nrows, ncols)
-    if isinstance(ring, ArtinLocalAlgebra):
-        ech = Echelon(ring.field, ring.dim)
+    most ``dim A`` vectors.  The minors are read one at a time, and the
+    reading stops once the span is as large as it can be: ``dim A``, or,
+    when the caller knows every entry lies in m (``_in_m``, a minimal
+    model), ``power_dims[s]`` = dim m^s, which is 0 from the nilpotency
+    index on.  That is exact: each minor is a sum of products of s
+    elements of m, so the span lies in m^s, a subspace of full dimension
+    is all of it, and the reduced echelon basis of a span is unique.
+    Over a polynomial context it is the interreduced rows
+    (:func:`cjl.groebner._interreduce`) of the minors' nonzero normal
+    forms modulo the quotient, so it is empty exactly when every minor
+    vanishes in the ring."""
+    if not isinstance(ring, ArtinLocalAlgebra):
+        minors = matrix_minors(ring, mat, s, nrows, ncols)
+        forms = [f for f in map(ring.normal_form, minors) if f.terms]
+        return tuple(_interreduce(forms, ring))
+    minors = _iter_minors(ring, mat, s, nrows, ncols)
+    cap = ring.power_dims[min(s, ring.nilpotency_index)] if _in_m else ring.dim
+    ech = Echelon(ring.field, ring.dim)
+    if cap:
         for m in minors:
-            ech.add(m)
-        return ech.basis()
-    forms = [f for f in map(ring.normal_form, minors) if f.terms]
-    return tuple(_interreduce(forms, ring))
+            if ech.add(m) and ech.rank == cap:
+                break
+    return ech.basis()
 
 
 def determinantal_ideal(E: FreeComplex, i: int, r: int):
@@ -304,28 +341,36 @@ def minimize_complex(E: FreeComplex) -> FreeComplex:
         j, r, c = spot
         d = diffs[j]
         ainv = A.inverse(d[r][c])
-        # clear the pivot row via column ops; mirror as row ops on d(j-1)
+        # clear the pivot row via column ops; mirror as row ops on d(j-1).
+        # An update whose source entry is zero adds zero and is skipped;
+        # these ops leave column c unchanged.
+        col = [(r2, d[r2][c]) for r2 in range(ranks[j + 1])
+               if not A.is_zero(d[r2][c])]
         for c2 in range(ranks[j]):
             if c2 == c or A.is_zero(d[r][c2]):
                 continue
             lam = A.neg(A.mul(d[r][c2], ainv))     # col c2 += lam * col c
-            for r2 in range(ranks[j + 1]):
-                d[r2][c2] = A.add(d[r2][c2], A.mul(lam, d[r2][c]))
+            for r2, x in col:
+                d[r2][c2] = A.add(d[r2][c2], A.mul(lam, x))
             if j > 0:
                 prev = diffs[j - 1]                # row c -= lam * row c2
-                for t in range(ranks[j - 1]):
-                    prev[c][t] = A.sub(prev[c][t], A.mul(lam, prev[c2][t]))
+                for t, x in enumerate(prev[c2]):
+                    if not A.is_zero(x):
+                        prev[c][t] = A.sub(prev[c][t], A.mul(lam, x))
         # clear the pivot column via row ops; mirror as column ops on d(j+1)
+        row = [(c2, x) for c2, x in enumerate(d[r]) if not A.is_zero(x)]
         for r2 in range(ranks[j + 1]):
             if r2 == r or A.is_zero(d[r2][c]):
                 continue
             lam = A.neg(A.mul(d[r2][c], ainv))     # row r2 += lam * row r
-            for c2 in range(ranks[j]):
-                d[r2][c2] = A.add(d[r2][c2], A.mul(lam, d[r][c2]))
+            for c2, x in row:
+                d[r2][c2] = A.add(d[r2][c2], A.mul(lam, x))
             if j + 1 < len(diffs):
                 nxt = diffs[j + 1]                 # col r -= lam * col r2
                 for t in range(ranks[j + 2]):
-                    nxt[t][r] = A.sub(nxt[t][r], A.mul(lam, nxt[t][r2]))
+                    x = nxt[t][r2]
+                    if not A.is_zero(x):
+                        nxt[t][r] = A.sub(nxt[t][r], A.mul(lam, x))
         # the cleared row/column of the neighbors must now vanish (d.d = 0)
         if j > 0:
             for t in range(ranks[j - 1]):

@@ -115,6 +115,7 @@ class _GradedTable:
         self.entries = dict(entries)
         self.skew = skew
         self._terms = {}
+        self._rows = None  # (i, j) -> the rows of :meth:`_index`
 
     def find(self, i: int, a: int, j: int, b: int):
         """The stored (or skew-derived) vector at (i,a,j,b); None if neither."""
@@ -138,6 +139,27 @@ class _GradedTable:
                 if not F.is_zero(t))
         return out
 
+    def _index(self, i: int, j: int) -> tuple:
+        """(rows, a_ids, b_ids) for degrees (i, j): rows maps a to
+        {b: terms(i, a, j, b)} over the stored and skew-derived keys with
+        a nonzero vector; a_ids and b_ids list, in increasing order, the
+        a that have a row and the b that some row meets.  Built for all
+        degrees on first use."""
+        index = self._rows
+        if index is None:
+            keys = list(self.entries)
+            if self.skew:
+                keys += [(j, b, i, a) for i, a, j, b in keys]
+            rows = {}
+            for key in keys:
+                ts = self.terms(*key)
+                if ts:
+                    rows.setdefault((key[0], key[2]), {}).setdefault(key[1], {})[key[3]] = ts
+            index = self._rows = {
+                ij: (r, sorted(r), sorted({b for row in r.values() for b in row}))
+                for ij, r in rows.items()}
+        return index.get((i, j), _NO_ROWS)
+
     def product(self, R, i: int, us, j: int, vs) -> dict:
         """The bilinear product on nonzero coordinates in the ring R: the
         sum of u_a v_b T(i,a,j,b) over (a, u_a) in ``us`` and (b, v_b) in
@@ -146,10 +168,14 @@ class _GradedTable:
         Factors that are the field's ``one`` object (see :meth:`terms`) are
         skipped, not multiplied: exact in any ring, as 1 is its identity."""
         one = self.field.one
+        rows = self._index(i, j)[0]
         out = {}
         for a, x in us:
+            row = rows.get(a)
+            if row is None:
+                continue
             for b, y in vs:
-                ts = self.terms(i, a, j, b)
+                ts = row.get(b)
                 if ts:
                     c = y if x is one else x if y is one else R.mul(x, y)
                     for k, t in ts:
@@ -159,16 +185,20 @@ class _GradedTable:
 
     def contract(self, i: int, u, j: int, v, out_dim: int, ring=None):
         """The product of coordinate vectors u (degree i) and v (degree j):
-        field scalars, or elements of ``ring`` when one is given."""
+        field scalars, or elements of ``ring`` when one is given.  Only the
+        coordinates that can meet a row of the index are zero-tested."""
         R = self.field if ring is None else ring
         out = [R.zero if ring is None else ring.zero()] * out_dim
-        for k, x in self.product(R, i, _nonzero(R, u), j, _nonzero(R, v)).items():
+        _, a_ids, b_ids = self._index(i, j)
+        is_zero = R.is_zero
+        us = [(a, u[a]) for a in a_ids if not is_zero(u[a])]
+        vs = [(b, v[b]) for b in b_ids if not is_zero(v[b])] if us else ()
+        for k, x in self.product(R, i, us, j, vs).items():
             out[k] = x
         return tuple(out)
 
 
-def _nonzero(R, u) -> list:
-    return [(a, x) for a, x in enumerate(u) if not R.is_zero(x)]
+_NO_ROWS = ({}, (), ())
 
 
 def _all_zero(F, mats) -> bool:

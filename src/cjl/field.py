@@ -247,8 +247,11 @@ def read_str(x, path: str, *keys) -> str:
 
 def read_scalar(F, x, path: str, *keys):
     """An element of ``F``: a JSON integer that is not a bool, or a string
-    literal that ``F.parse`` accepts ("3", "-3/2")."""
+    literal that ``F.parse`` accepts ("3", "-3/2").  The literal "0", most
+    coordinates of a dense vector, is read without parsing."""
     if type(x) is str:
+        if x == "0":
+            return F.zero
         try:
             return F.parse(x)
         except ValidationError as exc:  # ``located`` inlined: once per scalar

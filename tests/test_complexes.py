@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import time
 from collections import Counter
 
@@ -12,8 +13,9 @@ from cjl.complexes import (FreeComplex, base_change, block_diag_determinantal,
                            determinantal_ideal, fiber_cohomology_rank,
                            jump_ideal, minimize_complex)
 from cjl.errors import ResourceLimitError, ValidationError
-from cjl.field import QQ
+from cjl.field import GFp, QQ
 from cjl.groebner import DEFAULT_BUDGET, Ideal
+from cjl.linalg import rref
 from cjl.parse import parse_poly
 from cjl.poly import RingContext, format_poly
 from cjl.rng import Rng
@@ -128,8 +130,8 @@ def _max_ideal_entry(A, rng):
     return A.sub(out, A.scale(A.one(), out[0]))
 
 
-def _artin(names, quotient):
-    ctx = RingContext(QQ(), names)
+def _artin(names, quotient, field=QQ()):
+    ctx = RingContext(field, names)
     return make_artin(ctx, [parse_poly(ctx, q) for q in quotient])
 
 
@@ -168,14 +170,17 @@ def test_block_diag_matches_convolution(ring, entry_a, entry_b, seed):
 
 
 def _count_minor_calls(monkeypatch):
+    """Record each minor enumeration, (size, rows, columns): the lazy one
+    that the Artin spans read and that :func:`complexes.matrix_minors`
+    lists."""
     calls = []
-    real = complexes.matrix_minors
+    real = complexes._iter_minors
 
     def counted(ring, mat, r, nrows, ncols):
         calls.append((r, nrows, ncols))
         return real(ring, mat, r, nrows, ncols)
 
-    monkeypatch.setattr(complexes, "matrix_minors", counted)
+    monkeypatch.setattr(complexes, "_iter_minors", counted)
     return calls
 
 
@@ -363,14 +368,14 @@ def test_each_block_is_enumerated_once_per_complex(ring, entry, monkeypatch):
     E = seeded_complex(ring, entry, 5)
     M = E if isinstance(ring, RingContext) else E.minimal
     calls = Counter()
-    real = complexes.matrix_minors
+    real = complexes._iter_minors
 
     def counted(ring, mat, r, nrows, ncols):
         deg = next((M.lo + j for j, m in enumerate(M.diffs) if m is mat), (nrows, ncols))
         calls[(deg, r)] += 1
         return real(ring, mat, r, nrows, ncols)
 
-    monkeypatch.setattr(complexes, "matrix_minors", counted)
+    monkeypatch.setattr(complexes, "_iter_minors", counted)
     levels = _levels(E)
     first = [jump_ideal(E, i, k) for i, k in levels]
     second = [jump_ideal(E, i, k) for i, k in reversed(levels)]
@@ -587,3 +592,99 @@ def test_base_change_identity():
     E = two_term(A, A.basis(1))
     E2 = base_change(E, ArtinMap(A, A, eye))
     assert E2.diffs == E.diffs
+
+
+# ---------------------------------------------------------------------------
+# the full-piece stop of the Artin spans
+# ---------------------------------------------------------------------------
+
+def _stop_rings():
+    rings = (("t3", ("t",), ["t^3"]), ("t4", ("t",), ["t^4"]),
+             ("t3s2", ("t", "s"), ["t^3", "s^2"]), ("xy2", ("x", "y"), ["x^2", "x*y", "y^2"]))
+    return [pytest.param(_artin(names, quot, F), id=f"{tag}-{F.name}")
+            for F in (QQ(), GFp(7)) for tag, names, quot in rings]
+
+
+def _count_expanded(monkeypatch):
+    """Count the minors read from the lazy enumeration, one entry each."""
+    seen = []
+    real = complexes._iter_minors
+
+    def counted(ring, mat, r, nrows, ncols):
+        minors = real(ring, mat, r, nrows, ncols)
+        return (seen.append(r) or m for m in minors)
+
+    monkeypatch.setattr(complexes, "_iter_minors", counted)
+    return seen
+
+
+@pytest.mark.parametrize("A", _stop_rings())
+@pytest.mark.parametrize("seed", range(3))
+def test_stopped_span_equals_the_full_enumeration(A, seed, monkeypatch):
+    """Differential: at every size from 0 to past the shape, the span read
+    with the stop (at dim m^s for a block in m, at dim A otherwise) is the
+    echelon basis of every minor, for blocks with every entry in m and
+    blocks with a unit entry; the minimal model's kept span is the same.
+    Over each ring some span stops before the last minor."""
+    rng = Rng(seed)
+    F = A.field
+    stopped = False
+    seen = _count_expanded(monkeypatch)
+    for nrows, ncols in ((2, 3), (3, 3), (4, 3)):
+        in_m = tuple(tuple(_local_entry(A, rng, False) for _ in range(ncols))
+                     for _ in range(nrows))
+        mixed = list(map(list, in_m))
+        mixed[nrows - 1][0] = _local_entry(A, rng, True)
+        mixed = tuple(map(tuple, mixed))
+        E = one_map(A, in_m)
+        assert E.minimal is E
+        for mat, flag in ((in_m, True), (in_m, False), (mixed, False)):
+            for s in range(min(nrows, ncols) + 2):
+                full = rref(F, complexes.matrix_minors(A, mat, s, nrows, ncols), A.dim)[0]
+                seen.clear()
+                got = complexes.span_of_minors(A, mat, s, nrows, ncols, _in_m=flag)
+                case = (nrows, ncols, flag, mat is mixed, s)
+                assert got == full, case
+                stopped |= len(seen) < math.comb(nrows, s) * math.comb(ncols, s)
+                if flag:
+                    assert E.minor_span(0, s) == full, case
+    assert stopped
+
+
+def test_minimal_model_expands_fewer_minors(monkeypatch):
+    """Work pin: on a seeded minimal model over k[t]/(t^3), reading every
+    kept span expands fewer minors than the blocks have, and the spans
+    equal the full enumeration's."""
+    A = _artin(("t",), ["t^3"])
+    M = seeded_complex(A, _local_entry, 5).minimal
+    seen = _count_expanded(monkeypatch)
+    full_count = 0
+    spans = {}
+    for i in range(M.lo, M.hi):
+        for s in range(1, min(M.rank(i), M.rank(i + 1)) + 1):
+            spans[(i, s)] = M.minor_span(i, s)
+            full_count += math.comb(M.rank(i + 1), s) * math.comb(M.rank(i), s)
+    assert 0 < len(seen) < full_count, (len(seen), full_count)
+    for (i, s), span in spans.items():
+        minors = complexes.matrix_minors(A, M.diff(i), s, M.rank(i + 1), M.rank(i))
+        assert span == rref(A.field, minors, A.dim)[0], (i, s)
+
+
+def _dd_witness_case(ring, x):
+    """d(0) = [[1, 0, 1], [1, 1, 0]] and d(1) = [[x, -x], [x, 0]]: d.d is
+    [[0, -x, x], [x, 0, x]], zero at (0,0) only by cancellation; row-major
+    order meets (0,1) first, column-major (1,0), a reversed row (0,2)."""
+    one, z = ring.one(), ring.zero()
+    d0 = ((one, z, one), (one, one, z))
+    d1 = ((x, ring.sub(z, x)), (x, z))
+    return FreeComplex(ring, 0, 2, (3, 2, 2), (d0, d1))
+
+
+def test_dd_check_names_the_first_failing_entry():
+    """d.d is checked on nonzero entries only, and the first failing entry
+    in row-major order is named, over an Artin and a polynomial ring."""
+    A = _artin(("t",), ["t^3"])
+    ctx = RingContext(QQ(), ("x",))
+    for ring, x in ((A, A.basis(1)), (ctx, ctx.gens()[0])):
+        with pytest.raises(ValidationError, match=r"degrees 0 -> 2, entry \(0,1\)$"):
+            _dd_witness_case(ring, x)

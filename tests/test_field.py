@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from cjl.field import QQ
+from cjl.errors import ValidationError
+from cjl.field import GFp, QQ, read_scalar
 
 ints = st.integers(-10**6, 10**6)
 operands = st.one_of(
@@ -73,3 +74,17 @@ def test_zero_has_no_inverse():
         with pytest.raises(ZeroDivisionError):
             QQ.div(1, zero)
     assert QQ.zero == 0 and QQ.one == 1 and canonical(QQ.zero) and canonical(QQ.one)
+
+
+@pytest.mark.parametrize("F", [QQ(), GFp(7)], ids=["Q", "F7"])
+def test_read_scalar_zero_literals(F):
+    """"0" is read without parsing; every other zero literal takes the
+    parser and reads as zero too, and bad literals keep their error and
+    JSON path."""
+    for x in ("0", "-0", "0/3", 0):
+        got = read_scalar(F, x, "/doc", "mult", 2)
+        assert got == F.zero and type(got) is int, x
+    for bad in ("0/0", "", False):
+        with pytest.raises(ValidationError) as exc:
+            read_scalar(F, bad, "/doc", "mult", 2)
+        assert exc.value.path == "/doc/mult/2", bad
