@@ -651,6 +651,29 @@ def test_stopped_span_equals_the_full_enumeration(A, seed, monkeypatch):
     assert stopped
 
 
+def test_stopped_span_keeps_the_budget_preflight(monkeypatch):
+    """The stop changes no refusal: over k[t]/(t^3) a block in m is refused
+    on its index pairs before any minor is expanded, also at a size past
+    the nilpotency index, where the span is empty without expansion."""
+    A = _artin(("t",), ["t^3"])
+    rng = Rng(0)
+    mat = tuple(tuple(_local_entry(A, rng, False) for _ in range(4)) for _ in range(4))
+    real = complexes._minor
+
+    def none_expanded(ring, mat, rows, cols, cache):
+        assert not rows, "a minor was expanded"
+        return real(ring, mat, rows, cols, cache)
+
+    monkeypatch.setattr(complexes, "_minor", none_expanded)
+    for s, pairs in ((2, 36), (3, 16)):
+        monkeypatch.setenv("CJL_STEP_BUDGET", str(pairs - 1))
+        with pytest.raises(ResourceLimitError, match=f"{pairs} index pairs of {s} x {s}"):
+            complexes.span_of_minors(A, mat, s, 4, 4, _in_m=True)
+        monkeypatch.setenv("CJL_STEP_BUDGET", str(pairs))
+        if s == 3:
+            assert complexes.span_of_minors(A, mat, s, 4, 4, _in_m=True) == ()
+
+
 def test_minimal_model_expands_fewer_minors(monkeypatch):
     """Work pin: on a seeded minimal model over k[t]/(t^3), reading every
     kept span expands fewer minors than the blocks have, and the spans
