@@ -35,6 +35,9 @@ product, (xy)z - x(yz) at (z,y,x) is a sign times its value at
 every triple of a failing orbit, so the witness lists are those of the
 full walk.  It takes the full walk when the skew check fails
 (:func:`check_algebra` checks commutativity before associativity).
+An identity is evaluated from the operator rows x -> {v: terms of x.v},
+read once per walk off the tables' row index: the terms of its three
+products are summed into one coordinate dict, which must vanish.
 The d^2 and Leibniz identities are not walked when the differentials
 are zero: every term of them is zero.  Every built-in model is so.
 """
@@ -340,14 +343,18 @@ def _mirrored(keys) -> set:
 
 def _support(table) -> tuple:
     """The keys (i, a, j, b) of the nonzero vectors of ``table``, stored or
-    derived by skew symmetry, and two indexes of them: by (i, a) the list
-    of its (j, b), and by (j, b) the list of its (i, a)."""
-    keys = [key for key in (_mirrored(table.entries) if table.skew
-                            else table.entries) if table.terms(*key)]
-    left, right = {}, {}
-    for key in keys:
-        left.setdefault(key[:2], []).append(key[2:])
-        right.setdefault(key[2:], []).append(key[:2])
+    derived by skew symmetry, and two indexes of them, read off
+    :meth:`_GradedTable._index`: the operator rows, x = (i, a) -> {v:
+    terms of x.v} over v = (j, b), and by v the list of its x."""
+    table._index(0, 0)  # builds the rows of every degree pair
+    keys, left, right = [], {}, {}
+    for (i, j), (rows, _, _) in table._rows.items():
+        for a, row in rows.items():
+            op = left.setdefault((i, a), {})
+            for b, ts in row.items():
+                op[j, b] = ts
+                keys.append((i, a, j, b))
+                right.setdefault((j, b), []).append((i, a))
     return keys, left, right
 
 
@@ -381,6 +388,33 @@ _ORBITS = {
 }
 
 
+_NO_OP = {}
+
+
+def _rule_holds(F, ops_in: dict, ops_out: dict, twist: bool, x, y, v) -> bool:
+    """J(x, y, v) = 0 (module docstring), or with ``twist`` off (xy).v -
+    x.(y.v) = 0, for basis keys x, y, v: the terms of the three products
+    are read off the operator rows (:func:`_support`) of the product,
+    ``ops_in``, and of the action, ``ops_out``, and summed into one
+    coordinate dict."""
+    one = F.one
+    acc = {}
+    for e, s in ops_in.get(x, _NO_OP).get(y, ()):  # (xy).v
+        for k, t in ops_out.get((x[0] + y[0], e), _NO_OP).get(v, ()):
+            z = t if s is one else s if t is one else F.mul(s, t)
+            acc[k] = F.add(acc[k], z) if k in acc else z
+    # - x.(y.v), then (-1)^{|x||y|} y.(x.v)
+    parts = ((x, y, True), (y, x, x[0] * y[0] % 2 == 1)) if twist else ((x, y, True),)
+    for p, q, neg in parts:  # the terms of q.v acted on by p
+        op = ops_out.get(p, _NO_OP)
+        for w, s in ops_out.get(q, _NO_OP).get(v, ()):
+            for k, t in op.get((q[0] + v[0], w), ()):
+                z = t if s is one else s if t is one else F.mul(s, t)
+                z = F.neg(z) if neg else z
+                acc[k] = F.add(acc[k], z) if k in acc else z
+    return all(F.is_zero(z) for z in acc.values())
+
+
 def _product_rule(inner: _GradedTable, outer: _GradedTable, twist: bool,
                   axiom: str, symmetric: bool = False) -> list:
     """Violations of (xy).v = x.(y.v) - (-1)^{|x||y|} y.(x.v), or with
@@ -388,7 +422,7 @@ def _product_rule(inner: _GradedTable, outer: _GradedTable, twist: bool,
     by ``inner`` and v acted on by ``outer``, witness (i, a, j, b, k, c).
     A triple fails only where a term is nonzero, so only triples where x
     acts on a term of y.v, y (with ``twist``) on a term of x.v, or a term
-    of xy on v are visited.
+    of xy on v are visited.  Each is evaluated by :func:`_rule_holds`.
 
     With ``symmetric`` (``inner`` is graded skew, or with ``twist`` off
     graded commutative) one triple is checked per orbit (module
@@ -396,8 +430,8 @@ def _product_rule(inner: _GradedTable, outer: _GradedTable, twist: bool,
     is ``outer``, every term of an orbit is a term of xy on v at one of
     its triples, so only those are followed."""
     F = outer.field
-    one = F.one
     support, left, right = _support(outer)
+    inner_keys, ops_in = (support, left) if inner is outer else _support(inner)[:2]
     group = (None if not symmetric else "swap" if inner is not outer
              else "all" if twist else "reversal")
     rep, orbit = _ORBITS[group]
@@ -410,7 +444,7 @@ def _product_rule(inner: _GradedTable, outer: _GradedTable, twist: bool,
                     visit.add(rep(x, y, v))
                     if twist and group is None:
                         visit.add((y, x, v))
-    for key in support if inner is outer else _support(inner)[0]:
+    for key in inner_keys:
         x, y = key[:2], key[2:]
         if symmetric and twist and y < x:
             continue  # the orbit of (x, y, v) holds (y, x, v)
@@ -418,12 +452,7 @@ def _product_rule(inner: _GradedTable, outer: _GradedTable, twist: bool,
             visit.update(rep(x, y, v) for v in left.get((key[0] + key[2], e), ()))
     bad = []
     for t in visit:
-        (i, a), (j, b), (k, c) = t
-        lhs = outer.product(F, i + j, inner.terms(i, a, j, b), k, ((c, one),))
-        t1 = outer.product(F, i, ((a, one),), j + k, outer.terms(j, b, k, c))
-        t2 = outer.product(F, j, ((b, one),), i + k,
-                           outer.terms(i, a, k, c)) if twist else {}
-        if not _holds(F, lhs, t1, _sign(F, i * j + 1), t2):
+        if not _rule_holds(F, ops_in, left, twist, *t):
             bad.extend(orbit(*t))
     return _witnesses(axiom, [x + y + v for x, y, v in bad])
 

@@ -15,7 +15,9 @@ deformations, a polynomial ring (or its quotient by the cone relations)
 for the tautological element of ``resonance``.  Brackets and actions on
 such tensors are the contraction of the pair's structure constants over
 A (:meth:`~cjl.dgla._GradedTable.contract`), the same loop that
-multiplies field vectors and Artin elements.
+multiplies field vectors and Artin elements.  The twisted complex reads
+the action rows once: each matrix is one pass over the nonzero rows of
+the action in degrees (1, j), not one contraction per basis vector.
 """
 
 from __future__ import annotations
@@ -193,27 +195,32 @@ def module_transport(P: DglaPair, A: ArtinLocalAlgebra, lam, xi,
                    0, "transport")
 
 
-def twisted_differential(P: DglaPair, A, omega, degree: int, xi):
-    """d_M(xi) + omega.xi on M^degree (x) A."""
-    return tensor_add(A, apply_scalar_matrix(A, P.m_d_mat(degree), xi),
-                      action_tensor(P, A, 1, omega, degree, xi))
-
-
 def twisted_complex(P: DglaPair, A, omega):
-    """The free complex (M (x) A, d_M + omega.) with ranks dim M^i: column
-    b of each matrix is the twisted differential of basis vector b.  It
-    is a complex when omega satisfies the structure equation."""
+    """The free complex (M (x) A, d_M + omega.) with ranks dim M^i: entry
+    (c, b) of the matrix out of degree j is d_M[c][b] plus the sum of
+    omega_a t over the terms (c, t) of e_a.e_b.  Each matrix is built in
+    one pass over the nonzero rows of the action in degrees (1, j) and
+    the nonzero entries of d_M, and the coordinates of omega are
+    zero-tested once.  It is a complex when omega satisfies the
+    structure equation."""
     from .complexes import FreeComplex
 
-    m = P.m_gvs
+    F, m = P.field, P.m_gvs
+    one = F.one
+    omega = [(a, x) for a, x in enumerate(omega) if not A.is_zero(x)]
     diffs = []
     for j in range(m.lo, m.hi):
-        n = P.m_dim(j)
-        cols = [twisted_differential(
-            P, A, omega, j,
-            tuple(A.one() if t == b else A.zero() for t in range(n)))
-            for b in range(n)]
-        diffs.append(tuple(tuple(col[c] for col in cols)
+        d = {(c, b): A.scale(A.one(), t)
+             for c, row in enumerate(P.m_d_mat(j))
+             for b, t in enumerate(row) if not F.is_zero(t)}
+        rows = P.action._index(1, j)[0]
+        for a, x in omega:
+            for b, ts in rows.get(a, {}).items():
+                for c, t in ts:
+                    z = x if t is one else A.scale(x, t)
+                    d[c, b] = A.add(d[c, b], z) if (c, b) in d else z
+        zero = A.zero()
+        diffs.append(tuple(tuple(d.get((c, b), zero) for b in range(P.m_dim(j)))
                            for c in range(P.m_dim(j + 1))))
     return FreeComplex(A, m.lo, m.hi, [P.m_dim(i) for i in m.degrees()],
                        diffs)

@@ -106,6 +106,7 @@ class RingContext:
         self.key = ORDER_KEYS[order]
         self._quotient_gens: tuple = ()
         self._quotient_gb = None
+        self._quotient_reducers: list = []
         self._base: RingContext | None = None
         if quotient:
             base = self.base()
@@ -159,21 +160,26 @@ class RingContext:
         return bool(self._quotient_gens)
 
     def quotient_gb(self):
-        """Reduced Groebner basis of the quotient ideal (cached)."""
+        """Reduced Groebner basis of the quotient ideal (cached, with the
+        reducer triples :meth:`normal_form` reads)."""
         if not self._quotient_gens:
             return ()
         if self._quotient_gb is None:
-            from .groebner import buchberger  # deferred: avoids an import cycle
+            from .groebner import _reducer, buchberger  # deferred: avoids an import cycle
             base = self.base()
             self._quotient_gb = buchberger([g.cast(base) for g in self._quotient_gens], base)
+            self._quotient_reducers = [_reducer(g) for g in self._quotient_gb]
         return self._quotient_gb
 
     def normal_form(self, f: "Polynomial") -> "Polynomial":
-        """Canonical representative of ``f`` modulo the quotient ideal."""
-        if not self._quotient_gens:
+        """Canonical representative of ``f`` modulo the quotient ideal: the
+        full reduction by its reduced basis; a polynomial with no terms is
+        its own."""
+        if not self._quotient_gens or not f.terms:
             return f
-        from .groebner import reduce_full
-        return reduce_full(f.cast(self.base()), self.quotient_gb()).cast(self)
+        from .groebner import _reduce
+        self.quotient_gb()
+        return _reduce(self, dict(f.terms), self._quotient_reducers)
 
     # -- ring protocol used by the complex machinery ------------------
 
@@ -190,7 +196,7 @@ class RingContext:
         return a.scale(c)
 
     def is_zero(self, a) -> bool:
-        return not self.normal_form(a).terms
+        return not a.terms or not self.normal_form(a).terms
 
     def element_from_json(self, s, path: str = "", *keys):
         from .parse import parse_poly

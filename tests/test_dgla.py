@@ -427,14 +427,21 @@ def test_orbit_walk_matches_full_walk_on_perturbed_algebras():
 
 def test_pair_read_checks_one_identity_per_orbit(monkeypatch):
     """Work pin: reading glr n = 2, r = 2 evaluates 446 identities (1 372
-    with every visited triple checked and the Leibniz walks taken)."""
+    with every visited triple checked and the Leibniz walks taken): 90
+    graded-skew ones, each a call of ``_holds``, and 356 product-rule
+    ones, each a call of the walker's step ``_rule_holds``."""
     calls = []
 
-    def counting(*args):
-        calls.append(1)
-        return holds(*args)
+    def counting(name):
+        step = getattr(dgla, name)
 
-    holds = dgla._holds
-    monkeypatch.setattr(dgla, "_holds", counting)
+        def count(*args):
+            calls.append(name)
+            return step(*args)
+        monkeypatch.setattr(dgla, name, count)
+
+    counting("_holds")
+    counting("_rule_holds")
     pair_from_json(pair_to_json(cdga_to_pair(exterior(2), 2, 2)))
+    assert (calls.count("_holds"), calls.count("_rule_holds")) == (90, 356)
     assert len(calls) == 446

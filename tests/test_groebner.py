@@ -571,7 +571,23 @@ def test_quotient_context_ideals_live_upstairs():
     assert krull_dimension(I) == 0
 
 
-def test_normal_form_in_quotient_context():
+def test_normal_form_in_quotient_context(monkeypatch):
+    """Each normal form of a nonzero polynomial is one reduction by the
+    reducer triples built once with the quotient basis; the zero
+    polynomial takes none."""
+    calls = []
+
+    def counting(name):
+        step = getattr(groebner, name)
+
+        def count(*args):
+            calls.append(name)
+            return step(*args)
+        monkeypatch.setattr(groebner, name, count)
+
+    counting("_reduce")
+    counting("_reducer")
+    counting("buchberger")
     x0 = RingContext(QQ(), ("t",)).var(0)
     qctx = RingContext(QQ(), ("t",), quotient=[x0**3])
     t = qctx.var(0)
@@ -579,6 +595,12 @@ def test_normal_form_in_quotient_context():
     nf = qctx.normal_form(f)
     # (t+1)^4 = t^4 + 4t^3 + 6t^2 + 4t + 1 -> 6t^2 + 4t + 1 mod t^3
     assert format_poly(nf) == "6*t^2 + 4*t + 1"
+    assert nf.ctx is qctx
+    triples = calls.count("_reducer")
+    assert qctx.is_zero(t**3 - t**4) and not qctx.is_zero(nf)
+    assert qctx.is_zero(qctx.zero()) and not qctx.normal_form(qctx.zero()).terms
+    assert calls.count("buchberger") == 1 and calls.count("_reduce") == 3
+    assert calls.count("_reducer") == triples
 
 
 def test_budget_limit_raises(monkeypatch):

@@ -1,19 +1,25 @@
 from fractions import Fraction
 
+from collections import Counter
+
 import pytest
 
 from cjl.artin import make_artin
-from cjl.complexes import jump_ideal
-from cjl.dgla import Dgla, DglaPair, GradedVectorSpace, check_dgla, check_pair
+from cjl import complexes
+from cjl.complexes import FreeComplex, jump_ideal
+from cjl.dgla import (Dgla, DglaPair, GradedVectorSpace, check_dgla,
+                      check_pair, cohomology_pair)
 from cjl.errors import ValidationError
 from cjl.field import QQ
 from cjl.mc import (aomoto_complex, bracket_exp, def_jump_test, gauge_act,
                     gauge_correction, maurer_cartan_check, mc_defect,
-                    module_transport, action_tensor,
+                    module_transport, action_tensor, twisted_complex,
                     tensor_add, tensor_eq, tensor_from_json, tensor_is_zero,
-                    tensor_to_json, twisted_differential, zero_tensor,
+                    tensor_to_json, zero_tensor,
                     apply_scalar_matrix)
+from cjl.models import cdga_to_pair, exterior, exterior_pair
 from cjl.poly import RingContext
+from cjl.resonance import quadratic_cone_ideal
 from cjl.parse import parse_poly
 from cjl.rng import Rng
 
@@ -238,6 +244,13 @@ def test_transport_lambda_zero():
     assert tensor_eq(A, module_transport(P, A, zero_tensor(A, 1), xi, 1), xi)
 
 
+def twisted_differential(P, A, omega, degree, xi):
+    """d_M(xi) + omega.xi on M^degree (x) A, by the tensor operations: the
+    reference for the matrices of ``twisted_complex``."""
+    return tensor_add(A, apply_scalar_matrix(A, P.m_d_mat(degree), xi),
+                      action_tensor(P, A, 1, omega, degree, xi))
+
+
 def test_gauge_conjugates_twisted_differential():
     # exp(lam) intertwines d_omega and d_{gauge(omega)}
     A = artin(("t", ["t^4"]))
@@ -314,6 +327,65 @@ def test_def_jump_gauge_invariant():
             assert jump_ideal(E1, i, k).equals(jump_ideal(E2, i, k))
             assert def_jump_test(P, A, omega, i, k) == \
                 def_jump_test(P, A, omega2, i, k)
+
+
+def _universal(P):
+    """The pair's coefficient ring S/I_Q and tautological element."""
+    S, IQ = quadratic_cone_ideal(P.lie)
+    if IQ.gens:
+        S = RingContext(P.field, S.names, S.order, quotient=IQ.gens)
+    return S, S.gens()
+
+
+def _solvable_over_t4():
+    A = artin(("t", ["t^4"]))
+    return A, rand_tensor(A, Rng(7), 2, in_m=True)
+
+
+TWISTED_CASES = {
+    "exterior-4": (lambda: cohomology_pair(exterior_pair(4)), _universal),
+    "glr": (lambda: cohomology_pair(cdga_to_pair(exterior(2), 2, 2)),
+            _universal),
+    "solvable-t4": (solvable_tensor_pair, lambda P: _solvable_over_t4()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWISTED_CASES))
+def test_twisted_complex_reads_each_action_term_once(monkeypatch, name):
+    """Work pin: the matrices of ``twisted_complex`` cost at most one ring
+    ``add`` or ``scale`` per nonzero action term (a, b, k) in degrees
+    (1, j) and per nonzero entry of d_M, and one zero test per coordinate
+    of omega (the d.d check of ``FreeComplex`` is not counted); they equal
+    the column-by-column reference."""
+    pair, base = TWISTED_CASES[name]
+    P = pair()
+    A, omega = base(P)
+    calls = Counter()
+    for op in ("add", "scale", "is_zero"):
+        def count(*args, op=op, f=getattr(A, op)):
+            calls[op] += 1
+            return f(*args)
+        monkeypatch.setattr(A, op, count, raising=False)
+    built = Counter()
+
+    def free_complex(*args):
+        built.update(calls)
+        return FreeComplex(*args)
+    monkeypatch.setattr(complexes, "FreeComplex", free_complex)
+    E = twisted_complex(P, A, omega)
+    monkeypatch.undo()
+    terms = sum(len(P.action.terms(1, a, j, b)) for j in P.m_gvs.degrees()
+                for a in range(P.lie.dim(1)) for b in range(P.m_dim(j)))
+    d_entries = sum(not F.is_zero(t) for m in P.m_d for row in m for t in row)
+    assert built["add"] + built["scale"] <= terms + d_entries, name
+    assert built["is_zero"] == len(omega)
+    for j in range(E.lo, E.hi):
+        n = P.m_dim(j)
+        cols = [twisted_differential(
+            P, A, omega, j, tuple(A.one() if t == b else A.zero()
+                                  for t in range(n))) for b in range(n)]
+        want = [[col[c] for col in cols] for c in range(P.m_dim(j + 1))]
+        assert [list(row) for row in E.diff(j)] == want, (name, j)
 
 
 def test_tensor_json_round_trip():
