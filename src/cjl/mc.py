@@ -17,7 +17,7 @@ such tensors are the contraction of the pair's structure constants over
 A (:meth:`~cjl.dgla._GradedTable.contract`), the same loop that
 multiplies field vectors and Artin elements.  The twisted complex reads
 the action rows once: each matrix is one pass over the nonzero rows of
-the action in degrees (1, j), not one contraction per basis vector.
+the action in degrees (1, j).
 """
 
 from __future__ import annotations
