@@ -18,16 +18,15 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from functools import partial
 from typing import Sequence
 
 from .dgla import GradedVectorSpace, _GradedTable, check_algebra
 from .errors import (AxiomError, NotFiniteError, NotLocalError,
                      RingMismatchError, ValidationError)
-from .field import field_from_json, located, read_nested, read_scalar, read_str
-from .groebner import Ideal, reduce_full
+from .field import field_from_json, located, read_nested, read_scalars, read_str
+from .groebner import Ideal, _reduce
 from .linalg import Echelon, mat_vec, vec_is_zero
-from .poly import Polynomial, RingContext, mono_deg, mono_divides
+from .poly import Polynomial, RingContext, mono_deg, mono_divides, mono_mul
 
 
 # largest dimension of an Artin algebra read from JSON: make_artin checks
@@ -53,6 +52,12 @@ class ArtinLocalAlgebra:
     checker :func:`~cjl.dgla.check_algebra` (in degree 0 every sign is +1),
     which visits only the products the nonzero entries reach, then that
     every basis element but the unit is nilpotent.
+
+    ``generators`` is a basis G of m/m^2: the b_i, in order, outside the
+    span of m^2 = <b_j b_l : 1 <= j <= l> and of the b_i kept before them.
+    The b_i but the unit are nilpotent and commute, so they span the
+    nilradical m, an ideal; by Nakayama G generates m, and m is nilpotent,
+    so A = k[G], m^{s+1} = m^s G and an ideal closed under G is one of A.
 
     ``power_dims[s]`` is dim_k m^s for s = 0 ... ``nilpotency_index``, the
     least s with m^s = 0.  A sum of products of s elements of m lies in
@@ -86,24 +91,26 @@ class ArtinLocalAlgebra:
                 raise NotLocalError(
                     f"basis element {self.labels[i]!r} is not nilpotent, "
                     "so the algebra is not local with this basis")
+        span = Echelon(field, n)  # of m^2, then of G (class docstring)
+        for (_, j, _, l), v in self.table.entries.items():
+            if 0 < j <= l:
+                span.add(v)
+        self.generators = tuple(b for b in self._basis[1:] if span.add(b))
         self.power_dims = self._power_dims()
         self.nilpotency_index = len(self.power_dims) - 1
 
     def _power_dims(self) -> tuple:
         """dim_k m^s for s = 0, 1, ... up to the least s with m^s = 0, the
-        nilpotency index (1 for a field)."""
-        F = self.field
-        cur = Echelon(F, self.dim)
-        for i in range(1, self.dim):
-            cur.add(self.basis(i))
-        dims = [self.dim, cur.rank]
-        while cur.rank:
-            nxt = Echelon(F, self.dim)
-            for v in cur.basis():
-                for j in range(1, self.dim):
-                    nxt.add(self.mul(v, self.basis(j)))
-            cur = nxt
-            dims.append(cur.rank)
+        nilpotency index (1 for a field), each power spanned by the
+        products of the last one with G."""
+        dims, cur = [self.dim, self.dim - 1], self._basis[1:]  # m: b_1 ... b_{n-1}
+        while cur:
+            nxt = Echelon(self.field, self.dim)
+            for v in cur:
+                for g in self.generators:
+                    nxt.add(self.mul(v, g))
+            cur = nxt.basis()
+            dims.append(len(cur))
             if len(dims) > self.dim + 2:
                 raise NotLocalError("maximal ideal is not nilpotent")
         return tuple(dims)
@@ -247,7 +254,7 @@ class ArtinLocalAlgebra:
 
 class ArtinIdeal:
     """Ideal of an Artin local algebra, held as a canonical echelon span
-    closed under multiplication by the whole algebra."""
+    closed under multiplication by G, so by the whole algebra k[G]."""
 
     def __init__(self, algebra: ArtinLocalAlgebra, gens):
         self.algebra = algebra
@@ -265,8 +272,8 @@ class ArtinIdeal:
             while work:
                 v = work.popleft()
                 if self.ech.add(v):
-                    for j in range(1, algebra.dim):
-                        work.append(algebra.mul(v, algebra.basis(j)))
+                    for g in algebra.generators:
+                        work.append(algebra.mul(v, g))
         self.basis = self.ech.basis()
 
     def contains(self, v) -> bool:
@@ -383,24 +390,23 @@ def make_artin(ctx: RingContext, I: Ideal | Sequence[Polynomial]):
         return "*".join(ctx.names[i] if e == 1 else f"{ctx.names[i]}^{e}"
                         for i, e in enumerate(m) if e)
 
-    def to_vec(f: Polynomial):
-        nf = reduce_full(f.cast(base), gb)
-        out = [ctx.field.zero] * len(std)
-        for m, c in nf.terms:
+    F, dim = ctx.field, len(std)
+    units = [tuple(F.one if k == i else F.zero for k in range(dim)) for i in range(dim)]
+
+    def coords(work: dict):  # of the normal form of the terms ``work``
+        out = [F.zero] * dim
+        for m, c in _reduce(base, work, ideal._reducers).terms:
             out[index[m]] = c
         return tuple(out)
 
-    table = []
-    for mi in std:
-        row = []
-        fi = Polynomial(base, ((mi, ctx.field.one),))
-        for mj in std:
-            fj = Polynomial(base, ((mj, ctx.field.one),))
-            row.append(to_vec(fi * fj))
-        table.append(tuple(row))
-    alg = ArtinLocalAlgebra(ctx.field, tuple(label(m) for m in std), tuple(table))
+    table = [[None] * dim for _ in range(dim)]
+    for i, mi in enumerate(std):
+        for j in range(i, dim):
+            m = mono_mul(mi, std[j])  # a standard monomial is its own normal form
+            table[i][j] = table[j][i] = units[index[m]] if m in index else coords({m: F.one})
+    alg = ArtinLocalAlgebra(ctx.field, tuple(label(m) for m in std), table)
     alg.monomials = tuple(std)
-    alg.poly_to_vec = to_vec
+    alg.poly_to_vec = lambda f: coords(dict(f.terms))
     return alg
 
 
@@ -423,7 +429,6 @@ def artin_from_json(obj: dict, path: str = "/artin") -> ArtinLocalAlgebra:
     if len(labels) > MAX_ARTIN_DIM:
         raise ValidationError(f"{len(labels)} basis elements, above bound "
                               f"{MAX_ARTIN_DIM}", path + "/labels")
-    table = read_nested(obj.get("mult"), 3, partial(read_scalar, field), path,
-                        "mult")
+    table = read_scalars(field, obj.get("mult"), 3, path, "mult")
     with located(path):
         return ArtinLocalAlgebra(field, labels, table)

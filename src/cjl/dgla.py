@@ -14,7 +14,9 @@ Conventions (checked, not assumed, by the validators):
 
 Bracket and action tables are sparse: only nonzero structure vectors are
 stored; a missing orientation of a bracket entry is derived by skew
-symmetry, so inputs need not duplicate symmetric data.  The checkers
+symmetry, so inputs need not duplicate symmetric data, and it is graded
+skew by construction: the skew check compares only the entries stored in
+both orientations, each pair once (diagonal keys too).  The checkers
 visit only the basis tuples where some term of an identity can be
 nonzero, so their cost follows the nonzero entries of the tables and
 the differentials, not the cube of the dimension.
@@ -35,22 +37,22 @@ product, (xy)z - x(yz) at (z,y,x) is a sign times its value at
 every triple of a failing orbit, so the witness lists are those of the
 full walk.  It takes the full walk when the skew check fails
 (:func:`check_algebra` checks commutativity before associativity).
-An identity is evaluated from the operator rows x -> {v: terms of x.v},
-read once per walk off the tables' row index: the terms of its three
-products are summed into one coordinate dict, which must vanish.
+An identity is evaluated from the operator rows x -> {v: terms of x.v}:
+the terms of its three products are summed into one coordinate dict,
+which must vanish.  The rows, and the row index they are read off, are
+built once per table, whose entries are fixed.
 The d^2 and Leibniz identities are not walked when the differentials
 are zero: every term of them is zero.  Every built-in model is so.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from itertools import permutations
+from itertools import permutations, repeat
 from typing import Sequence
 
 from .errors import AxiomError, ValidationError
 from .field import (QQ, field_from_json, json_path, located, read_int,
-                    read_nested, read_scalar)
+                    read_nested, read_scalars)
 from .linalg import Echelon, nullspace, solve, vec_is_zero
 
 
@@ -105,7 +107,8 @@ class _GradedTable:
     actions, graded-commutative and Artin multiplications).
 
     With ``skew`` a missing orientation is derived by graded skew symmetry
-    [x,y] = -(-1)^{ij}[y,x].  The entries are fixed once built.
+    [x,y] = -(-1)^{ij}[y,x].  The entries are fixed once built, and so
+    are the indexes read off them (:meth:`_index`, :func:`_support`).
 
     The table's entries are scalars of its field; the coordinates it
     multiplies lie in a coefficient ring R over that field: the field
@@ -117,91 +120,79 @@ class _GradedTable:
         self.field = field
         self.entries = dict(entries)
         self.skew = skew
-        self._terms = {}
+        self._terms = {}  # key -> terms, filled by :meth:`_index`
         self._rows = None  # (i, j) -> the rows of :meth:`_index`
-
-    def find(self, i: int, a: int, j: int, b: int):
-        """The stored (or skew-derived) vector at (i,a,j,b); None if neither."""
-        v = self.entries.get((i, a, j, b))
-        if v is None and self.skew:
-            v = self.entries.get((j, b, i, a))
-            if v is not None and (i * j) % 2 == 0:
-                return tuple(self.field.neg(c) for c in v)
-        return v
+        self._walk = None  # the indexes of :func:`_support`
 
     def terms(self, i: int, a: int, j: int, b: int) -> tuple:
-        """The nonzero coordinates (k, t) of the vector at (i,a,j,b); a
-        coordinate equal to 1 is the field's ``one`` object itself."""
-        key = (i, a, j, b)
-        out = self._terms.get(key)
-        if out is None:
-            F = self.field
-            out = self._terms[key] = tuple(
-                (k, F.one if F.eq(t, F.one) else t)
-                for k, t in enumerate(self.find(i, a, j, b) or ())
-                if not F.is_zero(t))
-        return out
+        """The nonzero coordinates (k, t) of the vector at (i,a,j,b), stored
+        or skew-derived, () where there is neither; a coordinate equal to 1
+        is the field's ``one`` object itself."""
+        self._index(0, 0)
+        return self._terms.get((i, a, j, b), ())
 
     def _index(self, i: int, j: int) -> tuple:
-        """(rows, a_ids, b_ids) for degrees (i, j): rows maps a to
-        {b: terms(i, a, j, b)} over the stored and skew-derived keys with
-        a nonzero vector; a_ids and b_ids list, in increasing order, the
-        a that have a row and the b that some row meets.  Built for all
-        degrees on first use."""
+        """(rows, compiled) for degrees (i, j): rows maps a to {b: terms(i,
+        a, j, b)} over the keys with a nonzero vector, and compiled lists
+        the pairs (a, ((b, terms), ...)) of rows in increasing a.  Built for
+        all degrees on first use, with the terms of every key: in a skew
+        table, those of a key with no stored vector are those of its stored
+        mirror, negated when ij is even."""
         index = self._rows
         if index is None:
-            keys = list(self.entries)
-            if self.skew:
-                keys += [(j, b, i, a) for i, a, j, b in keys]
+            F, entries, terms, one = self.field, self.entries, self._terms, self.field.one
             rows = {}
-            for key in keys:
-                ts = self.terms(*key)
-                if ts:
-                    rows.setdefault((key[0], key[2]), {}).setdefault(key[1], {})[key[3]] = ts
+            for key, vec in entries.items():
+                ts = terms[key] = tuple((k, one if F.eq(t, one) else t)
+                                        for k, t in enumerate(vec) if not F.is_zero(t))
+                if not ts:
+                    continue
+                p, a, q, b = key
+                rows.setdefault((p, q), {}).setdefault(a, {})[b] = ts
+                mirror = (q, b, p, a)
+                if self.skew and mirror not in entries:
+                    if p * q % 2 == 0:
+                        ts = tuple((k, one if F.eq(n := F.neg(t), one) else n) for k, t in ts)
+                    terms[mirror] = ts
+                    rows.setdefault((q, p), {}).setdefault(b, {})[a] = ts
             index = self._rows = {
-                ij: (r, sorted(r), sorted({b for row in r.values() for b in row}))
+                ij: (r, tuple((a, tuple(r[a].items())) for a in sorted(r)))
                 for ij, r in rows.items()}
         return index.get((i, j), _NO_ROWS)
 
-    def product(self, R, i: int, us, j: int, vs) -> dict:
-        """The bilinear product on nonzero coordinates in the ring R: the
-        sum of u_a v_b T(i,a,j,b) over (a, u_a) in ``us`` and (b, v_b) in
-        ``vs``, as a dict {k: coefficient} (entries may cancel to zero).
-        This is the one structure-constant contraction of the package.
-        Factors that are the field's ``one`` object (see :meth:`terms`) are
-        skipped, not multiplied: exact in any ring, as 1 is its identity."""
-        one = self.field.one
-        rows = self._index(i, j)[0]
-        out = {}
-        for a, x in us:
-            row = rows.get(a)
-            if row is None:
-                continue
-            for b, y in vs:
-                ts = row.get(b)
-                if ts:
-                    c = y if x is one else x if y is one else R.mul(x, y)
-                    for k, t in ts:
-                        z = c if t is one else R.scale(c, t)
-                        out[k] = R.add(out[k], z) if k in out else z
-        return out
-
     def contract(self, i: int, u, j: int, v, out_dim: int, ring=None):
         """The product of coordinate vectors u (degree i) and v (degree j):
-        field scalars, or elements of ``ring`` when one is given.  Only the
-        coordinates that can meet a row of the index are zero-tested."""
+        field scalars, or elements of ``ring`` when one is given: the one
+        structure-constant contraction of the package, over the compiled
+        rows of :meth:`_index`.  Each coordinate is zero-tested at most once
+        (over a polynomial quotient that is a normal form).  Factors that
+        are the field's ``one`` object (see :meth:`terms`) are skipped, not
+        multiplied: exact in any ring, as 1 is its identity."""
         R = self.field if ring is None else ring
+        is_zero, mul, scale, add = R.is_zero, R.mul, R.scale, R.add
+        one = self.field.one
         out = [R.zero if ring is None else ring.zero()] * out_dim
-        _, a_ids, b_ids = self._index(i, j)
-        is_zero = R.is_zero
-        us = [(a, u[a]) for a in a_ids if not is_zero(u[a])]
-        vs = [(b, v[b]) for b in b_ids if not is_zero(v[b])] if us else ()
-        for k, x in self.product(R, i, us, j, vs).items():
-            out[k] = x
+        hit = set()  # the k of out that hold a term
+        vs = None
+        for a, row in self._index(i, j)[1]:
+            x = u[a]
+            if is_zero(x):
+                continue
+            if vs is None:
+                vs = [None if is_zero(y) else y for y in v]
+            for b, ts in row:
+                y = vs[b]
+                if y is None:
+                    continue
+                c = y if x is one else x if y is one else mul(x, y)
+                for k, t in ts:
+                    z = c if t is one else scale(c, t)
+                    out[k] = add(out[k], z) if k in hit else z
+                    hit.add(k)
         return tuple(out)
 
 
-_NO_ROWS = ({}, (), ())
+_NO_ROWS = ({}, ())
 
 
 def _all_zero(F, mats) -> bool:
@@ -337,25 +328,24 @@ def _d_squared(F, space, d_img, axiom: str) -> list:
     return bad
 
 
-def _mirrored(keys) -> set:
-    return set(keys) | {(j, b, i, a) for i, a, j, b in keys}
-
-
 def _support(table) -> tuple:
     """The keys (i, a, j, b) of the nonzero vectors of ``table``, stored or
     derived by skew symmetry, and two indexes of them, read off
     :meth:`_GradedTable._index`: the operator rows, x = (i, a) -> {v:
-    terms of x.v} over v = (j, b), and by v the list of its x."""
-    table._index(0, 0)  # builds the rows of every degree pair
-    keys, left, right = [], {}, {}
-    for (i, j), (rows, _, _) in table._rows.items():
-        for a, row in rows.items():
-            op = left.setdefault((i, a), {})
-            for b, ts in row.items():
-                op[j, b] = ts
-                keys.append((i, a, j, b))
-                right.setdefault((j, b), []).append((i, a))
-    return keys, left, right
+    terms of x.v} over v = (j, b), and by v the list of its x.  Built once
+    per table, whose entries are fixed."""
+    if table._walk is None:
+        table._index(0, 0)  # builds the rows of every degree pair
+        keys, left, right = [], {}, {}
+        for (i, j), (rows, _) in table._rows.items():
+            for a, row in rows.items():
+                op = left.setdefault((i, a), {})
+                for b, ts in row.items():
+                    op[j, b] = ts
+                    keys.append((i, a, j, b))
+                    right.setdefault((j, b), []).append((i, a))
+        table._walk = keys, left, right
+    return table._walk
 
 
 def _witnesses(axiom: str, bad) -> list:
@@ -365,26 +355,38 @@ def _witnesses(axiom: str, bad) -> list:
             for at in sorted(bad, key=lambda at: at[0::2] + at[1::2])]
 
 
+def _mirror_holds(F, ts: tuple, us: tuple, negate: bool) -> bool:
+    """ts == us, or -us with ``negate``, on the terms of two vectors."""
+    return len(ts) == len(us) and all(k == l and F.eq(t, F.neg(u) if negate else u)
+                                      for (k, t), (l, u) in zip(ts, us))
+
+
 def _symmetry(table: _GradedTable, sign: int, axiom: str) -> list:
-    """Violations of xy = (-1)^{|x||y| + sign} yx on basis vectors,
-    witness (i, a, j, b): only stored entries and their mirrors can fail."""
-    F = table.field
-    return _witnesses(axiom, [
-        (i, a, j, b) for i, a, j, b in _mirrored(table.entries)
-        if not _holds(F, dict(table.terms(i, a, j, b)), {},
-                      _sign(F, i * j + sign), dict(table.terms(j, b, i, a)))])
+    """Violations of xy = (-1)^{|x||y| + sign} yx on basis vectors, witness
+    (i, a, j, b), one comparison per pair of stored mirrors; with sign 1 in a
+    skew table an entry whose mirror is not stored holds by construction
+    (:meth:`~_GradedTable.terms` derives it).  A failure names both keys."""
+    F, entries = table.field, table.entries
+    bad = []
+    for key in entries:
+        i, a, j, b = key
+        mirror = (j, b, i, a)
+        if mirror < key if mirror in entries else table.skew and sign % 2:
+            continue  # compared at the mirror, or derived from this entry
+        if not _mirror_holds(F, table.terms(*key), table.terms(*mirror),
+                             (i * j + sign) % 2 == 1):
+            bad.extend({key, mirror})
+    return _witnesses(axiom, bad)
 
 
-# The symmetry groups of a product-rule identity (module docstring): for
-# each, the representative of the orbit of a triple (x, y, v) of basis
-# keys, and that orbit; None is the trivial group of the full walk.
+# The symmetry groups of a product-rule identity (module docstring): the orbit
+# of a triple (x, y, v) of basis keys, represented by (x, y, v) with x <= y
+# ("swap"), sorted ("all") or with x <= v ("reversal"); None: the full walk.
 _ORBITS = {
-    None: (lambda *t: t, lambda *t: (t,)),
-    "swap": (lambda x, y, v: (x, y, v) if x <= y else (y, x, v),
-             lambda x, y, v: {(x, y, v), (y, x, v)}),
-    "all": (lambda *t: tuple(sorted(t)), lambda *t: set(permutations(t))),
-    "reversal": (lambda x, y, v: (x, y, v) if x <= v else (v, y, x),
-                 lambda x, y, v: {(x, y, v), (v, y, x)}),
+    None: lambda *t: (t,),
+    "swap": lambda x, y, v: {(x, y, v), (y, x, v)},
+    "all": lambda *t: set(permutations(t)),
+    "reversal": lambda x, y, v: {(x, y, v), (v, y, x)},
 }
 
 
@@ -430,27 +432,34 @@ def _product_rule(inner: _GradedTable, outer: _GradedTable, twist: bool,
     is ``outer``, every term of an orbit is a term of xy on v at one of
     its triples, so only those are followed."""
     F = outer.field
-    support, left, right = _support(outer)
-    inner_keys, ops_in = (support, left) if inner is outer else _support(inner)[:2]
+    _, left, right = _support(outer)
+    ops_in = left if inner is outer else _support(inner)[1]
     group = (None if not symmetric else "swap" if inner is not outer
              else "all" if twist else "reversal")
-    rep, orbit = _ORBITS[group]
     visit = set()
     if group in (None, "swap"):
-        for key in support:
-            y, v = key[:2], key[2:]
-            for w, _ in outer.terms(*key):
-                for x in right.get((key[0] + key[2], w), ()):
-                    visit.add(rep(x, y, v))
-                    if twist and group is None:
-                        visit.add((y, x, v))
-    for key in inner_keys:
-        x, y = key[:2], key[2:]
-        if symmetric and twist and y < x:
-            continue  # the orbit of (x, y, v) holds (y, x, v)
-        for e, _ in inner.terms(*key):
-            visit.update(rep(x, y, v) for v in left.get((key[0] + key[2], e), ()))
+        for y, op in left.items():
+            for v, ts in op.items():
+                for w, _ in ts:
+                    for x in right.get((y[0] + v[0], w), ()):
+                        visit.add((x, y, v) if group is None or x <= y else (y, x, v))
+                        if twist and group is None:
+                            visit.add((y, x, v))
+    for x, op in ops_in.items():
+        for y, ts in op.items():
+            if symmetric and twist and y < x:
+                continue  # the orbit of (x, y, v) holds (y, x, v)
+            for e, _ in ts:
+                vs = left.get((x[0] + y[0], e), ())
+                if group == "all":  # x <= y
+                    visit.update((x, y, v) if y <= v else (x, v, y) if x <= v
+                                 else (v, x, y) for v in vs)
+                elif group == "reversal":
+                    visit.update((x, y, v) if x <= v else (v, y, x) for v in vs)
+                else:
+                    visit.update(zip(repeat(x), repeat(y), vs))
     bad = []
+    orbit = _ORBITS[group]
     for t in visit:
         if not _rule_holds(F, ops_in, left, twist, *t):
             bad.extend(orbit(*t))
@@ -463,7 +472,6 @@ def _leibniz(table: _GradedTable, d_c, d_v, axiom: str) -> list:
     witness (i, a, k, c).  Only pairs where x.v is nonzero, a term of dx
     acts on v, or x acts on a term of dv are visited."""
     F = table.field
-    one = F.one
     support, left, right = _support(table)
     visit = set(support)
     for i, images in d_c.items():
@@ -477,8 +485,9 @@ def _leibniz(table: _GradedTable, d_c, d_v, axiom: str) -> list:
     bad = []
     for i, a, k, c in visit:
         lhs = _apply(F, d_v.get(i + k), table.terms(i, a, k, c))
-        t1 = table.product(F, i + 1, d_c[i][a], k, ((c, one),))
-        t2 = table.product(F, i, ((a, one),), k + 1, d_v[k][c])
+        dx, dv = d_c[i][a], d_v[k][c]  # (dx).v and x.(dv) off the operator rows
+        t1 = _apply(F, {e: left.get((i + 1, e), _NO_OP).get((k, c), ()) for e, _ in dx}, dx)
+        t2 = _apply(F, {w: left.get((i, a), _NO_OP).get((k + 1, w), ()) for w, _ in dv}, dv)
         if not _holds(F, lhs, t1, _sign(F, i), t2):
             bad.append((i, a, k, c))
     return _witnesses(axiom, bad)
@@ -663,21 +672,26 @@ def _gvs_from_json(obj, path):
         return GradedVectorSpace(degs[0], degs[1], dims)
 
 
-def _table_from_json(scalar, obj, path, *keys):
-    def entry(e, path, *at):
+def _table_from_json(F, obj, path, *keys):
+    """The entries {(i, a, j, b): out} of a bracket or action table, each
+    read once; the path readers run only on a bad entry, to raise its error
+    at its path, and a repeated key is reported once every entry is read."""
+    entries, table, twice = obj.get(keys[-1], []), {}, None
+    if type(entries) is not list:
+        raise ValidationError("expected a list", json_path(path, keys))
+    for n, e in enumerate(entries):
         if type(e) is not dict:
             raise ValidationError("table entry must be an object",
-                                  json_path(path, at))
-        return (tuple(read_int(e.get(k), path, *at, k) for k in "iajb"),
-                read_nested(e.get("out"), 1, scalar, path, *at, "out"))
-
-    table = {}
-    for idx, (ijab, out) in enumerate(
-            read_nested(obj.get(keys[-1], []), 1, entry, path, *keys)):
-        if ijab in table:
-            raise ValidationError(f"duplicate table entry {ijab}",
-                                  json_path(path, keys + (idx,)))
-        table[ijab] = out
+                                  json_path(path, keys + (n,)))
+        ijab = (e.get("i"), e.get("a"), e.get("j"), e.get("b"))
+        if set(map(type, ijab)) != {int}:
+            ijab = tuple(read_int(e.get(k), path, *keys, n, k) for k in "iajb")
+        if twice is None and ijab in table:
+            twice = n, ijab
+        table[ijab] = read_scalars(F, e.get("out"), 1, path, *keys, n, "out")
+    if twice is not None:
+        raise ValidationError(f"duplicate table entry {twice[1]}",
+                              json_path(path, keys + twice[:1]))
     return table
 
 
@@ -691,15 +705,14 @@ def pair_from_json(obj: dict, path: str = "") -> DglaPair:
     mod_obj = obj.get("module")
     if not isinstance(lie_obj, dict) or not isinstance(mod_obj, dict):
         raise ValidationError("pair needs lie and module objects", path or "/")
-    scalar = partial(read_scalar, F)
     g = _gvs_from_json(lie_obj, path + "/lie")
     m = _gvs_from_json(mod_obj, path + "/module")
-    d = read_nested(lie_obj.get("d", []), 3, scalar, path, "lie", "d")
-    bracket = _table_from_json(scalar, lie_obj, path, "lie", "bracket")
+    d = read_scalars(F, lie_obj.get("d", []), 3, path, "lie", "d")
+    bracket = _table_from_json(F, lie_obj, path, "lie", "bracket")
     with located(path, "lie"):
         lie = Dgla(F, g, d, bracket)
-    d = read_nested(mod_obj.get("d", []), 3, scalar, path, "module", "d")
-    action = _table_from_json(scalar, mod_obj, path, "module", "action")
+    d = read_scalars(F, mod_obj.get("d", []), 3, path, "module", "d")
+    action = _table_from_json(F, mod_obj, path, "module", "action")
     with located(path, "module"):
         pair = DglaPair(lie, m, d, action)
     pair.validate()

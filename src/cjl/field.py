@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 
 from .errors import ValidationError
 
@@ -272,3 +273,22 @@ def read_nested(x, depth: int, leaf, path: str, *keys) -> tuple:
         return tuple([leaf(e, path, *keys, k) for k, e in enumerate(x)])
     return tuple([read_nested(e, depth - 1, leaf, path, *keys, k)
                   for k, e in enumerate(x)])
+
+
+def read_scalars(F, x, depth: int, path: str, *keys) -> tuple:
+    """``read_nested(x, depth, partial(read_scalar, F), path, *keys)`` in
+    one pass that builds no path: on any anomaly the value is read again
+    that way, which raises the error at its path."""
+    try:
+        return _scalars(F, x, depth)
+    except (TypeError, ValidationError):
+        return read_nested(x, depth, partial(read_scalar, F), path, *keys)
+
+
+def _scalars(F, x, depth: int) -> tuple:
+    if type(x) is not list or depth == 1 and not set(map(type, x)) <= {int, str}:
+        raise TypeError
+    if depth > 1:
+        return tuple([_scalars(F, e, depth - 1) for e in x])
+    return tuple([F.zero if e == "0" else F.parse(e) if type(e) is str else F.from_int(e)
+                  for e in x])

@@ -22,12 +22,10 @@ the action in degrees (1, j).
 
 from __future__ import annotations
 
-from functools import partial
-
 from .artin import ArtinLocalAlgebra
 from .dgla import Dgla, DglaPair
 from .errors import InternalCheckError, ValidationError
-from .field import read_nested, read_scalar
+from .field import read_scalars
 
 
 def _lie(P):
@@ -255,7 +253,7 @@ def tensor_from_json(A: ArtinLocalAlgebra, n: int, rows, path: str,
     basis, or (for maximal-ideal elements) coordinates on the basis of m
     alone (one shorter, unit coefficient implied zero)."""
     F = A.field
-    rows = read_nested(rows, 2, partial(read_scalar, F), path)
+    rows = read_scalars(F, rows, 2, path)
     if len(rows) != n:
         raise ValidationError(f"need a list of {n} coefficient rows", path)
     out = []

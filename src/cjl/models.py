@@ -8,12 +8,12 @@ structure lives in the products.
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import cache
 from itertools import combinations, product
 
 from .dgla import Dgla, DglaPair, GradedVectorSpace, _GradedTable, _zero_d
 from .errors import ValidationError
-from .field import QQ, located, read_nested, read_scalar
+from .field import QQ, located, read_scalars
 from .linalg import rank, vec_is_zero
 
 
@@ -145,8 +145,7 @@ class Arrangement:
         if not isinstance(obj, dict) or "normals" not in obj:
             raise ValidationError("arrangement needs a normals matrix",
                                   path or "/")
-        rows = read_nested(obj["normals"], 2, partial(read_scalar, QQ()), path,
-                           "normals")
+        rows = read_scalars(QQ(), obj["normals"], 2, path, "normals")
         with located(path, "normals"):
             return Arrangement(rows)
 

@@ -160,8 +160,8 @@ class RingContext:
         return bool(self._quotient_gens)
 
     def quotient_gb(self):
-        """Reduced Groebner basis of the quotient ideal (cached, with the
-        reducer triples :meth:`normal_form` reads)."""
+        """Reduced Groebner basis of the quotient ideal (cached, with what
+        :meth:`normal_form` reads: reducer triples, least leading degree)."""
         if not self._quotient_gens:
             return ()
         if self._quotient_gb is None:
@@ -169,16 +169,20 @@ class RingContext:
             base = self.base()
             self._quotient_gb = buchberger([g.cast(base) for g in self._quotient_gens], base)
             self._quotient_reducers = [_reducer(g) for g in self._quotient_gb]
+            self._quotient_low = min((mono_deg(g.lm()) for g in self._quotient_gb),
+                                     default=float("inf"))
         return self._quotient_gb
 
     def normal_form(self, f: "Polynomial") -> "Polynomial":
         """Canonical representative of ``f`` modulo the quotient ideal: the
-        full reduction by its reduced basis; a polynomial with no terms is
-        its own."""
+        full reduction by its reduced basis.  A polynomial with no terms is
+        its own, and so is one of degree below every leading monomial."""
         if not self._quotient_gens or not f.terms:
             return f
         from .groebner import _reduce
         self.quotient_gb()
+        if f.degree() < self._quotient_low:
+            return f
         return _reduce(self, dict(f.terms), self._quotient_reducers)
 
     # -- ring protocol used by the complex machinery ------------------

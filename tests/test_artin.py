@@ -185,6 +185,37 @@ def closure_basis(A, gens):
     return ech.basis(), ech.pivots
 
 
+def power_dims(A):
+    """Reference: dim_k m^s for s = 0, 1, ... while m^s != 0, with m^{s+1}
+    spanned by the products of a basis of m^s and every b_j, j >= 1."""
+    cur = Echelon(A.field, A.dim)
+    for j in range(1, A.dim):
+        cur.add(A.basis(j))
+    dims = [A.dim, cur.rank]
+    while cur.rank:
+        nxt = Echelon(A.field, A.dim)
+        for v in cur.basis():
+            for j in range(1, A.dim):
+                nxt.add(A.mul(v, A.basis(j)))
+        cur = nxt
+        dims.append(cur.rank)
+    return tuple(dims)
+
+
+@pytest.mark.parametrize("ring, size", [("t3", 1), ("t4", 1), ("xy2", 2), ("t3s2", 2),
+                                        ("t3s2-F5", 2)])
+def test_generators_of_m_are_the_variables(ring, size):
+    """On a ring of ``make_artin`` the basis G of m/m^2 is the variables,
+    the basis elements that follow the unit."""
+    F, names, rels = UNIT_IDEAL_RINGS[ring]
+    ctx = RingContext(F, names)
+    A = make_artin(ctx, [parse_poly(ctx, r) for r in rels])
+    assert len(A.generators) == size == len(names)
+    assert A.generators == tuple(A.basis(j) for j in range(1, size + 1))
+    assert A.labels[1:size + 1] == names
+    assert A.power_dims == power_dims(A)
+
+
 @pytest.mark.parametrize("ring", sorted(UNIT_IDEAL_RINGS))
 def test_unit_generator_gives_the_closure_basis(ring):
     """An ideal with a unit among its generators takes the identity rows

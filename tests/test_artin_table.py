@@ -23,10 +23,12 @@ from cjl.cli import run
 from cjl.dgla import GradedVectorSpace, _GradedTable, pair_to_json
 from cjl.errors import AxiomError, NotLocalError
 from cjl.field import QQ, GFp
-from cjl.linalg import solve
+from cjl.linalg import Echelon, solve
 from cjl.models import exterior_pair
+from cjl.parse import parse_poly
 from cjl.poly import Polynomial, RingContext
-from test_dgla import dense
+from test_artin import UNIT_IDEAL_RINGS, closure_basis, power_dims
+from test_dgla import dense, find
 
 FIELDS = [QQ(), GFp(2), GFp(3), GFp(7)]
 
@@ -124,6 +126,18 @@ def combine(A, coeffs, vecs):
     return out
 
 
+def table_on(A, new):
+    """The explicit table of A on the basis ``new`` (new[0] the unit), and
+    the coordinates on that basis."""
+    F, n = A.field, A.dim
+    cols = tuple(tuple(v[r] for v in new) for r in range(n))
+
+    def coords(v):
+        return solve(F, cols, v, n)
+
+    return [[coords(A.mul(x, y)) for y in new] for x in new], coords
+
+
 def rebased(A, shear):
     """The explicit table of A on the basis 1, b_i + sum_{k>i} c_ik b_k:
     the same algebra, presented without monomials."""
@@ -132,12 +146,8 @@ def rebased(A, shear):
     new = [A.basis(0)] + [
         tuple(F.one if k == i else (F.from_int(shear[(i, k)]) if k > i else F.zero)
               for k in range(n)) for i in range(1, n)]
-    cols = tuple(tuple(v[r] for v in new) for r in range(n))
-
-    def coords(v):
-        return solve(F, cols, v, n)
-
-    return [[coords(A.mul(x, y)) for y in new] for x in new], new, coords
+    table, coords = table_on(A, new)
+    return table, new, coords
 
 
 @settings(max_examples=60, deadline=None)
@@ -172,6 +182,71 @@ def test_mul_on_explicit_tables_matches_dense_loop(drawn):
         assert got == reference_mul(F, table, a, b)
         # the same product computed in A, through the change of basis
         assert got == coords(A.mul(combine(A, a, new), combine(A, b, new)))
+
+
+def on_basis(A, new, labels):
+    """A as an explicit table on the basis ``new`` (new[0] the unit)."""
+    return ArtinLocalAlgebra(A.field, labels, table_on(A, new)[0])
+
+
+@st.composite
+def tables_and_ideals(draw):
+    """An Artin ring (one of the benchmark's four over a drawn field, or a
+    random quotient), often as an explicit table on a permuted and sheared
+    basis of m, and generators of an ideal, most of them in m."""
+    if draw(st.booleans()):
+        _, names, rels = UNIT_IDEAL_RINGS[draw(st.sampled_from(["t3", "t4", "xy2", "t3s2"]))]
+        ctx = RingContext(draw(st.sampled_from(FIELDS)), names)
+        A = make_artin(ctx, [parse_poly(ctx, r) for r in rels])
+    else:
+        A = draw(quotient_rings(max_box=8))[1]
+    F, n = A.field, A.dim
+    if n > 1 and draw(st.booleans()):
+        order = draw(st.permutations(range(1, n)))
+        new = [A.basis(0)]
+        for p, i in enumerate(order):
+            v = list(A.basis(i))
+            for k in order[p + 1:]:
+                v[k] = F.from_int(draw(st.integers(-2, 2)))
+            new.append(tuple(v))
+        A = on_basis(A, new, [f"b{i}" for i in range(n)])
+    gens = draw(st.lists(elements(A), min_size=0, max_size=3))
+    if draw(st.booleans()):
+        gens = [(F.zero,) + g[1:] for g in gens]
+    return A, gens
+
+
+@settings(max_examples=80, deadline=None)
+@given(tables_and_ideals())
+def test_generators_of_m_close_ideals_and_powers(drawn):
+    """Ideals closed under G, and the powers of m built from G, against
+    the closure under and the products with every b_j, j >= 1; G is a
+    basis of m modulo m^2."""
+    A, gens = drawn
+    I = A.ideal(gens)
+    basis, pivots = closure_basis(A, gens)
+    assert I.basis == basis and I.ech.pivots == pivots
+    assert A.power_dims == power_dims(A)
+    square = Echelon(A.field, A.dim)
+    for j in range(1, A.dim):
+        for l in range(j, A.dim):
+            square.add(A.mul(A.basis(j), A.basis(l)))
+    assert len(A.generators) == A.dim - 1 - square.rank
+    assert all(square.add(g) for g in A.generators)
+
+
+def test_generators_of_a_table_off_the_monomials():
+    """k[t]/(t^4) on the basis 1, t^2, t + t^2, t^3: the first element of m
+    lies in m^2, so G is the third basis element alone, and not a label
+    of one degree."""
+    ctx = RingContext(QQ(), ("t",))
+    A = make_artin(ctx, [ctx.var(0) ** 4])
+    one, t, t2, t3 = (A.basis(j) for j in range(4))
+    B = on_basis(A, [one, t2, A.add(t, t2), t3], ["1", "t^2", "t+t^2", "t^3"])
+    assert B.generators == (B.basis(2),)
+    assert B.power_dims == power_dims(B) == (4, 3, 2, 1, 0)
+    for gens in ([B.basis(1)], [B.basis(3)], [B.add(B.basis(1), B.basis(3))]):
+        assert B.ideal(gens).basis == closure_basis(B, gens)[0]
 
 
 @settings(max_examples=150, deadline=None)
@@ -236,7 +311,7 @@ def reference_contract(R, zero, table, i, u, j, v, out_dim):
     out = [zero] * out_dim
     for a, x in enumerate(u):
         for b, y in enumerate(v):
-            vec = table.find(i, a, j, b)
+            vec = find(table, i, a, j, b)
             for k, t in enumerate(vec or ()):
                 if not F.is_zero(t):
                     out[k] = R.add(out[k], R.scale(R.mul(x, y), t))
@@ -275,8 +350,10 @@ def random_table(F, rng, space, skew):
 @pytest.mark.parametrize("skew", [False, True])
 @pytest.mark.parametrize("seed", range(3))
 def test_contract_matches_dense_loop(F, skew, seed):
-    """Over the field and over an Artin ring (``contract(..., ring=A)``),
-    on coordinates that are often 1, some as unit vectors."""
+    """Over the field, over an Artin ring (``contract(..., ring=A)``) and
+    over a polynomial quotient, on coordinates that are often 1, some as
+    unit vectors.  Over the quotient, where a zero test is a normal form,
+    each coordinate is zero-tested at most once per call."""
     assert all(F.eq(x, F.one) for x in ones(F))
     if F.char == 0:
         assert not any(x is F.one for x in ones(F)[1:])
@@ -291,6 +368,14 @@ def test_contract_matches_dense_loop(F, skew, seed):
     scalars = ones(F) + [F.zero, F.zero, F.from_int(3), F.neg(F.one)]
     elements = [A.one(), A.zero(), A.basis(1), A.basis(3),
                 A.add(A.one(), A.basis(2)), tuple(F.from_int(k - 1) for k in range(A.dim))]
+    Q = RingContext(F, ("t", "s"), quotient=[t**2, s**2])
+    polys = [parse_poly(Q, p) for p in ("1", "0", "t", "s", "t*s", "t^2", "1 + t", "s^2 - 2")]
+    tested = []
+
+    def is_zero(a):
+        tested.append(id(a))
+        return RingContext.is_zero(Q, a)
+    Q.is_zero = is_zero
     checked = 0
     for i in space.degrees():
         for j in space.degrees():
@@ -309,6 +394,15 @@ def test_contract_matches_dense_loop(F, skew, seed):
                 got = table.contract(i, ua, j, va, n, A)
                 want = reference_contract(A, A.zero(), table, i, ua, j, va, n)
                 assert len(got) == n and all(A.eq(x, y) for x, y in zip(got, want))
+                # a new object per coordinate, so that each test is told apart
+                uq = [Polynomial(Q, rng.choice(polys).terms) for _ in range(space.dim(i))]
+                vq = [Polynomial(Q, rng.choice(polys).terms) for _ in range(space.dim(j))]
+                tested.clear()
+                got = table.contract(i, uq, j, vq, n, Q)
+                assert len(tested) == len(set(tested))
+                assert set(tested) <= {id(x) for x in uq + vq}
+                want = reference_contract(Q, Q.zero(), table, i, uq, j, vq, n)
+                assert len(got) == n and all(Q.is_zero(x - y) for x, y in zip(got, want))
                 checked += n
     assert checked > 50
 

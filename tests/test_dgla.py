@@ -20,10 +20,22 @@ ZERO = F.zero
 ONE = F.one
 
 
+def find(table, i, a, j, b):
+    """Reference: the vector of a structure-constant table at (i,a,j,b),
+    stored or, in a skew table, derived from its stored mirror by graded
+    skew symmetry; None where there is neither."""
+    v = table.entries.get((i, a, j, b))
+    if v is None and table.skew:
+        v = table.entries.get((j, b, i, a))
+        if v is not None and (i * j) % 2 == 0:
+            return tuple(table.field.neg(c) for c in v)
+    return v
+
+
 def dense(table, i, a, j, b, out_dim):
     """The vector of a structure-constant table at (i,a,j,b), stored or
     skew-derived, with ``out_dim`` zeros where there is neither."""
-    v = table.find(i, a, j, b)
+    v = find(table, i, a, j, b)
     return (table.field.zero,) * out_dim if v is None else v
 
 
@@ -215,7 +227,7 @@ def test_json_round_trip():
     for key, vec in P.lie.bracket.entries.items():
         assert dense(Q.lie.bracket, *key, Q.lie.dim(key[0] + key[2])) == vec
     for key, vec in P.action.entries.items():
-        assert Q.action.find(*key) == vec
+        assert find(Q.action, *key) == vec
 
 
 def test_json_rejects_bad_entries():
@@ -244,6 +256,19 @@ def test_json_validates_axioms():
 # one identity per symmetry orbit, against the walk of every triple
 # ---------------------------------------------------------------------------
 
+def sparse_product(table, i, us, j, vs):
+    """The product of the nonzero coordinates ``us`` (degree i) and ``vs``
+    (degree j), as a coordinate dict, from the dense vectors of
+    :meth:`_GradedTable.find`."""
+    F = table.field
+    out = {}
+    for a, x in us:
+        for b, y in vs:
+            for k, t in enumerate(find(table, i, a, j, b) or ()):
+                out[k] = F.add(out.get(k, F.zero), F.mul(F.mul(x, y), t))
+    return out
+
+
 def reference_product_rule(inner, outer, twist, axiom):
     """The product-rule walker that checks every triple it visits: those
     where x acts on a term of y.v, y (with ``twist``) on a term of x.v, or
@@ -263,13 +288,28 @@ def reference_product_rule(inner, outer, twist, axiom):
             visit.update((i, a, j, b) + v for v in left.get((i + j, e), ()))
     bad = []
     for i, a, j, b, k, c in visit:
-        lhs = outer.product(F, i + j, inner.terms(i, a, j, b), k, ((c, one),))
-        t1 = outer.product(F, i, ((a, one),), j + k, outer.terms(j, b, k, c))
-        t2 = outer.product(F, j, ((b, one),), i + k,
-                           outer.terms(i, a, k, c)) if twist else {}
+        lhs = sparse_product(outer, i + j, inner.terms(i, a, j, b), k, ((c, one),))
+        t1 = sparse_product(outer, i, ((a, one),), j + k, outer.terms(j, b, k, c))
+        t2 = sparse_product(outer, j, ((b, one),), i + k,
+                            outer.terms(i, a, k, c)) if twist else {}
         if not _holds(F, lhs, t1, _sign(F, i * j + 1), t2):
             bad.append((i, a, j, b, k, c))
     return _witnesses(axiom, bad)
+
+
+def reference_symmetry(table, sign, axiom):
+    """The skew check at both orientations of every stored entry, each a
+    ``_holds`` merge of the two vectors (the route ``_symmetry`` replaced,
+    which read every pair of stored mirrors twice), on the vectors of
+    :func:`find`."""
+    F = table.field
+    keys = set(table.entries) | {(j, b, i, a) for i, a, j, b in table.entries}
+
+    def vec(*key):
+        return dict(enumerate(find(table, *key) or ()))
+    return _witnesses(axiom, [
+        (i, a, j, b) for i, a, j, b in keys
+        if not _holds(F, vec(i, a, j, b), {}, _sign(F, i * j + sign), vec(j, b, i, a))])
 
 
 def reference_violations(P):
@@ -279,7 +319,7 @@ def reference_violations(P):
     d_c = _d_images(F, C.gvs, C.d_mat)
     d_m = _d_images(F, P.m_gvs, P.m_d_mat)
     return (_d_squared(F, C.gvs, d_c, "d_squared")
-            + _symmetry(C.bracket, 1, "skew")
+            + reference_symmetry(C.bracket, 1, "skew")
             + reference_product_rule(C.bracket, C.bracket, True, "jacobi")
             + _leibniz(C.bracket, d_c, d_c, "leibniz")
             + _d_squared(F, P.m_gvs, d_m, "module_d_squared")
@@ -425,11 +465,54 @@ def test_orbit_walk_matches_full_walk_on_perturbed_algebras():
     assert seen >= 20
 
 
+@pytest.mark.parametrize("field", [QQ(), GFp(2), GFp(3)], ids=str)
+def test_skew_check_matches_mirrored_reference(field):
+    """``_symmetry``, one comparison per pair of stored mirrors, gives the
+    witness lists of the check at both orientations of every entry, on
+    random tables: entries stored in one orientation (or both, the mirror
+    often edited), diagonal keys, and commutativity tables (no skew
+    derivation) whose missing mirrors fail."""
+    rng = random.Random(20261021)
+    gvs = GradedVectorSpace(0, 2, (2, 2, 1))
+    keys = [(i, a, j, b) for i in gvs.degrees() for j in gvs.degrees()
+            if gvs.dim(i + j) for a in range(gvs.dim(i)) for b in range(gvs.dim(j))]
+    kinds = set()
+    for t in range(120):
+        skew = t % 2 == 0
+        entries = {}
+        for key in rng.sample(keys, rng.randint(1, 8)):
+            i, a, j, b = key
+            n = gvs.dim(i + j)
+            vec = tuple(field.from_int(rng.choice([0, 0, 1, -1, 2])) for _ in range(n))
+            entries[key] = vec
+            mirror = (j, b, i, a)
+            if mirror != key and rng.random() < 0.5:
+                sgn = -_sign_int(i * j) if skew else _sign_int(i * j)
+                vec = [field.from_int(sgn * int(x)) for x in vec]
+                if rng.random() < 0.4:
+                    vec[rng.randrange(n)] = field.from_int(rng.choice([1, 2]))
+                entries[mirror] = tuple(vec)
+            kinds.add("diagonal" if mirror == key else "both"
+                      if mirror in entries else "one")
+        sign = 1 if skew else 0
+        table = _GradedTable(field, entries, skew)
+        want = reference_symmetry(table, sign, "skew")
+        assert _symmetry(_GradedTable(field, entries, skew), sign, "skew") == want, t
+        if want:
+            kinds.add(("fails", skew))
+        if not skew and any(w["at"][2:] + w["at"][:2] not in entries for w in want):
+            kinds.add("missing mirror")
+    assert kinds >= {"one", "both", "diagonal", "missing mirror",
+                     ("fails", True), ("fails", False)}
+
+
 def test_pair_read_checks_one_identity_per_orbit(monkeypatch):
-    """Work pin: reading glr n = 2, r = 2 evaluates 446 identities (1 372
-    with every visited triple checked and the Leibniz walks taken): 90
-    graded-skew ones, each a call of ``_holds``, and 356 product-rule
-    ones, each a call of the walker's step ``_rule_holds``."""
+    """Work pin: reading glr n = 2, r = 2 evaluates 401 identities (1 372
+    with every visited triple checked, both orientations of every skew
+    pair and the Leibniz walks taken): 45 graded-skew ones, one call of
+    ``_mirror_holds`` per pair of stored mirrors, and 356 product-rule
+    ones, each a call of the walker's step ``_rule_holds``.  No
+    ``_holds`` merge is made."""
     calls = []
 
     def counting(name):
@@ -441,7 +524,8 @@ def test_pair_read_checks_one_identity_per_orbit(monkeypatch):
         monkeypatch.setattr(dgla, name, count)
 
     counting("_holds")
+    counting("_mirror_holds")
     counting("_rule_holds")
     pair_from_json(pair_to_json(cdga_to_pair(exterior(2), 2, 2)))
-    assert (calls.count("_holds"), calls.count("_rule_holds")) == (90, 356)
-    assert len(calls) == 446
+    assert (calls.count("_mirror_holds"), calls.count("_rule_holds")) == (45, 356)
+    assert len(calls) == 401

@@ -574,7 +574,8 @@ def test_quotient_context_ideals_live_upstairs():
 def test_normal_form_in_quotient_context(monkeypatch):
     """Each normal form of a nonzero polynomial is one reduction by the
     reducer triples built once with the quotient basis; the zero
-    polynomial takes none."""
+    polynomial takes none, and neither does 6t^2 + 4t + 1, whose degree
+    is below that of t^3."""
     calls = []
 
     def counting(name):
@@ -599,7 +600,7 @@ def test_normal_form_in_quotient_context(monkeypatch):
     triples = calls.count("_reducer")
     assert qctx.is_zero(t**3 - t**4) and not qctx.is_zero(nf)
     assert qctx.is_zero(qctx.zero()) and not qctx.normal_form(qctx.zero()).terms
-    assert calls.count("buchberger") == 1 and calls.count("_reduce") == 3
+    assert calls.count("buchberger") == 1 and calls.count("_reduce") == 2
     assert calls.count("_reducer") == triples
 
 

@@ -10,7 +10,7 @@ from cjl.linalg import Echelon, vec_is_zero
 from cjl.models import (MAX_HYPERPLANES, Arrangement, Cdga, cdga_to_pair,
                         exterior, exterior_pair, orlik_solomon, os_pair,
                         surface_cdga, surface_pair)
-from test_dgla import dense
+from test_dgla import dense, find
 
 F = QQ()
 
@@ -36,7 +36,7 @@ def test_exterior_pair_matches_wedge_action():
     # abelian at rank one
     assert P.lie.bracket.entries == {}
     # e2 . e1 = -e1e2
-    assert P.action.find(1, 1, 1, 0) == (F.neg(F.one),)
+    assert find(P.action, 1, 1, 1, 0) == (F.neg(F.one),)
 
 
 def test_exterior_rejects_bad_n():
@@ -253,9 +253,9 @@ def test_surface_genus_one_is_torus():
     T = exterior_pair(2)
     assert S.lie.gvs.dims == T.lie.gvs.dims
     for key, vec in T.action.entries.items():
-        assert S.action.find(*key) == vec
+        assert find(S.action, *key) == vec
     for key, vec in S.action.entries.items():
-        assert T.action.find(*key) == vec
+        assert find(T.action, *key) == vec
 
 
 def test_surface_pair_valid():

@@ -5,7 +5,9 @@ import contextlib
 import io
 import json
 import os
+import random
 import time
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -13,8 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 from cjl.artin import MAX_ARTIN_DIM, artin_from_json
 from cjl.cli import run
-from cjl.dgla import MAX_DIM, pair_to_json
+from cjl.dgla import MAX_DIM, _table_from_json, pair_to_json
+from cjl.errors import ValidationError
+from cjl.field import QQ, GFp, json_path, read_int, read_nested, read_scalar, read_scalars
 from cjl.models import cdga_to_pair, exterior, exterior_pair
+from test_golden import ACYCLIC_ARM, MODELS, _stdout
 
 CX_LINE = {
     "ring": {"field": "Q", "vars": ["x0"], "order": "degrevlex"},
@@ -111,6 +116,12 @@ DEFECTS = [
     ("complex", CX_LINE, ("diffs",), [], "--complex/diffs"),
     ("complex", CX_LINE, ("ring", "order"), "revlex", "--complex/ring/order"),
     ("complex", CX_LINE, ("ring", "vars", 0), "0x", "--complex/ring/vars/0"),
+    # the one-pass table reader falls back to the path readers on these
+    ("pair", EXTERIOR_2, ("module", "action", 0, "i"), True, "--pair/module/action/0/i"),
+    ("pair", EXTERIOR_2, ("module", "action", 0), {"i": 0, "a": 0, "j": 0, "b": 0},
+     "--pair/module/action/0/out"),
+    ("pair", EXTERIOR_2, ("module", "action", 0, "out", 0), 0.5,
+     "--pair/module/action/0/out/0"),
 ]
 
 
@@ -130,6 +141,7 @@ CX_LINE_F5 = dict(CX_LINE, ring=dict(CX_LINE["ring"], field="Fp", p=5))
     ("artin", dict(T3_TABLE, field="Fp", p=5), ("mult", 1, 1, 2), "-2/10", "--artin/mult/1/1/2"),
     ("complex", CX_LINE, ("diffs", 0, 0, 0), "1/0*x0", "--complex/diffs/0/0/0"),
     ("complex", CX_LINE_F5, ("diffs", 0, 0, 0), "1/5*x0", "--complex/diffs/0/0/0"),
+    ("pair", EXTERIOR_2, ("lie", "d", 0, 1, 0), "1/0", "--pair/lie/d/0/1/0"),
 ])
 def test_zero_denominator_is_exit_2_at_its_path(files, kind, doc, keys, bad, path):
     """A denominator that is zero in the field (0 over Q, a multiple of p
@@ -139,6 +151,97 @@ def test_zero_denominator_is_exit_2_at_its_path(files, kind, doc, keys, bad, pat
     assert code == 2 and err["path"] == path
     assert err["error"].startswith("zero denominator") \
         or f"{bad!r}: zero denominator" in err["error"], err
+
+
+def reference_table(F, obj, path, *keys):
+    """A bracket or action table as the path-carrying readers read it:
+    every entry through ``read_int`` and ``read_nested``, then the
+    repeated keys."""
+    def entry(e, path, *at):
+        if type(e) is not dict:
+            raise ValidationError("table entry must be an object",
+                                  json_path(path, at))
+        return (tuple(read_int(e.get(k), path, *at, k) for k in "iajb"),
+                read_nested(e.get("out"), 1, partial(read_scalar, F), path, *at, "out"))
+
+    table = {}
+    for idx, (ijab, out) in enumerate(
+            read_nested(obj.get(keys[-1], []), 1, entry, path, *keys)):
+        if ijab in table:
+            raise ValidationError(f"duplicate table entry {ijab}",
+                                  json_path(path, keys + (idx,)))
+        table[ijab] = out
+    return table
+
+
+def outcome(read, *args):
+    """repr of what ``read(*args)`` returns, or its error's message and path."""
+    try:
+        return repr(read(*args))
+    except ValidationError as exc:
+        return exc.message, exc.path
+
+
+@pytest.mark.parametrize("field", [QQ(), GFp(3)], ids=str)
+@pytest.mark.parametrize("name", [*MODELS, "acyclic-arm"])
+def test_one_pass_readers_match_the_path_readers(name, field):
+    """On every pair of the goldens, the tables and differentials read in
+    one pass equal, value and type, what the path-carrying readers read."""
+    doc = json.loads(ACYCLIC_ARM if name == "acyclic-arm" else _stdout(*MODELS[name]))
+    for side, key in (("lie", "bracket"), ("module", "action")):
+        obj = doc[side]
+        got = _table_from_json(field, obj, "", side, key)
+        assert repr(got) == repr(reference_table(field, obj, "", side, key))
+        d = obj.get("d", [])
+        assert repr(read_scalars(field, d, 3, "", side, "d")) == \
+            repr(read_nested(d, 3, partial(read_scalar, field), "", side, "d"))
+
+
+BAD_VALUES = [True, 0.5, None, "x", "1/0", "1/3", [], ["1"], {}, -1, 7]
+
+
+@pytest.mark.parametrize("field", [QQ(), GFp(3)], ids=str)
+def test_one_pass_readers_raise_what_the_path_readers_raise(field):
+    """On tables and differentials with one to three defects (bad scalars
+    and indices, missing keys, entries that are not objects, repeated
+    entries ahead of or behind a bad value), the one-pass readers return
+    or raise, message and path, what the path-carrying readers do."""
+    rng = random.Random(20261021)
+    kinds = set()
+    for t in range(300):
+        doc = json.loads(json.dumps(rng.choice([EXTERIOR_2, GL2, heisenberg()])))
+        side = rng.choice(["lie", "module"])
+        key = "bracket" if side == "lie" else "action"
+        obj = doc[side]
+        for _ in range(rng.randint(1, 3)):
+            entries, kind = obj[key], rng.randrange(6)
+            if type(entries) is not list:
+                break
+            objs = [e for e in entries if type(e) is dict]
+            outs = [e["out"] for e in objs if type(e.get("out")) is list and e["out"]]
+            if kind == 0 and objs:
+                rng.choice(objs)[rng.choice("iajb")] = rng.choice(BAD_VALUES)
+            elif kind == 1 and outs:
+                out = rng.choice(outs)
+                out[rng.randrange(len(out))] = rng.choice(BAD_VALUES)
+            elif kind == 2 and objs:
+                rng.choice(objs).pop(rng.choice(["i", "out"]), None)
+            elif kind == 3 and objs:
+                entries.insert(rng.randrange(len(entries) + 1), dict(rng.choice(objs)))
+            elif kind == 4 and obj["d"] and obj["d"][0] and obj["d"][0][0]:
+                obj["d"][0][0][0] = rng.choice(BAD_VALUES)
+            elif kind == 5 and type(entries) is list:
+                if rng.random() < 0.2:
+                    obj[key] = rng.choice(["x", {}, 3])
+                else:
+                    entries.insert(rng.randrange(len(entries) + 1), rng.choice([[], "e", 1]))
+        got = outcome(_table_from_json, field, obj, "/p", side, key)
+        assert got == outcome(reference_table, field, obj, "/p", side, key), t
+        kinds.add(type(got) is tuple and got[0].split()[0])
+        d = obj.get("d", [])
+        assert outcome(read_scalars, field, d, 3, "/p", side, "d") == \
+            outcome(read_nested, d, 3, partial(read_scalar, field), "/p", side, "d"), t
+    assert {"bad", "duplicate", "expected", "scalar", "table", False} <= kinds, kinds
 
 
 @pytest.mark.parametrize("doc, path", [

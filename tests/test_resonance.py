@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from cjl import groebner
 from cjl.dgla import Dgla, DglaPair, GradedVectorSpace, check_dgla, check_pair
 from cjl.errors import ValidationError
 from cjl.field import QQ
-from cjl.models import exterior_pair
+from cjl.models import cdga_to_pair, exterior, exterior_pair
+from cjl.poly import mono_deg
 from cjl.resonance import (pointwise_resonance, quadratic_cone_ideal,
                            resonance_ideal, universal_aomoto)
 
@@ -109,6 +111,23 @@ def test_universal_aomoto_on_quotient():
     x0, x1 = (E.ring.var(0), E.ring.var(1))
     assert E.diff(0) == ((x0,),)
     assert E.diff(1) == ((x1,),)
+
+
+def test_universal_complex_reduces_no_linear_entry(monkeypatch):
+    """glr n = 2, r = 2 over S/I_Q: the entries of its universal complex
+    are linear forms and the cone relations quadrics, so zero-testing an
+    entry in the d.d check takes no reduction; only the quadrics of d.d
+    (and the basis of I_Q) are reduced."""
+    degrees = []
+    reduce = groebner._reduce
+
+    def counting(ctx, work, reducers):
+        degrees.append(max(map(mono_deg, work), default=-1))
+        return reduce(ctx, work, reducers)
+    monkeypatch.setattr(groebner, "_reduce", counting)
+    E = universal_aomoto(cdga_to_pair(exterior(2), 2, 2))
+    assert E.ring.has_quotient()
+    assert degrees and min(degrees) >= 2
 
 
 def test_resonance_torus_frozen_values():
