@@ -456,7 +456,7 @@ def _product_rule(inner: _GradedTable, outer: _GradedTable, twist: bool,
                                  else (v, x, y) for v in vs)
                 elif group == "reversal":
                     visit.update((x, y, v) if x <= v else (v, y, x) for v in vs)
-                else:
+                else:  # None, or "swap" (twisted), where x <= y
                     visit.update(zip(repeat(x), repeat(y), vs))
     bad = []
     orbit = _ORBITS[group]
