@@ -116,7 +116,7 @@ def _load_artin(args, P):
     return artin_from_json({"ring": ring}, path="--artin")
 
 
-def _load_tensor(args, source, flag, A, n):
+def _load_tensor(source, flag, A, n):
     obj = _read_json(source, flag)
     return tensor_from_json(A, n, obj, flag, True)
 
@@ -141,7 +141,7 @@ def _cmd_cone(args):
 def _cmd_mc(args):
     P = _load_pair(args)
     A = _load_artin(args, P)
-    omega = _load_tensor(args, args.omega, "--omega", A, P.lie.dim(1))
+    omega = _load_tensor(args.omega, "--omega", A, P.lie.dim(1))
     ok = maurer_cartan_check(P, A, omega)
     out = {"mc": ok}
     if not ok:
@@ -155,8 +155,8 @@ def _cmd_mc(args):
 def _cmd_gauge(args):
     P = _load_pair(args)
     A = _load_artin(args, P)
-    lam = _load_tensor(args, args.lam, "--lambda", A, P.lie.dim(0))
-    omega = _load_tensor(args, args.omega, "--omega", A, P.lie.dim(1))
+    lam = _load_tensor(args.lam, "--lambda", A, P.lie.dim(0))
+    omega = _load_tensor(args.omega, "--omega", A, P.lie.dim(1))
     moved = gauge_act(P, A, lam, omega)
     return {"omega": tensor_to_json(A, moved, True)}
 

@@ -35,6 +35,16 @@ is a sum of products of s elements of m, so the span lies in m^s; once it
 has that dimension it is m^s, and its reduced echelon basis is the one the
 full list gives.  :func:`matrix_minors` still lists every minor; it is the
 polynomial route and the tests' oracle.
+
+The minimal model (:func:`minimize_complex`) splits off one contractible
+piece A --a--> A per unit pivot a = d(j)[r][c] by one Gaussian-elimination
+step (Bar-Natan, *Fast Khovanov homology computations*, JKTR 16, 2007,
+Lemma 4.2): d(j) loses row r and column c and keeps the Schur complement
+d(j)[r2][c2] - d(j)[r2][c] * a^-1 * d(j)[r][c2].  The neighbours only lose
+a row and a column: the change of basis behind that step alters only row c
+of d(j-1) and column r of d(j+1), into a^-1 times row r of d(j) d(j-1) and
+column c of d(j+1) d(j) times a^-1, which are zero as d.d = 0.  So the d.d
+check of the model's constructor is the one check of the result.
 """
 
 from __future__ import annotations
@@ -49,10 +59,6 @@ from .errors import (InternalCheckError, ResourceLimitError, RingMismatchError,
                      ValidationError)
 from .groebner import _interreduce, step_budget
 from .linalg import Echelon, rank as field_rank
-
-
-def ring_same(r1, r2) -> bool:
-    return r1 is r2 or r1.same(r2)
 
 
 class FreeComplex:
@@ -142,9 +148,7 @@ class FreeComplex:
         """Matrix of d out of degree i (zero-shaped outside the window)."""
         if self.lo <= i < self.hi:
             return self.diffs[i - self.lo]
-        rows = self.rank(i + 1)
-        return tuple(() for _ in range(rows)) if self.rank(i) == 0 \
-            else tuple((self.ring.zero(),) * self.rank(i) for _ in range(rows))
+        return tuple((self.ring.zero(),) * self.rank(i) for _ in range(self.rank(i + 1)))
 
     def __repr__(self):
         return f"FreeComplex([{self.lo},{self.hi}], ranks={self.ranks})"
@@ -314,88 +318,50 @@ def jump_ideal(E: FreeComplex, i: int, k: int):
 # ---------------------------------------------------------------------------
 
 def minimize_complex(E: FreeComplex) -> FreeComplex:
-    """Split off unit pivots until every differential entry lies in the
-    maximal ideal.  The result is the minimal model of the complex; over
-    an Artin local ring it exists and is unique up to isomorphism.
-    :attr:`FreeComplex.minimal` calls it once per complex.  A complex with
-    no unit entry is returned as it is; the result is its own model.
+    """The minimal model: unit pivots split off until every differential
+    entry lies in m, unique up to isomorphism over an Artin local ring.
+
+    The matrices are taken in order; while d(j) has a unit entry, the first
+    in row-major order is split off by one Schur complement step (module
+    docstring), over the nonzero entries of its row and column.  A failure
+    of the model's d.d check is a bug (:class:`InternalCheckError`).  A
+    complex with no unit entry is returned as it is.  Either way the result
+    is its own model; :attr:`FreeComplex.minimal` calls this once.
     """
     A = E.ring
     if not isinstance(A, ArtinLocalAlgebra):
         raise ValidationError("minimization needs Artin local coefficients")
     ranks = list(E.ranks)
     diffs = [[list(row) for row in m] for m in E.diffs]
-
-    def find_unit():
-        for j, m in enumerate(diffs):
-            for r, row in enumerate(m):
-                for c, a in enumerate(row):
-                    if A.is_unit(a):
-                        return j, r, c
-        return None
-
-    while True:
-        spot = find_unit()
-        if spot is None:
-            break
-        j, r, c = spot
-        d = diffs[j]
-        ainv = A.inverse(d[r][c])
-        # clear the pivot row via column ops; mirror as row ops on d(j-1).
-        # An update whose source entry is zero adds zero and is skipped;
-        # these ops leave column c unchanged.
-        col = [(r2, d[r2][c]) for r2 in range(ranks[j + 1])
-               if not A.is_zero(d[r2][c])]
-        for c2 in range(ranks[j]):
-            if c2 == c or A.is_zero(d[r][c2]):
-                continue
-            lam = A.neg(A.mul(d[r][c2], ainv))     # col c2 += lam * col c
-            for r2, x in col:
-                d[r2][c2] = A.add(d[r2][c2], A.mul(lam, x))
+    for j, d in enumerate(diffs):
+        while (spot := next(((r, c) for r, row in enumerate(d)
+                             for c, a in enumerate(row) if A.is_unit(a)), None)):
+            r, c = spot
+            ainv = A.inverse(d[r][c])
+            pivot_row = [(c2, A.mul(x, ainv)) for c2, x in enumerate(d[r])
+                         if c2 != c and not A.is_zero(x)]
+            for r2, row in enumerate(d):
+                y = row[c]
+                if r2 != r and not A.is_zero(y):
+                    for c2, x in pivot_row:
+                        row[c2] = A.sub(row[c2], A.mul(y, x))
+            del d[r]
+            for row in d:
+                del row[c]
             if j > 0:
-                prev = diffs[j - 1]                # row c -= lam * row c2
-                for t, x in enumerate(prev[c2]):
-                    if not A.is_zero(x):
-                        prev[c][t] = A.sub(prev[c][t], A.mul(lam, x))
-        # clear the pivot column via row ops; mirror as column ops on d(j+1)
-        row = [(c2, x) for c2, x in enumerate(d[r]) if not A.is_zero(x)]
-        for r2 in range(ranks[j + 1]):
-            if r2 == r or A.is_zero(d[r2][c]):
-                continue
-            lam = A.neg(A.mul(d[r2][c], ainv))     # row r2 += lam * row r
-            for c2, x in row:
-                d[r2][c2] = A.add(d[r2][c2], A.mul(lam, x))
+                del diffs[j - 1][c]
             if j + 1 < len(diffs):
-                nxt = diffs[j + 1]                 # col r -= lam * col r2
-                for t in range(ranks[j + 2]):
-                    x = nxt[t][r2]
-                    if not A.is_zero(x):
-                        nxt[t][r] = A.sub(nxt[t][r], A.mul(lam, x))
-        # the cleared row/column of the neighbors must now vanish (d.d = 0)
-        if j > 0:
-            for t in range(ranks[j - 1]):
-                if not A.is_zero(diffs[j - 1][c][t]):
-                    raise InternalCheckError("pivot row of previous "
-                                             "differential did not clear")
-        if j + 1 < len(diffs):
-            for t in range(ranks[j + 2]):
-                if not A.is_zero(diffs[j + 1][t][r]):
-                    raise InternalCheckError("pivot column of next "
-                                             "differential did not clear")
-        # drop basis vector c in degree j and r in degree j+1
-        for r2 in range(ranks[j + 1]):
-            del d[r2][c]
-        del d[r]
-        if j > 0:
-            del diffs[j - 1][c]
-        if j + 1 < len(diffs):
-            for row in diffs[j + 1]:
-                del row[r]
-        ranks[j] -= 1
-        ranks[j + 1] -= 1
-
-    M = E if tuple(ranks) == E.ranks else FreeComplex(
-        A, E.lo, E.hi, ranks, [tuple(tuple(row) for row in m) for m in diffs])
+                for row in diffs[j + 1]:
+                    del row[r]
+            ranks[j] -= 1
+            ranks[j + 1] -= 1
+    if tuple(ranks) == E.ranks:
+        M = E
+    else:
+        try:
+            M = FreeComplex(A, E.lo, E.hi, ranks, diffs)
+        except ValidationError as exc:
+            raise InternalCheckError(f"minimal model: {exc}") from exc
     M._minimal = M
     return M
 
@@ -406,7 +372,7 @@ def minimize_complex(E: FreeComplex) -> FreeComplex:
 
 def base_change(E: FreeComplex, ring_map) -> FreeComplex:
     """Apply a ring map entry-wise; the result is validated again."""
-    if not ring_same(E.ring, ring_map.source):
+    if not E.ring.same(ring_map.source):
         raise RingMismatchError("complex is not over the map's source ring")
     new = [tuple(tuple(ring_map.apply(a) for a in row) for row in m)
            for m in E.diffs]
@@ -420,10 +386,10 @@ def fiber_cohomology_rank(E: FreeComplex, i: int) -> int:
         raise ValidationError("fiber ranks need Artin local coefficients")
     F = A.field
 
-    def res_rank(mat, ncols: int) -> int:
+    def res_rank(mat) -> int:
         rows = [tuple(A.residue(a) for a in row) for row in mat]
         return field_rank(F, rows)
 
-    r_prev = res_rank(E.diff(i - 1), E.rank(i - 1))
-    r_here = res_rank(E.diff(i), E.rank(i))
+    r_prev = res_rank(E.diff(i - 1))
+    r_here = res_rank(E.diff(i))
     return E.rank(i) - r_prev - r_here

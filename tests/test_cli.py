@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from cjl import cli
+from cjl import acceptance, cli, complexes
 from cjl.cli import canonical, complex_from_json, run
 from cjl.dgla import MAX_DIM, _gvs_from_json, pair_from_json, pair_to_json
 from cjl.errors import InternalCheckError, ValidationError
@@ -417,6 +417,36 @@ def test_internal_check_error_is_exit_4(capsys, monkeypatch):
     code, out, err = _run(capsys, ["cone"])
     assert code == 4 and out == ""
     assert json.loads(err) == {"error": "pivot row did not clear"}
+
+
+def test_minimal_model_check_failure_is_exit_4(tmp_path, capsys, monkeypatch):
+    """mc --jump 1 1 on the selftest's solvable pair with a zero omega splits
+    the twisted complex's units; a d.d failure of its minimal model is a
+    bug, reported as exit 4 with a JSON error that names the model."""
+    pair = _write(tmp_path, "pair.json", pair_to_json(acceptance._solvable_pair()))
+    om = _write(tmp_path, "zero.json", [["0"], ["0"]])
+    argv = ["mc", "--pair", pair, "--omega", om, "--jump", "1", "1"]
+    assert _run(capsys, argv) == (0, '{"jump_vanishes":false,"mc":true}\n', "")
+    inside = []
+    real_minimize, real_dd = complexes.minimize_complex, complexes.FreeComplex._check_dd
+
+    def minimize(E):
+        inside.append(E)
+        try:
+            return real_minimize(E)
+        finally:
+            inside.pop()
+
+    def check_dd(self):
+        if inside:
+            raise ValidationError("d.d != 0 at degrees 0 -> 2, entry (0,0)")
+        real_dd(self)
+
+    monkeypatch.setattr(complexes, "minimize_complex", minimize)
+    monkeypatch.setattr(complexes.FreeComplex, "_check_dd", check_dd)
+    code, out, err = _run(capsys, argv)
+    assert code == 4 and out == ""
+    assert json.loads(err) == {"error": "minimal model: d.d != 0 at degrees 0 -> 2, entry (0,0)"}
 
 
 def test_usage_errors_exit_2(capsys):

@@ -7,12 +7,12 @@ from collections import Counter
 import pytest
 
 from cjl import complexes
-from cjl.artin import ArtinMap, make_artin
+from cjl.artin import ArtinLocalAlgebra, ArtinMap, make_artin
 from cjl.cli import run
 from cjl.complexes import (FreeComplex, base_change, block_diag_determinantal,
                            determinantal_ideal, fiber_cohomology_rank,
                            jump_ideal, minimize_complex)
-from cjl.errors import ResourceLimitError, ValidationError
+from cjl.errors import InternalCheckError, ResourceLimitError, ValidationError
 from cjl.field import GFp, QQ
 from cjl.groebner import DEFAULT_BUDGET, Ideal
 from cjl.linalg import rref
@@ -301,15 +301,15 @@ SPAN_PIECES = [(0, False), (1, False), (1, True), (2, False), (0, True), (2, Fal
 SPAN_FREE = [1, 0, 1, 1]
 
 
-def seeded_complex(ring, entry, seed):
-    """A direct sum of two-term pieces R -f-> R and free slots, seen
-    through seeded unit upper triangular changes of basis, so that most
-    entries are nonzero; the pieces with a unit entry are split off by
-    minimization over an Artin ring."""
+def seeded_complex(ring, entry, seed, pieces=SPAN_PIECES):
+    """A direct sum of two-term pieces R -f-> R (``pieces``) and free
+    slots, seen through seeded unit upper triangular changes of basis, so
+    that most entries are nonzero; the pieces with a unit entry are split
+    off by minimization over an Artin ring."""
     rng = Rng(seed)
     ranks = list(SPAN_FREE)
     entries = {}
-    for p, unit in SPAN_PIECES:
+    for p, unit in pieces:
         entries[(p, ranks[p + 1], ranks[p])] = entry(ring, rng, unit)
         ranks[p] += 1
         ranks[p + 1] += 1
@@ -711,3 +711,199 @@ def test_dd_check_names_the_first_failing_entry():
     for ring, x in ((A, A.basis(1)), (ctx, ctx.gens()[0])):
         with pytest.raises(ValidationError, match=r"degrees 0 -> 2, entry \(0,1\)$"):
             _dd_witness_case(ring, x)
+
+
+# ---------------------------------------------------------------------------
+# minimization: one Schur complement step per pivot, against the reference
+# ---------------------------------------------------------------------------
+
+def reference_minimize(E: FreeComplex) -> FreeComplex:
+    """Reference for :func:`complexes.minimize_complex`: the routine with
+    mirrored neighbour updates that it replaced, kept as it was.
+
+    Split off unit pivots until every differential entry lies in the
+    maximal ideal.  The result is the minimal model of the complex; over
+    an Artin local ring it exists and is unique up to isomorphism.
+    :attr:`FreeComplex.minimal` calls it once per complex.  A complex with
+    no unit entry is returned as it is; the result is its own model.
+    """
+    A = E.ring
+    if not isinstance(A, ArtinLocalAlgebra):
+        raise ValidationError("minimization needs Artin local coefficients")
+    ranks = list(E.ranks)
+    diffs = [[list(row) for row in m] for m in E.diffs]
+
+    def find_unit():
+        for j, m in enumerate(diffs):
+            for r, row in enumerate(m):
+                for c, a in enumerate(row):
+                    if A.is_unit(a):
+                        return j, r, c
+        return None
+
+    while True:
+        spot = find_unit()
+        if spot is None:
+            break
+        j, r, c = spot
+        d = diffs[j]
+        ainv = A.inverse(d[r][c])
+        # clear the pivot row via column ops; mirror as row ops on d(j-1).
+        # An update whose source entry is zero adds zero and is skipped;
+        # these ops leave column c unchanged.
+        col = [(r2, d[r2][c]) for r2 in range(ranks[j + 1])
+               if not A.is_zero(d[r2][c])]
+        for c2 in range(ranks[j]):
+            if c2 == c or A.is_zero(d[r][c2]):
+                continue
+            lam = A.neg(A.mul(d[r][c2], ainv))     # col c2 += lam * col c
+            for r2, x in col:
+                d[r2][c2] = A.add(d[r2][c2], A.mul(lam, x))
+            if j > 0:
+                prev = diffs[j - 1]                # row c -= lam * row c2
+                for t, x in enumerate(prev[c2]):
+                    if not A.is_zero(x):
+                        prev[c][t] = A.sub(prev[c][t], A.mul(lam, x))
+        # clear the pivot column via row ops; mirror as column ops on d(j+1)
+        row = [(c2, x) for c2, x in enumerate(d[r]) if not A.is_zero(x)]
+        for r2 in range(ranks[j + 1]):
+            if r2 == r or A.is_zero(d[r2][c]):
+                continue
+            lam = A.neg(A.mul(d[r2][c], ainv))     # row r2 += lam * row r
+            for c2, x in row:
+                d[r2][c2] = A.add(d[r2][c2], A.mul(lam, x))
+            if j + 1 < len(diffs):
+                nxt = diffs[j + 1]                 # col r -= lam * col r2
+                for t in range(ranks[j + 2]):
+                    x = nxt[t][r2]
+                    if not A.is_zero(x):
+                        nxt[t][r] = A.sub(nxt[t][r], A.mul(lam, x))
+        # the cleared row/column of the neighbors must now vanish (d.d = 0)
+        if j > 0:
+            for t in range(ranks[j - 1]):
+                if not A.is_zero(diffs[j - 1][c][t]):
+                    raise InternalCheckError("pivot row of previous "
+                                             "differential did not clear")
+        if j + 1 < len(diffs):
+            for t in range(ranks[j + 2]):
+                if not A.is_zero(diffs[j + 1][t][r]):
+                    raise InternalCheckError("pivot column of next "
+                                             "differential did not clear")
+        # drop basis vector c in degree j and r in degree j+1
+        for r2 in range(ranks[j + 1]):
+            del d[r2][c]
+        del d[r]
+        if j > 0:
+            del diffs[j - 1][c]
+        if j + 1 < len(diffs):
+            for row in diffs[j + 1]:
+                del row[r]
+        ranks[j] -= 1
+        ranks[j + 1] -= 1
+
+    M = E if tuple(ranks) == E.ranks else FreeComplex(
+        A, E.lo, E.hi, ranks, [tuple(tuple(row) for row in m) for m in diffs])
+    M._minimal = M
+    return M
+
+
+# unit pieces one and two degrees up, on top of the pieces of SPAN_PIECES;
+# unit pieces in d(2) and d(1), where splitting d(2) first gives other
+# (isomorphic) matrices
+SCHUR_PADS = [(1, True), (2, True)]
+SCHUR_ADJACENT = [(2, True), (1, False), (0, False), (1, True)]
+
+
+def _schur_corpus(A):
+    """Hand-made complexes over ``A`` (a unit that appears only after a
+    split, splits in two adjacent matrices, a degree of rank 0, no unit)
+    and seeded ones with unit pieces, shifted unit pads, and none, each
+    also in the reversed basis."""
+    one, z, t = A.one(), A.zero(), A.basis(1)
+    cases = [
+        one_map(A, ((one, one), (one, z))),  # Schur complement -1
+        FreeComplex(A, 0, 2, (1, 2, 1), (((one,), (t,)), ((A.neg(t), one),))),
+        FreeComplex(A, 0, 2, (0, 2, 2), (((), ()), ((t, one), (one, z)))),
+        FreeComplex(A, 0, 2, (2, 1, 0), (((t, one),), ())),
+        one_map(A, ((t, z), (z, t))),
+    ]
+    in_m = [(p, False) for p, _ in SPAN_PIECES]
+    for seed in range(3):
+        for pieces in (SPAN_PIECES, SPAN_PIECES + SCHUR_PADS, SCHUR_ADJACENT, in_m):
+            E = seeded_complex(A, _local_entry, seed, pieces)
+            # and in the reversed basis of every degree, where the changes
+            # of basis are lower triangular and pivots leave row 0
+            cases += [E, FreeComplex(A, E.lo, E.hi, E.ranks,
+                                     [tuple(row[::-1] for row in m[::-1]) for m in E.diffs])]
+    return cases
+
+
+@pytest.mark.parametrize("A", _stop_rings())
+def test_schur_minimize_matches_reference(A):
+    """Differential: minimize_complex gives the reference's ranks and
+    matrices, by tuple equality, and a complex with no unit is its own
+    model."""
+    corpus = _schur_corpus(A)
+    kinds = Counter()
+    for E in corpus:
+        M, R = minimize_complex(E), reference_minimize(E)
+        assert (M.ranks, M.diffs) == (R.ranks, R.diffs), E
+        assert M.minimal is M
+        if R is E:
+            assert M is E
+        kinds["own model" if R is E else "split"] += 1
+        kinds["rank 0"] += 0 in E.ranks or 0 in M.ranks
+    assert kinds["own model"] >= 4 and kinds["split"] >= 8 and kinds["rank 0"] >= 3, kinds
+    assert minimize_complex(corpus[0]).ranks == (0, 0)  # the -1 split too
+    assert minimize_complex(corpus[1]).ranks == (0, 0, 0)
+
+
+def test_schur_minimize_work_pin(monkeypatch):
+    """Work pin: the one split of a fixed complex over k[t]/(t^3), in d(1)
+    with both neighbours nonzero next to the pivot, multiplies at most
+    (row entries) x (column entries) + (row entries) times, counting the
+    nonzero off-pivot entries of the pivot row and column; the products of
+    the inverse and of the model's d.d check are counted apart."""
+    A = _artin(("t",), ["t^3"])
+    one, z, t = A.one(), A.zero(), A.basis(1)
+    # 0 -> A -t-> A^3 -(0 (+) 1 (+) t)-> A^3 -(t, 0, t^2)-> A, with the
+    # middle degrees seen through G = U U^T for U unit upper triangular
+    lift = lambda M: tuple(tuple(A.scale(one, A.field.from_int(x)) for x in row) for row in M)
+    U, Uinv = ((1, 1, 1), (0, 1, 1), (0, 0, 1)), ((1, -1, 0), (0, 1, -1), (0, 0, 1))
+    G = _mat_mul(A, lift(U), lift(zip(*U)))
+    Ginv = _mat_mul(A, lift(zip(*Uinv)), lift(Uinv))
+    d0, d1 = ((t,), (z,), (z,)), ((z, z, z), (z, one, z), (z, z, t))
+    d2 = ((t, z, A.mul(t, t)),)
+    E = FreeComplex(A, 0, 3, (1, 3, 3, 1), (_mat_mul(A, G, d0),
+                                           _mat_mul(A, _mat_mul(A, G, d1), Ginv),
+                                           _mat_mul(A, d2, Ginv)))
+    j, r, c = next((j, r, c) for j, m in enumerate(E.diffs) for r, row in enumerate(m)
+                   for c, a in enumerate(row) if A.is_unit(a))
+    d = E.diffs[j]
+    assert j == 1 and not A.is_zero(E.diffs[0][c][0]) and not A.is_zero(E.diffs[2][0][r])
+    k_row = sum(not A.is_zero(x) for c2, x in enumerate(d[r]) if c2 != c)
+    k_col = sum(not A.is_zero(row[c]) for r2, row in enumerate(d) if r2 != r)
+    counts = Counter()
+    where = ["split"]
+    real_mul, real_inverse, real_dd = (ArtinLocalAlgebra.mul, ArtinLocalAlgebra.inverse,
+                                       FreeComplex._check_dd)
+
+    def apart(name, real):
+        def call(*args):
+            where.append(name)
+            try:
+                return real(*args)
+            finally:
+                where.pop()
+        return call
+
+    def mul(self, a, b):
+        counts[where[-1]] += 1
+        return real_mul(self, a, b)
+
+    monkeypatch.setattr(ArtinLocalAlgebra, "mul", mul)
+    monkeypatch.setattr(ArtinLocalAlgebra, "inverse", apart("inverse", real_inverse))
+    monkeypatch.setattr(FreeComplex, "_check_dd", apart("dd", real_dd))
+    M = minimize_complex(E)
+    assert M.ranks == (1, 2, 2, 1) and (k_row, k_col) == (2, 2) and counts["dd"], counts
+    assert counts["split"] <= k_row * k_col + k_row, counts
