@@ -52,7 +52,7 @@ def _model_corpus():
         ("exterior-2", exterior_pair(2)),
         ("exterior-3", exterior_pair(3)),
         ("surface-2", surface_pair(2)),
-        ("arrangement", os_pair(Arrangement([[1, 0], [0, 1], [1, 1]]), 1)),
+        ("arrangement", os_pair(Arrangement([[1, 0], [0, 1], [1, 1]]))),
     )
 
 

@@ -404,10 +404,7 @@ def make_artin(ctx: RingContext, I: Ideal | Sequence[Polynomial]):
         for j in range(i, dim):
             m = mono_mul(mi, std[j])  # a standard monomial is its own normal form
             table[i][j] = table[j][i] = units[index[m]] if m in index else coords({m: F.one})
-    alg = ArtinLocalAlgebra(ctx.field, tuple(label(m) for m in std), table)
-    alg.monomials = tuple(std)
-    alg.poly_to_vec = lambda f: coords(dict(f.terms))
-    return alg
+    return ArtinLocalAlgebra(ctx.field, tuple(label(m) for m in std), table)
 
 
 def artin_from_json(obj: dict, path: str = "/artin") -> ArtinLocalAlgebra:

@@ -39,10 +39,21 @@ full walk.  It takes the full walk when the skew check fails
 (:func:`check_algebra` checks commutativity before associativity).
 An identity is evaluated from the operator rows x -> {v: terms of x.v}:
 the terms of its three products are summed into one coordinate dict,
-which must vanish.  The rows, and the row index they are read off, are
-built once per table, whose entries are fixed.
-The d^2 and Leibniz identities are not walked when the differentials
-are zero: every term of them is zero.  Every built-in model is so.
+which must vanish.  Each table's entries are fixed, and its constructor
+indexes them once (:class:`_GradedTable`): the operator rows, the
+reverse index v -> [x] the walker reads, and the rows per degree pair
+that the contraction of structure constants loops over.
+
+The Leibniz rule is the same identity with d as an operator.  Let D be
+a key of degree 1 with [D, x] = dx and D.v = dv; then J(D, x, v) =
+(dx).v - d(x.v) + (-1)^{|x|} x.(dv), so d is a derivation of the bracket
+or of the action exactly when J(D, x, v) = 0 on basis vectors.  The
+walker's step evaluates it with the rows of d (v = (i, c) -> column c of
+the matrix of d out of degree i) put under D beside the action's rows.
+d o d = 0 keeps a walk of its own over the same rows: J(D, D, v) =
+-2 d(dv) proves nothing in characteristic 2.  The d^2 and Leibniz
+identities are not walked when the differentials are zero: every term
+of them is zero.  Every built-in model is so.
 """
 
 from __future__ import annotations
@@ -107,8 +118,15 @@ class _GradedTable:
     actions, graded-commutative and Artin multiplications).
 
     With ``skew`` a missing orientation is derived by graded skew symmetry
-    [x,y] = -(-1)^{ij}[y,x].  The entries are fixed once built, and so
-    are the indexes read off them (:meth:`_index`, :func:`_support`).
+    [x,y] = -(-1)^{ij}[y,x].  The entries are fixed, and the constructor
+    indexes them in one pass: the nonzero terms (k, t) of each vector,
+    stored or skew-derived (negated when ij is even), with a coordinate
+    equal to 1 kept as the field's ``one`` object, in three forms:
+
+    * ``ops``, the operator rows x = (i, a) -> {v = (j, b): terms of x.v};
+    * ``rev``, the reverse index v -> [x with a term at v];
+    * ``compiled``, per degree pair (i, j), the pairs (a, ((b, terms),
+      ...)) in increasing a, the rows :meth:`contract` loops over.
 
     The table's entries are scalars of its field; the coordinates it
     multiplies lie in a coefficient ring R over that field: the field
@@ -120,61 +138,48 @@ class _GradedTable:
         self.field = field
         self.entries = dict(entries)
         self.skew = skew
-        self._terms = {}  # key -> terms, filled by :meth:`_index`
-        self._rows = None  # (i, j) -> the rows of :meth:`_index`
-        self._walk = None  # the indexes of :func:`_support`
+        F, one = field, field.one
+        self.ops, self.rev, rows = {}, {}, {}
+
+        def put(x, v, ts):
+            self.ops.setdefault(x, {})[v] = ts
+            self.rev.setdefault(v, []).append(x)
+            rows.setdefault((x[0], v[0]), {}).setdefault(x[1], {})[v[1]] = ts
+
+        for key, vec in self.entries.items():
+            ts = tuple((k, one if F.eq(t, one) else t) for k, t in enumerate(vec)
+                       if not F.is_zero(t))
+            if not ts:
+                continue
+            x, v = key[:2], key[2:]
+            put(x, v, ts)
+            if skew and v + x not in self.entries:
+                if x[0] * v[0] % 2 == 0:
+                    ts = tuple((k, one if F.eq(n := F.neg(t), one) else n) for k, t in ts)
+                put(v, x, ts)
+        self.compiled = {ij: tuple((a, tuple(r[a].items())) for a in sorted(r))
+                         for ij, r in rows.items()}
 
     def terms(self, i: int, a: int, j: int, b: int) -> tuple:
         """The nonzero coordinates (k, t) of the vector at (i,a,j,b), stored
-        or skew-derived, () where there is neither; a coordinate equal to 1
-        is the field's ``one`` object itself."""
-        self._index(0, 0)
-        return self._terms.get((i, a, j, b), ())
-
-    def _index(self, i: int, j: int) -> tuple:
-        """(rows, compiled) for degrees (i, j): rows maps a to {b: terms(i,
-        a, j, b)} over the keys with a nonzero vector, and compiled lists
-        the pairs (a, ((b, terms), ...)) of rows in increasing a.  Built for
-        all degrees on first use, with the terms of every key: in a skew
-        table, those of a key with no stored vector are those of its stored
-        mirror, negated when ij is even."""
-        index = self._rows
-        if index is None:
-            F, entries, terms, one = self.field, self.entries, self._terms, self.field.one
-            rows = {}
-            for key, vec in entries.items():
-                ts = terms[key] = tuple((k, one if F.eq(t, one) else t)
-                                        for k, t in enumerate(vec) if not F.is_zero(t))
-                if not ts:
-                    continue
-                p, a, q, b = key
-                rows.setdefault((p, q), {}).setdefault(a, {})[b] = ts
-                mirror = (q, b, p, a)
-                if self.skew and mirror not in entries:
-                    if p * q % 2 == 0:
-                        ts = tuple((k, one if F.eq(n := F.neg(t), one) else n) for k, t in ts)
-                    terms[mirror] = ts
-                    rows.setdefault((q, p), {}).setdefault(b, {})[a] = ts
-            index = self._rows = {
-                ij: (r, tuple((a, tuple(r[a].items())) for a in sorted(r)))
-                for ij, r in rows.items()}
-        return index.get((i, j), _NO_ROWS)
+        or skew-derived, () where there is neither."""
+        return self.ops.get((i, a), _NO_OP).get((j, b), ())
 
     def contract(self, i: int, u, j: int, v, out_dim: int, ring=None):
         """The product of coordinate vectors u (degree i) and v (degree j):
         field scalars, or elements of ``ring`` when one is given: the one
         structure-constant contraction of the package, over the compiled
-        rows of :meth:`_index`.  Each coordinate is zero-tested at most once
-        (over a polynomial quotient that is a normal form).  Factors that
-        are the field's ``one`` object (see :meth:`terms`) are skipped, not
-        multiplied: exact in any ring, as 1 is its identity."""
+        rows.  Each coordinate is zero-tested at most once (over a
+        polynomial quotient that is a normal form).  Factors that are the
+        field's ``one`` object are skipped, not multiplied: exact in any
+        ring, as 1 is its identity."""
         R = self.field if ring is None else ring
         is_zero, mul, scale, add = R.is_zero, R.mul, R.scale, R.add
         one = self.field.one
         out = [R.zero if ring is None else ring.zero()] * out_dim
         hit = set()  # the k of out that hold a term
         vs = None
-        for a, row in self._index(i, j)[1]:
+        for a, row in self.compiled.get((i, j), ()):
             x = u[a]
             if is_zero(x):
                 continue
@@ -192,7 +197,22 @@ class _GradedTable:
         return tuple(out)
 
 
-_NO_ROWS = ({}, ())
+_NO_OP = {}
+
+
+def _check_entries(entries: dict, left: GradedVectorSpace, right: GradedVectorSpace,
+                   out: GradedVectorSpace, what: str):
+    """Raise ValidationError at the first entry (i, a, j, b) -> vector of
+    the ``what`` table whose x = (i, a) is no basis vector of ``left``, v =
+    (j, b) none of ``right``, or whose vector is not of the dimension of
+    ``out`` in degree i + j."""
+    for n, ((i, a, j, b), v) in enumerate(entries.items()):
+        if not (0 <= a < left.dim(i) and 0 <= b < right.dim(j)):
+            raise ValidationError(f"{what} entry at bad index {(i, a, j, b)}",
+                                  at=(what, n))
+        if len(v) != out.dim(i + j):
+            raise ValidationError(f"{what} value at {(i, a, j, b)} has wrong length",
+                                  at=(what, n))
 
 
 def _all_zero(F, mats) -> bool:
@@ -206,15 +226,7 @@ class Dgla:
         self.field = field
         self.gvs = gvs
         self.d = _check_matrices(field, gvs, d, "lie differential")
-        for n, ((i, a, j, b), v) in enumerate(bracket.items()):
-            if not (gvs.lo <= i <= gvs.hi and 0 <= a < gvs.dim(i)
-                    and gvs.lo <= j <= gvs.hi and 0 <= b < gvs.dim(j)):
-                raise ValidationError(f"bracket entry at bad index {(i, a, j, b)}",
-                                      at=("bracket", n))
-            if len(v) != gvs.dim(i + j):
-                raise ValidationError(
-                    f"bracket value at {(i, a, j, b)} has wrong length",
-                    at=("bracket", n))
+        _check_entries(bracket, gvs, gvs, gvs, "bracket")
         self.bracket = _GradedTable(field, bracket, skew=True)
 
     def dim(self, i: int) -> int:
@@ -241,15 +253,7 @@ class DglaPair:
         self.lie = lie
         self.m_gvs = m_gvs
         self.m_d = _check_matrices(lie.field, m_gvs, m_d, "module differential")
-        for n, ((i, a, j, b), v) in enumerate(action.items()):
-            if not (lie.gvs.lo <= i <= lie.gvs.hi and 0 <= a < lie.dim(i)
-                    and m_gvs.lo <= j <= m_gvs.hi and 0 <= b < m_gvs.dim(j)):
-                raise ValidationError(f"action entry at bad index {(i, a, j, b)}",
-                                      at=("action", n))
-            if len(v) != m_gvs.dim(i + j):
-                raise ValidationError(
-                    f"action value at {(i, a, j, b)} has wrong length",
-                    at=("action", n))
+        _check_entries(action, lie.gvs, m_gvs, m_gvs, "action")
         self.action = _GradedTable(lie.field, action, skew=False)
 
     def m_dim(self, i: int) -> int:
@@ -280,72 +284,36 @@ class DglaPair:
 # axiom checkers
 # ---------------------------------------------------------------------------
 
-def _sign(field, n: int):
-    return field.one if n % 2 == 0 else field.neg(field.one)
-
-
 def _units(F, n: int) -> list:
     return [tuple(F.one if t == c else F.zero for t in range(n))
             for c in range(n)]
 
 
-def _d_images(F, space, d_mat) -> dict:
-    """d of each unit vector, as nonzero coordinates, per degree: the
-    image of unit vector c is column c of the matrix of d."""
+def _d_rows(F, space, d_mat) -> dict:
+    """d as operator rows: v = (i, c) -> the nonzero terms (r, t) of dv,
+    column c of the matrix of d out of degree i, over the v with dv != 0."""
     out = {}
     for i in space.degrees():
         m = d_mat(i)
-        out[i] = [[(r, row[c]) for r, row in enumerate(m) if not F.is_zero(row[c])]
-                  for c in range(space.dim(i))]
+        for c in range(space.dim(i)):
+            ts = tuple((r, row[c]) for r, row in enumerate(m) if not F.is_zero(row[c]))
+            if ts:
+                out[i, c] = ts
     return out
 
 
-def _apply(F, images, terms) -> dict:
-    """The linear map with column ``images[c]`` on nonzero coordinates."""
-    out = {}
-    for c, s in terms:
-        for r, t in images[c]:
-            out[r] = F.add(out.get(r, F.zero), F.mul(s, t))
-    return out
-
-
-def _holds(F, lhs: dict, t1: dict, sgn, t2: dict) -> bool:
-    """lhs == t1 + sgn * t2, on sparse coordinate dicts."""
-    rhs = dict(t1)
-    for k, z in t2.items():
-        rhs[k] = F.add(rhs.get(k, F.zero), F.mul(sgn, z))
-    return all(F.eq(lhs.get(k, F.zero), rhs.get(k, F.zero))
-               for k in lhs.keys() | rhs.keys())
-
-
-def _d_squared(F, space, d_img, axiom: str) -> list:
+def _d_squared(F, d_rows: dict, axiom: str) -> list:
+    """Violations of d(dv) = 0 on basis vectors, witness (i, c), off the
+    operator rows of d (:func:`_d_rows`)."""
     bad = []
-    for i in range(space.lo, space.hi - 1):
-        for c, dc in enumerate(d_img[i]):
-            if any(not F.is_zero(x)
-                   for x in _apply(F, d_img[i + 1], dc).values()):
-                bad.append({"axiom": axiom, "at": (i, c)})
-    return bad
-
-
-def _support(table) -> tuple:
-    """The keys (i, a, j, b) of the nonzero vectors of ``table``, stored or
-    derived by skew symmetry, and two indexes of them, read off
-    :meth:`_GradedTable._index`: the operator rows, x = (i, a) -> {v:
-    terms of x.v} over v = (j, b), and by v the list of its x.  Built once
-    per table, whose entries are fixed."""
-    if table._walk is None:
-        table._index(0, 0)  # builds the rows of every degree pair
-        keys, left, right = [], {}, {}
-        for (i, j), (rows, _) in table._rows.items():
-            for a, row in rows.items():
-                op = left.setdefault((i, a), {})
-                for b, ts in row.items():
-                    op[j, b] = ts
-                    keys.append((i, a, j, b))
-                    right.setdefault((j, b), []).append((i, a))
-        table._walk = keys, left, right
-    return table._walk
+    for (i, c), dv in d_rows.items():
+        acc = {}
+        for r, s in dv:
+            for k, t in d_rows.get((i + 1, r), ()):
+                acc[k] = F.add(acc[k], F.mul(s, t)) if k in acc else F.mul(s, t)
+        if any(not F.is_zero(z) for z in acc.values()):
+            bad.append((i, c))
+    return _witnesses(axiom, bad)
 
 
 def _witnesses(axiom: str, bad) -> list:
@@ -390,13 +358,10 @@ _ORBITS = {
 }
 
 
-_NO_OP = {}
-
-
 def _rule_holds(F, ops_in: dict, ops_out: dict, twist: bool, x, y, v) -> bool:
     """J(x, y, v) = 0 (module docstring), or with ``twist`` off (xy).v -
     x.(y.v) = 0, for basis keys x, y, v: the terms of the three products
-    are read off the operator rows (:func:`_support`) of the product,
+    are read off the operator rows (``_GradedTable.ops``) of the product,
     ``ops_in``, and of the action, ``ops_out``, and summed into one
     coordinate dict."""
     one = F.one
@@ -418,7 +383,7 @@ def _rule_holds(F, ops_in: dict, ops_out: dict, twist: bool, x, y, v) -> bool:
 
 
 def _product_rule(inner: _GradedTable, outer: _GradedTable, twist: bool,
-                  axiom: str, symmetric: bool = False) -> list:
+                  axiom: str, symmetric: bool) -> list:
     """Violations of (xy).v = x.(y.v) - (-1)^{|x||y|} y.(x.v), or with
     ``twist`` off of (xy).v = x.(y.v), for basis vectors x, y multiplied
     by ``inner`` and v acted on by ``outer``, witness (i, a, j, b, k, c).
@@ -431,9 +396,7 @@ def _product_rule(inner: _GradedTable, outer: _GradedTable, twist: bool,
     docstring), and a failing one stands for its orbit.  When ``inner``
     is ``outer``, every term of an orbit is a term of xy on v at one of
     its triples, so only those are followed."""
-    F = outer.field
-    _, left, right = _support(outer)
-    ops_in = left if inner is outer else _support(inner)[1]
+    F, left, right, ops_in = outer.field, outer.ops, outer.rev, inner.ops
     group = (None if not symmetric else "swap" if inner is not outer
              else "all" if twist else "reversal")
     visit = set()
@@ -466,31 +429,29 @@ def _product_rule(inner: _GradedTable, outer: _GradedTable, twist: bool,
     return _witnesses(axiom, [x + y + v for x, y, v in bad])
 
 
-def _leibniz(table: _GradedTable, d_c, d_v, axiom: str) -> list:
+# A key of degree 1 that stands for d in :func:`_leibniz`: [D, x] = dx and
+# D.v = dv.  No basis vector has index -1.
+_D = (1, -1)
+
+
+def _leibniz(table: _GradedTable, d_c: dict, d_v: dict, axiom: str) -> list:
     """Violations of d(x.v) = (dx).v + (-1)^{|x|} x.(dv), with d_c and d_v
-    the images of unit vectors under the differentials of the two spaces,
-    witness (i, a, k, c).  Only pairs where x.v is nonzero, a term of dx
-    acts on v, or x acts on a term of dv are visited."""
-    F = table.field
-    support, left, right = _support(table)
-    visit = set(support)
-    for i, images in d_c.items():
-        for a, dx in enumerate(images):
-            for e, _ in dx:
-                visit.update((i, a) + v for v in left.get((i + 1, e), ()))
-    for k, images in d_v.items():
-        for c, dv in enumerate(images):
-            for w, _ in dv:
-                visit.update(x + (k, c) for x in right.get((k + 1, w), ()))
-    bad = []
-    for i, a, k, c in visit:
-        lhs = _apply(F, d_v.get(i + k), table.terms(i, a, k, c))
-        dx, dv = d_c[i][a], d_v[k][c]  # (dx).v and x.(dv) off the operator rows
-        t1 = _apply(F, {e: left.get((i + 1, e), _NO_OP).get((k, c), ()) for e, _ in dx}, dx)
-        t2 = _apply(F, {w: left.get((i, a), _NO_OP).get((k + 1, w), ()) for w, _ in dv}, dv)
-        if not _holds(F, lhs, t1, _sign(F, i), t2):
-            bad.append((i, a, k, c))
-    return _witnesses(axiom, bad)
+    the differentials of the two spaces as operator rows (:func:`_d_rows`),
+    witness (i, a, k, c).  Each is J(D, x, v) = 0 for the key ``_D`` (module
+    docstring), evaluated by :func:`_rule_holds`.  Only pairs where x.v is
+    nonzero, a term of dx acts on v, or x acts on a term of dv are
+    visited."""
+    ops, rev = table.ops, table.rev
+    visit = {(x, v) for x, op in ops.items() for v in op}
+    for x, dx in d_c.items():
+        for e, _ in dx:
+            visit.update((x, v) for v in ops.get((x[0] + 1, e), ()))
+    for v, dv in d_v.items():
+        for w, _ in dv:
+            visit.update((x, v) for x in rev.get((v[0] + 1, w), ()))
+    ops_in, ops_out = {_D: d_c}, {**ops, _D: d_v}
+    return _witnesses(axiom, [x + v for x, v in visit
+                              if not _rule_holds(table.field, ops_in, ops_out, True, _D, x, v)])
 
 
 def check_dgla(C: Dgla) -> list:
@@ -502,8 +463,8 @@ def check_dgla(C: Dgla) -> list:
     if C.has_zero_differential():
         return skew + jacobi
     F = C.field
-    d_c = _d_images(F, C.gvs, C.d_mat)
-    return (_d_squared(F, C.gvs, d_c, "d_squared") + skew + jacobi
+    d_c = _d_rows(F, C.gvs, C.d_mat)
+    return (_d_squared(F, d_c, "d_squared") + skew + jacobi
             + _leibniz(C.bracket, d_c, d_c, "leibniz"))
 
 
@@ -518,9 +479,9 @@ def check_pair(P: DglaPair, skew: bool | None = None) -> list:
     if P.has_zero_differentials():
         return action
     F = P.field
-    d_m = _d_images(F, P.m_gvs, P.m_d_mat)
-    return (_d_squared(F, P.m_gvs, d_m, "module_d_squared") + action
-            + _leibniz(P.action, _d_images(F, P.lie.gvs, P.lie.d_mat), d_m,
+    d_m = _d_rows(F, P.m_gvs, P.m_d_mat)
+    return (_d_squared(F, d_m, "module_d_squared") + action
+            + _leibniz(P.action, _d_rows(F, P.lie.gvs, P.lie.d_mat), d_m,
                        "action_leibniz"))
 
 
@@ -532,12 +493,11 @@ def check_algebra(table: _GradedTable, space: GradedVectorSpace):
     (i, a, j, b, k, c)), the last two by the walkers of the DGLA axioms.
     An Artin algebra is the case of one degree 0."""
     F = table.field
-    one = F.one
     for j in space.degrees():
         for b in range(space.dim(j)):
-            unit = {b: one}
-            if not (_holds(F, dict(table.terms(0, 0, j, b)), unit, one, {})
-                    and _holds(F, dict(table.terms(j, b, 0, 0)), unit, one, {})):
+            unit = ((b, F.one),)
+            if not (_mirror_holds(F, table.terms(0, 0, j, b), unit, False)
+                    and _mirror_holds(F, table.terms(j, b, 0, 0), unit, False)):
                 raise AxiomError("unit does not act as identity",
                                  {"axiom": "unit", "at": (j, b)})
     bad = _symmetry(table, 0, "commutativity")

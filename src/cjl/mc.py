@@ -86,7 +86,7 @@ def action_tensor(P: DglaPair, A, i: int, u, j: int, v):
     return P.action.contract(i, u, j, v, P.m_dim(i + j), A)
 
 
-def _check_shape(P, A, u, n, what: str, in_m: bool):
+def _check_shape(A, u, n, what: str, in_m: bool):
     if len(u) != n:
         raise ValidationError(f"{what} must have {n} entries, got {len(u)}")
     for idx, x in enumerate(u):
@@ -117,7 +117,7 @@ def structure_equation(C: Dgla, A, omega):
 def mc_defect(P, A: ArtinLocalAlgebra, omega):
     """d(omega) + (1/2)[omega, omega], an element of C^2 (x) A."""
     C = _lie(P)
-    _check_shape(P, A, omega, C.dim(1), "connection coefficients", in_m=True)
+    _check_shape(A, omega, C.dim(1), "connection coefficients", in_m=True)
     if C.field.char == 2:
         raise ValidationError(
             "the structure equation needs 2 invertible; characteristic 2 "
@@ -153,7 +153,7 @@ def bracket_exp(P, A: ArtinLocalAlgebra, lam, i: int, u):
     """exp(ad lam) applied to an element of C^i (x) A, as an exact
     finite sum (lam has nilpotent coefficients)."""
     C = _lie(P)
-    _check_shape(P, A, lam, C.dim(0), "gauge coefficients", in_m=True)
+    _check_shape(A, lam, C.dim(0), "gauge coefficients", in_m=True)
     return _series(A, lambda t: bracket_tensor(C, A, 0, lam, i, t), u, 0,
                    "adjoint")
 
@@ -162,7 +162,7 @@ def gauge_correction(P, A: ArtinLocalAlgebra, lam):
     """((1 - exp(ad lam)) / ad lam)(d lam) ∈ C^1 (x) m, i.e.
     -sum_{n>=0} ad_lam^n(d lam) / (n+1)!."""
     C = _lie(P)
-    _check_shape(P, A, lam, C.dim(0), "gauge coefficients", in_m=True)
+    _check_shape(A, lam, C.dim(0), "gauge coefficients", in_m=True)
     total = _series(A, lambda t: bracket_tensor(C, A, 0, lam, 1, t),
                     apply_scalar_matrix(A, C.d_mat(0), lam), 1,
                     "gauge correction")
@@ -175,7 +175,7 @@ def gauge_act(P, A: ArtinLocalAlgebra, lam, omega):
     For an abelian bracket this collapses to omega - d(lam).
     """
     C = _lie(P)
-    _check_shape(P, A, omega, C.dim(1), "connection coefficients", in_m=True)
+    _check_shape(A, omega, C.dim(1), "connection coefficients", in_m=True)
     out = tensor_add(A, bracket_exp(P, A, lam, 1, omega),
                      gauge_correction(P, A, lam))
     if not tensor_in_max_ideal(A, out):
@@ -187,8 +187,8 @@ def module_transport(P: DglaPair, A: ArtinLocalAlgebra, lam, xi,
                      degree: int):
     """exp(lam) applied to an element of M^degree (x) A:
     sum_n act_lam^n(xi) / n!."""
-    _check_shape(P, A, lam, P.lie.dim(0), "gauge coefficients", in_m=True)
-    _check_shape(P, A, xi, P.m_dim(degree), "module element", in_m=False)
+    _check_shape(A, lam, P.lie.dim(0), "gauge coefficients", in_m=True)
+    _check_shape(A, xi, P.m_dim(degree), "module element", in_m=False)
     return _series(A, lambda t: action_tensor(P, A, 0, lam, degree, t), xi,
                    0, "transport")
 
@@ -205,15 +205,17 @@ def twisted_complex(P: DglaPair, A, omega):
 
     F, m = P.field, P.m_gvs
     one = F.one
-    omega = [(a, x) for a, x in enumerate(omega) if not A.is_zero(x)]
+    omega = {a: x for a, x in enumerate(omega) if not A.is_zero(x)}
     diffs = []
     for j in range(m.lo, m.hi):
         d = {(c, b): A.scale(A.one(), t)
              for c, row in enumerate(P.m_d_mat(j))
              for b, t in enumerate(row) if not F.is_zero(t)}
-        rows = P.action._index(1, j)[0]
-        for a, x in omega:
-            for b, ts in rows.get(a, {}).items():
+        for a, row in P.action.compiled.get((1, j), ()):
+            x = omega.get(a)
+            if x is None:
+                continue
+            for b, ts in row:
                 for c, t in ts:
                     z = x if t is one else A.scale(x, t)
                     d[c, b] = A.add(d[c, b], z) if (c, b) in d else z
@@ -247,11 +249,11 @@ def def_jump_test(P: DglaPair, A: ArtinLocalAlgebra, omega, i: int,
 # JSON for tensor elements
 # ---------------------------------------------------------------------------
 
-def tensor_from_json(A: ArtinLocalAlgebra, n: int, rows, path: str,
-                     in_m: bool):
-    """Rows are coefficient lists: either full coordinates on the algebra
-    basis, or (for maximal-ideal elements) coordinates on the basis of m
-    alone (one shorter, unit coefficient implied zero)."""
+def tensor_from_json(A: ArtinLocalAlgebra, n: int, rows, path: str):
+    """An element of the maximal ideal tensored with a space of dimension
+    n.  Rows are coefficient lists: either full coordinates on the algebra
+    basis, or coordinates on the basis of m alone (one shorter, unit
+    coefficient implied zero)."""
     F = A.field
     rows = read_scalars(F, rows, 2, path)
     if len(rows) != n:
@@ -267,14 +269,14 @@ def tensor_from_json(A: ArtinLocalAlgebra, n: int, rows, path: str,
                 f"{path}/{idx}")
         out.append(vals)
     elem = tuple(out)
-    if in_m and not tensor_in_max_ideal(A, elem):
+    if not tensor_in_max_ideal(A, elem):
         raise ValidationError("coefficients must lie in the maximal ideal",
                               path)
     return elem
 
 
-def tensor_to_json(A: ArtinLocalAlgebra, u, in_m: bool):
+def tensor_to_json(A: ArtinLocalAlgebra, u):
+    """An element of the maximal ideal, on the basis of m (unit
+    coefficient left out)."""
     F = A.field
-    if in_m:
-        return [[F.format(c) for c in x[1:]] for x in u]
-    return [[F.format(c) for c in x] for x in u]
+    return [[F.format(c) for c in x[1:]] for x in u]

@@ -11,7 +11,8 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations, product
 
-from .dgla import Dgla, DglaPair, GradedVectorSpace, _GradedTable, _zero_d
+from .dgla import (Dgla, DglaPair, GradedVectorSpace, _check_entries, _GradedTable,
+                   _zero_d)
 from .errors import ValidationError
 from .field import QQ, located, read_scalars
 from .linalg import rank, vec_is_zero
@@ -33,13 +34,7 @@ class Cdga:
         self.gvs = gvs
         if gvs.lo != 0 or gvs.dim(0) < 1:
             raise ValidationError("algebra needs a degree-0 piece with a unit")
-        for (i, a, j, b), v in mult.items():
-            if not (0 <= i <= gvs.hi and 0 <= a < gvs.dim(i)
-                    and 0 <= j <= gvs.hi and 0 <= b < gvs.dim(j)):
-                raise ValidationError(f"product entry at bad index {(i, a, j, b)}")
-            if len(v) != gvs.dim(i + j):
-                raise ValidationError(
-                    f"product value at {(i, a, j, b)} has wrong length")
+        _check_entries(mult, gvs, gvs, gvs, "product")
         self.table = _GradedTable(field, mult, skew=False)
 
     def dim(self, i: int) -> int:
@@ -280,14 +275,14 @@ def cdga_to_pair(A: Cdga, r: int, s: int | None = None) -> DglaPair:
     return DglaPair(lie, mod_gvs, _zero_d(F, mod_gvs), nonzero(action))
 
 
-def exterior_pair(n: int, r: int = 1) -> DglaPair:
-    """The torus-flavored pair: exterior algebra on n generators, matrix
-    size r (r=1 is the abelian self-action)."""
-    return cdga_to_pair(exterior(n), r)
+def exterior_pair(n: int) -> DglaPair:
+    """The torus-flavored pair: exterior algebra on n generators acting on
+    itself, abelian."""
+    return cdga_to_pair(exterior(n), 1)
 
 
-def os_pair(arr: Arrangement, r: int = 1) -> DglaPair:
-    return cdga_to_pair(orlik_solomon(arr), r)
+def os_pair(arr: Arrangement) -> DglaPair:
+    return cdga_to_pair(orlik_solomon(arr), 1)
 
 
 def surface_cdga(g: int) -> Cdga:
@@ -315,5 +310,5 @@ def surface_cdga(g: int) -> Cdga:
     return Cdga(F, gvs, mult)
 
 
-def surface_pair(g: int, r: int = 1) -> DglaPair:
-    return cdga_to_pair(surface_cdga(g), r)
+def surface_pair(g: int) -> DglaPair:
+    return cdga_to_pair(surface_cdga(g), 1)

@@ -23,6 +23,7 @@ from cjl.cli import run
 from cjl.dgla import GradedVectorSpace, _GradedTable, pair_to_json
 from cjl.errors import AxiomError, NotLocalError
 from cjl.field import QQ, GFp
+from cjl.groebner import Ideal, reduce_full
 from cjl.linalg import Echelon, solve
 from cjl.models import exterior_pair
 from cjl.parse import parse_poly
@@ -86,8 +87,9 @@ def reference_axioms(F, table):
 
 @st.composite
 def quotient_rings(draw, max_box=12):
-    """A field and k[vars]/(pure powers, extra generators without constant
-    term): always finite-dimensional and local."""
+    """The ideal I of k[vars] generated by pure powers and extra generators
+    without constant term, and the ring k[vars]/I: always
+    finite-dimensional and local."""
     F = draw(st.sampled_from(FIELDS))
     nvars = draw(st.integers(1, 2))
     names = ("t", "s")[:nvars]
@@ -102,7 +104,7 @@ def quotient_rings(draw, max_box=12):
             if any(mono):
                 terms[mono] = F.from_int(draw(st.integers(-3, 3)))
         gens.append(ctx.from_dict(terms))
-    return ctx, make_artin(ctx, gens)
+    return Ideal(ctx, gens), make_artin(ctx, gens)
 
 
 def elements(A):
@@ -111,12 +113,29 @@ def elements(A):
                     max_size=A.dim).map(tuple)
 
 
+def monomials(A, ctx):
+    """The standard monomials of a ring of ``make_artin`` over ``ctx``, read
+    off its labels."""
+    return [parse_poly(ctx, label).lm() for label in A.labels]
+
+
 def to_poly(A, ctx, a):
     """The element with coordinates ``a`` as a polynomial in the standard
     monomials of ``make_artin``."""
     return Polynomial(ctx.base(), tuple(
-        (m, c) for m, c in sorted(zip(A.monomials, a), key=lambda mc: ctx.key(mc[0]),
+        (m, c) for m, c in sorted(zip(monomials(A, ctx), a), key=lambda mc: ctx.key(mc[0]),
                                   reverse=True) if not A.field.is_zero(c)))
+
+
+def poly_to_vec(A, I, f):
+    """The coordinates in A = make_artin(I.ctx, I) of the class of f: its
+    normal form modulo the Groebner basis of I, on the standard
+    monomials."""
+    index = {m: k for k, m in enumerate(monomials(A, I.ctx))}
+    out = [A.field.zero] * A.dim
+    for m, c in reduce_full(f, I.groebner()).terms:
+        out[index[m]] = c
+    return tuple(out)
 
 
 def combine(A, coeffs, vecs):
@@ -155,13 +174,13 @@ def rebased(A, shear):
     st.just(cA), st.lists(st.tuples(elements(cA[1]), elements(cA[1])),
                           min_size=1, max_size=6))))
 def test_mul_matches_polynomial_product_and_dense_loop(drawn):
-    (ctx, A), pairs = drawn
-    F = A.field
+    (I, A), pairs = drawn
+    F, ctx = A.field, I.ctx
     table = dense_table(A)
     for a, b in pairs:
         got = A.mul(a, b)
         assert got == reference_mul(F, table, a, b)
-        assert got == A.poly_to_vec(to_poly(A, ctx, a) * to_poly(A, ctx, b))
+        assert got == poly_to_vec(A, I, to_poly(A, ctx, a) * to_poly(A, ctx, b))
 
 
 @settings(max_examples=40, deadline=None)

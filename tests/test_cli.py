@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from cjl import acceptance, cli, complexes
+from cjl import acceptance, cli, complexes, mc
 from cjl.cli import canonical, complex_from_json, run
 from cjl.dgla import MAX_DIM, _gvs_from_json, pair_from_json, pair_to_json
 from cjl.errors import InternalCheckError, ValidationError
@@ -145,6 +145,36 @@ def test_mc_reports_defect(tmp_path, capsys):
     assert out == '{"defect":[["0","1"]],"mc":false}\n'
 
 
+def test_mc_evaluates_the_structure_equation_once(tmp_path, capsys, monkeypatch):
+    """Work pin: one structure-equation evaluation per mc request, for a
+    flat omega with --jump (the twisted complex checks flatness) and for a
+    non-flat one without (its defect is the evaluation).  A non-flat omega
+    with --jump is refused by the twisted complex, exit 2."""
+    from test_mc import heisenberg_pair
+
+    calls = []
+    real = mc.structure_equation
+    monkeypatch.setattr(mc, "structure_equation", lambda *a: calls.append(a) or real(*a))
+    solvable = _write(tmp_path, "solvable.json", pair_to_json(acceptance._solvable_pair()))
+    zero = _write(tmp_path, "zero.json", [["0"], ["0"]])
+    heis = _write(tmp_path, "heis.json", pair_to_json(heisenberg_pair()))
+    art = _write(tmp_path, "t3.json",
+                 {"ring": {"field": "Q", "vars": ["t"], "order": "degrevlex",
+                           "quotient": ["t^3"]}})
+    om = _write(tmp_path, "om.json", [["1", "0"], ["1", "0"]])
+    heis_mc = ["mc", "--pair", heis, "--artin", art, "--omega", om]
+    for argv, want in (
+            (["mc", "--pair", solvable, "--omega", zero, "--jump", "1", "1"],
+             (0, '{"jump_vanishes":false,"mc":true}\n', "")),
+            (heis_mc, (0, '{"defect":[["0","1"]],"mc":false}\n', "")),
+            (heis_mc + ["--jump", "1", "1"],
+             (2, "", '{"error":"connection is not flat (fails the structure equation); '
+                     'no twisted complex exists","path":""}\n'))):
+        calls.clear()
+        assert _run(capsys, argv) == want, argv
+        assert len(calls) == 1, argv
+
+
 def test_gauge_fixes_zero_in_abelian_pair(tmp_path, capsys, monkeypatch):
     lam = _write(tmp_path, "lam.json", [["1/2"]])
     om = _write(tmp_path, "zero.json", [["0"], ["0"]])
@@ -189,7 +219,7 @@ def test_analyze_matches_library_and_filters(tmp_path, capsys, monkeypatch):
     assert code == 0
     report = json.loads(out)
     assert [c["id"] for c in report["claims"]] == ["9.1d:i=0", "9.1d:i=1"]
-    expected = analyze(os_pair(Arrangement.from_json(ARR), 1), claims=["9.1d"])
+    expected = analyze(os_pair(Arrangement.from_json(ARR)), claims=["9.1d"])
     assert out == canonical(expected) + "\n"
 
 

@@ -501,7 +501,7 @@ def test_jump_over_artin():
 def _mat_mul(A, X, Y):
     return tuple(tuple(functools.reduce(A.add, (A.mul(x, Y[s][c]) for s, x in enumerate(row)),
                                         A.zero())
-                       for c in range(len(Y[0]))) for row in X)
+                       for c in range(len(Y[0]) if Y else 0)) for row in X)
 
 
 def test_minimal_model_is_built_once_per_complex(monkeypatch):
@@ -817,8 +817,8 @@ SCHUR_ADJACENT = [(2, True), (1, False), (0, False), (1, True)]
 def _schur_corpus(A):
     """Hand-made complexes over ``A`` (a unit that appears only after a
     split, splits in two adjacent matrices, a degree of rank 0, no unit)
-    and seeded ones with unit pieces, shifted unit pads, and none, each
-    also in the reversed basis."""
+    and seeded ones with unit pieces, shifted unit pads, none, and a
+    degree of rank 0, each also in the reversed basis."""
     one, z, t = A.one(), A.zero(), A.basis(1)
     cases = [
         one_map(A, ((one, one), (one, z))),  # Schur complement -1
@@ -828,8 +828,9 @@ def _schur_corpus(A):
         one_map(A, ((t, z), (z, t))),
     ]
     in_m = [(p, False) for p, _ in SPAN_PIECES]
+    rank_0 = [(2, False), (2, True)]  # degree 1 keeps rank 0
     for seed in range(3):
-        for pieces in (SPAN_PIECES, SPAN_PIECES + SCHUR_PADS, SCHUR_ADJACENT, in_m):
+        for pieces in (SPAN_PIECES, SPAN_PIECES + SCHUR_PADS, SCHUR_ADJACENT, in_m, rank_0):
             E = seeded_complex(A, _local_entry, seed, pieces)
             # and in the reversed basis of every degree, where the changes
             # of basis are lower triangular and pivots leave row 0

@@ -1,19 +1,21 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from cjl import dgla
+from cjl.acceptance import _solvable_pair
 from cjl.artin import make_artin
-from cjl.dgla import (Dgla, DglaPair, GradedVectorSpace, _d_images, _d_squared,
-                      _GradedTable, _holds, _leibniz, _product_rule, _sign,
-                      _support, _symmetry, _witnesses, check_algebra,
-                      check_dgla, check_pair, cohomology_pair, pair_from_json,
-                      pair_to_json)
+from cjl.dgla import (Dgla, DglaPair, GradedVectorSpace, _d_rows, _d_squared,
+                      _GradedTable, _leibniz, _product_rule, _symmetry, _witnesses,
+                      check_algebra, check_dgla, check_pair, cohomology_pair,
+                      pair_from_json, pair_to_json)
 from cjl.errors import AxiomError, ValidationError
 from cjl.field import QQ, GFp
 from cjl.models import cdga_to_pair, exterior, exterior_pair
 from cjl.poly import RingContext
+from test_golden import ACYCLIC_ARM
 
 F = QQ()
 ZERO = F.zero
@@ -253,6 +255,92 @@ def test_json_validates_axioms():
 
 
 # ---------------------------------------------------------------------------
+# references: d.d and Leibniz summed into coordinate dicts (the checkers'
+# former route, before both walked operator rows), and a reader of the
+# table index in the form they take
+# ---------------------------------------------------------------------------
+
+_NO_OP = {}
+
+
+def _sign(field, n: int):
+    return field.one if n % 2 == 0 else field.neg(field.one)
+
+
+def _d_images(F, space, d_mat) -> dict:
+    """d of each unit vector, as nonzero coordinates, per degree: the
+    image of unit vector c is column c of the matrix of d."""
+    out = {}
+    for i in space.degrees():
+        m = d_mat(i)
+        out[i] = [[(r, row[c]) for r, row in enumerate(m) if not F.is_zero(row[c])]
+                  for c in range(space.dim(i))]
+    return out
+
+
+def _apply(F, images, terms) -> dict:
+    """The linear map with column ``images[c]`` on nonzero coordinates."""
+    out = {}
+    for c, s in terms:
+        for r, t in images[c]:
+            out[r] = F.add(out.get(r, F.zero), F.mul(s, t))
+    return out
+
+
+def _holds(F, lhs: dict, t1: dict, sgn, t2: dict) -> bool:
+    """lhs == t1 + sgn * t2, on sparse coordinate dicts."""
+    rhs = dict(t1)
+    for k, z in t2.items():
+        rhs[k] = F.add(rhs.get(k, F.zero), F.mul(sgn, z))
+    return all(F.eq(lhs.get(k, F.zero), rhs.get(k, F.zero))
+               for k in lhs.keys() | rhs.keys())
+
+
+def reference_d_squared(F, space, d_img, axiom: str) -> list:
+    bad = []
+    for i in range(space.lo, space.hi - 1):
+        for c, dc in enumerate(d_img[i]):
+            if any(not F.is_zero(x)
+                   for x in _apply(F, d_img[i + 1], dc).values()):
+                bad.append({"axiom": axiom, "at": (i, c)})
+    return bad
+
+
+def _support(table) -> tuple:
+    """The keys (i, a, j, b) of the nonzero vectors of ``table``, stored or
+    derived by skew symmetry, its operator rows x = (i, a) -> {v: terms of
+    x.v} over v = (j, b), and by v the list of its x."""
+    return [x + v for x, op in table.ops.items() for v in op], table.ops, table.rev
+
+
+def reference_leibniz(table: _GradedTable, d_c, d_v, axiom: str) -> list:
+    """Violations of d(x.v) = (dx).v + (-1)^{|x|} x.(dv), with d_c and d_v
+    the images of unit vectors under the differentials of the two spaces,
+    witness (i, a, k, c).  Only pairs where x.v is nonzero, a term of dx
+    acts on v, or x acts on a term of dv are visited."""
+    F = table.field
+    support, left, right = _support(table)
+    visit = set(support)
+    for i, images in d_c.items():
+        for a, dx in enumerate(images):
+            for e, _ in dx:
+                visit.update((i, a) + v for v in left.get((i + 1, e), ()))
+    for k, images in d_v.items():
+        for c, dv in enumerate(images):
+            for w, _ in dv:
+                visit.update(x + (k, c) for x in right.get((k + 1, w), ()))
+    bad = []
+    for i, a, k, c in visit:
+        lhs = _apply(F, d_v.get(i + k), table.terms(i, a, k, c))
+        dx, dv = d_c[i][a], d_v[k][c]  # (dx).v and x.(dv) off the operator rows
+        t1 = _apply(F, {e: left.get((i + 1, e), _NO_OP).get((k, c), ()) for e, _ in dx}, dx)
+        t2 = _apply(F, {w: left.get((i, a), _NO_OP).get((k + 1, w), ()) for w, _ in dv}, dv)
+        if not _holds(F, lhs, t1, _sign(F, i), t2):
+            bad.append((i, a, k, c))
+    return _witnesses(axiom, bad)
+
+
+# ---------------------------------------------------------------------------
 # one identity per symmetry orbit, against the walk of every triple
 # ---------------------------------------------------------------------------
 
@@ -318,17 +406,18 @@ def reference_violations(P):
     F, C = P.field, P.lie
     d_c = _d_images(F, C.gvs, C.d_mat)
     d_m = _d_images(F, P.m_gvs, P.m_d_mat)
-    return (_d_squared(F, C.gvs, d_c, "d_squared")
+    return (reference_d_squared(F, C.gvs, d_c, "d_squared")
             + reference_symmetry(C.bracket, 1, "skew")
             + reference_product_rule(C.bracket, C.bracket, True, "jacobi")
-            + _leibniz(C.bracket, d_c, d_c, "leibniz")
-            + _d_squared(F, P.m_gvs, d_m, "module_d_squared")
+            + reference_leibniz(C.bracket, d_c, d_c, "leibniz")
+            + reference_d_squared(F, P.m_gvs, d_m, "module_d_squared")
             + reference_product_rule(C.bracket, P.action, True, "lie_action")
-            + _leibniz(P.action, d_c, d_m, "action_leibniz"))
+            + reference_leibniz(P.action, d_c, d_m, "action_leibniz"))
 
 
-def _over(F, P, bracket, action):
-    """P with the given tables, every structure constant read into F."""
+def _over(F, P, bracket, action, d, m_d):
+    """P with the given tables and differentials, every structure
+    constant read into F."""
     def conv(table):
         return {key: tuple(F.from_int(int(t)) for t in v)
                 for key, v in table.items()}
@@ -338,8 +427,8 @@ def _over(F, P, bracket, action):
                 for m in ms]
 
     C = P.lie
-    return DglaPair(Dgla(F, C.gvs, mats(C.d), conv(bracket)), P.m_gvs,
-                    mats(P.m_d), conv(action))
+    return DglaPair(Dgla(F, C.gvs, mats(d), conv(bracket)), P.m_gvs,
+                    mats(m_d), conv(action))
 
 
 def _bump(table, key, n, k, delta):
@@ -350,11 +439,24 @@ def _bump(table, key, n, k, delta):
 
 def perturb_pair(P, rng, keep_skew):
     """Add a small integer to one coordinate of one bracket or action
-    vector, stored or new.  A bracket change is mirrored so that graded
-    skew symmetry holds with ``keep_skew``, and made on one stored
-    orientation only, so that skew fails, without it."""
+    vector, stored or new, and 1 or -1 to 0-2 entries of the differentials: the
+    second, where there is one, in the next matrix of the same side and on
+    the column of the first's row, so that d.d can fail.  A bracket change
+    is mirrored so that graded skew symmetry holds with ``keep_skew``, and
+    made on one stored orientation only, so that skew fails, without it."""
     C = P.lie
     bracket, action = dict(C.bracket.entries), dict(P.action.entries)
+    d, m_d = [list(map(list, m)) for m in C.d], [list(map(list, m)) for m in P.m_d]
+    cells = [(ms, p, r, c) for ms in (d, m_d) for p, m in enumerate(ms)
+             for r in range(len(m)) for c in range(len(m[r]))]
+    n = rng.randint(0, 2) if cells else 0
+    if n:
+        ms, p, r, c = rng.choice(cells)
+        ms[p][r][c] += rng.choice([-1, 1])
+        if n == 2:
+            nxt = ms[p + 1] if p + 1 < len(ms) else []
+            ms, p, r, c = (ms, p + 1, rng.randrange(len(nxt)), r) if nxt else rng.choice(cells)
+            ms[p][r][c] += rng.choice([-1, 1])
     degrees = list(C.gvs.degrees())
     on_lie = not keep_skew or rng.random() < 0.5
     while True:
@@ -377,7 +479,7 @@ def perturb_pair(P, rng, keep_skew):
         elif mirror not in bracket:
             bracket[mirror] = dense(C.bracket, *mirror, n)
         _bump(bracket, key, n, k, delta)
-    return bracket, action
+    return bracket, action, d, m_d
 
 
 def _sign_int(n):
@@ -392,12 +494,16 @@ def _message(bad):
 @pytest.mark.parametrize("field", [QQ(), GFp(2), GFp(3)], ids=str)
 def test_orbit_walk_matches_full_walk_on_perturbed_pairs(field):
     """Witness lists of the orbit route (skew kept) and of the full route
-    (skew broken) against the full walk, and the AxiomError of
-    ``validate`` against the message the full walk gives."""
+    (skew broken) against the full walk, of the d.d and Leibniz walks
+    against the coordinate-dict references, and the AxiomError of
+    ``validate`` against the message the full walk gives.  Each of the
+    four identities of the differentials is seen failing."""
     rng = random.Random(20261019)
     pairs = {"glr-2-2": cdga_to_pair(exterior(2), 2),
              "exterior-3": exterior_pair(3),
-             "contractible": contractible_pair()}
+             "contractible": contractible_pair(),
+             "solvable": _solvable_pair(),
+             "acyclic-arm": pair_from_json(json.loads(ACYCLIC_ARM))}
     seen = set()
     for name, P in pairs.items():
         for t in range(24):
@@ -412,7 +518,18 @@ def test_orbit_walk_matches_full_walk_on_perturbed_pairs(field):
                     (name, t, axiom)
                 if got:
                     seen.add((skew, axiom))
+            sides = {"": (Q.lie.gvs, Q.lie.d_mat, br), "module_": (Q.m_gvs, Q.m_d_mat, Q.action)}
+            images = {k: _d_images(field, gvs, d_mat) for k, (gvs, d_mat, _) in sides.items()}
+            for k, (gvs, d_mat, table) in sides.items():
+                rows = _d_rows(field, gvs, d_mat)
+                got = _d_squared(field, rows, k + "d_squared")
+                assert got == reference_d_squared(field, gvs, images[k], k + "d_squared")
+                axiom = "action_leibniz" if k else "leibniz"
+                got = _leibniz(table, _d_rows(field, Q.lie.gvs, Q.lie.d_mat), rows, axiom)
+                assert got == reference_leibniz(table, images[""], images[k], axiom), \
+                    (name, t, axiom)
             want = reference_violations(Q)
+            seen.update(w["axiom"] for w in want)
             assert check_dgla(Q.lie) + check_pair(Q) == want, (name, t)
             if want:
                 with pytest.raises(AxiomError) as exc:
@@ -422,7 +539,8 @@ def test_orbit_walk_matches_full_walk_on_perturbed_pairs(field):
             else:
                 Q.validate()
     assert {(True, "jacobi"), (True, "lie_action"),
-            (False, "jacobi"), (False, "lie_action")} <= seen
+            (False, "jacobi"), (False, "lie_action"),
+            "d_squared", "module_d_squared", "leibniz", "action_leibniz"} <= seen, seen
 
 
 def test_orbit_walk_matches_full_walk_on_perturbed_algebras():
@@ -511,8 +629,7 @@ def test_pair_read_checks_one_identity_per_orbit(monkeypatch):
     with every visited triple checked, both orientations of every skew
     pair and the Leibniz walks taken): 45 graded-skew ones, one call of
     ``_mirror_holds`` per pair of stored mirrors, and 356 product-rule
-    ones, each a call of the walker's step ``_rule_holds``.  No
-    ``_holds`` merge is made."""
+    ones, each a call of the walker's step ``_rule_holds``."""
     calls = []
 
     def counting(name):
@@ -523,7 +640,6 @@ def test_pair_read_checks_one_identity_per_orbit(monkeypatch):
             return step(*args)
         monkeypatch.setattr(dgla, name, count)
 
-    counting("_holds")
     counting("_mirror_holds")
     counting("_rule_holds")
     pair_from_json(pair_to_json(cdga_to_pair(exterior(2), 2, 2)))

@@ -50,7 +50,7 @@ def inert_pair():
 
 
 def concurrent():
-    return os_pair(Arrangement([[1, 0], [0, 1], [1, 1]]), 1)
+    return os_pair(Arrangement([[1, 0], [0, 1], [1, 1]]))
 
 
 # -- generic ranks and threshold ------------------------------------------
@@ -83,7 +83,7 @@ FREE_MODELS = {
     "surface-3": lambda: surface_pair(3),
     "surface-4": lambda: surface_pair(4),
     "3-line": concurrent,
-    "4-line": lambda: os_pair(Arrangement([[1, 0], [0, 1], [1, 1], [1, -1]]), 1),
+    "4-line": lambda: os_pair(Arrangement([[1, 0], [0, 1], [1, 1], [1, -1]])),
 }
 
 
@@ -226,7 +226,7 @@ def test_inclusion_claims_torus3():
 
 
 def four_lines():
-    return os_pair(Arrangement([[1, 0], [0, 1], [1, 1], [1, -1]]), 1)
+    return os_pair(Arrangement([[1, 0], [0, 1], [1, 1], [1, -1]]))
 
 
 @pytest.mark.parametrize("make", [lambda: exterior_pair(2), lambda: exterior_pair(3),

@@ -391,14 +391,14 @@ def test_twisted_complex_reads_each_action_term_once(monkeypatch, name):
 def test_tensor_json_round_trip():
     A = artin(("t", ["t^3"]))
     rows = [["1/2", "0"], ["-1", "3"]]  # maximal-ideal coordinates
-    u = tensor_from_json(A, 2, rows, "/omega", in_m=True)
+    u = tensor_from_json(A, 2, rows, "/omega")
     assert u[0] == (ZERO, Fraction(1, 2), ZERO)
-    assert tensor_to_json(A, u, in_m=True) == rows
-    full = tensor_from_json(A, 1, [["2", "1", "0"]], "/xi", in_m=False)
-    assert full[0][0] == Fraction(2)
+    assert tensor_to_json(A, u) == rows
+    full = tensor_from_json(A, 1, [["0", "1", "2"]], "/omega")  # full coordinates
+    assert full[0] == (ZERO, Fraction(1), Fraction(2))
     with pytest.raises(ValidationError):
-        tensor_from_json(A, 2, [["1", "0"]], "/omega", in_m=True)
+        tensor_from_json(A, 2, [["1", "0"]], "/omega")
     with pytest.raises(ValidationError):
-        tensor_from_json(A, 1, [["1", "0", "0"]], "/omega", in_m=True)
+        tensor_from_json(A, 1, [["1", "0", "0"]], "/omega")
     with pytest.raises(ValidationError):
-        tensor_from_json(A, 1, [["nope"]], "/omega", in_m=False)
+        tensor_from_json(A, 1, [["nope"]], "/omega")
