@@ -439,11 +439,12 @@ def _bump(table, key, n, k, delta):
 
 def perturb_pair(P, rng, keep_skew):
     """Add a small integer to one coordinate of one bracket or action
-    vector, stored or new, and 1 or -1 to 0-2 entries of the differentials: the
-    second, where there is one, in the next matrix of the same side and on
-    the column of the first's row, so that d.d can fail.  A bracket change
-    is mirrored so that graded skew symmetry holds with ``keep_skew``, and
-    made on one stored orientation only, so that skew fails, without it."""
+    vector, stored or new, and 1 or -1 to 0-2 entries of the
+    differentials: the second, where there is one, in the next matrix of
+    the same side and on the column of the first's row, so that d.d can
+    fail.  A bracket change is mirrored so that graded skew symmetry holds
+    with ``keep_skew``, and made on one stored orientation only, so that
+    skew fails, without it."""
     C = P.lie
     bracket, action = dict(C.bracket.entries), dict(P.action.entries)
     d, m_d = [list(map(list, m)) for m in C.d], [list(map(list, m)) for m in P.m_d]
